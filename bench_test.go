@@ -105,11 +105,11 @@ func prepareHJ(b *testing.B, sp bench.Spec) (*netlist.Circuit, *netlist.Circuit)
 
 // --- Parallel CEC backend: worker sweep -------------------------------
 
-// BenchmarkCheckParallel sweeps the miter worker-pool size on a
-// multi-output miter pair. The per-output SAT proofs are independent by
-// construction (the CBF unrolling replicates cones per output), so this
-// measures how far the embarrassingly parallel stage actually scales on
-// the host. cmd/cecbench runs the same sweep standalone and records the
+// BenchmarkCheckParallel sweeps the worker count on a multi-output
+// miter pair under the default engine: Workers shards the fraig
+// signature pass and the stage-1 simulation rounds as well as the
+// miter pool, so this measures how far the whole check scales on the
+// host. cmd/cecbench runs the same sweep standalone and records the
 // series (ns/op, speedup vs 1 worker) in BENCH_cec.json.
 func BenchmarkCheckParallel(b *testing.B) {
 	sp, _ := findSpec("s3384")
@@ -117,10 +117,7 @@ func BenchmarkCheckParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				// sat engine: keeps one real SAT proof per output (the
-				// hybrid engine's fraig collapses equivalent pairs
-				// structurally, leaving the pool idle).
-				res, err := cec.Check(h, j, cec.Options{Engine: "sat", Workers: workers})
+				res, err := cec.Check(h, j, cec.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -167,12 +164,12 @@ func BenchmarkFig18Unroll(b *testing.B) {
 	}
 }
 
-// --- Ablation: CEC engines (hybrid vs sat-only vs bdd) ----------------
+// --- Ablation: CEC engines (hybrid vs portfolio vs bdd) ---------------
 
 func BenchmarkCECEngine(b *testing.B) {
 	sp, _ := findSpec("s1269")
 	h, j := prepareHJ(b, sp)
-	for _, engine := range []string{"hybrid", "sat", "bdd"} {
+	for _, engine := range []string{"hybrid", "portfolio", "bdd"} {
 		b.Run(engine, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := cec.Check(h, j, cec.Options{Engine: engine})

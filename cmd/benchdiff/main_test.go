@@ -26,7 +26,7 @@ func writeReport(t *testing.T, dir, name string, rep *benchfmt.Report) string {
 
 func testReport() *benchfmt.Report {
 	return &benchfmt.Report{
-		Circuit: "s3384", Engine: "sat", GOMAXPROCS: 1, NumCPU: 1,
+		Circuit: "s3384", Engine: "hybrid", GOMAXPROCS: 1, NumCPU: 1,
 		Results: []benchfmt.WorkerResult{
 			{Workers: 1, Iters: 5, MeanNSOp: 1_100_000, MinNSOp: 1_000_000, GOMAXPROCS: 1, NumCPU: 1},
 		},
@@ -83,22 +83,21 @@ func TestRunExitCodes(t *testing.T) {
 		}
 	})
 
-	t.Run("mode-mismatch", func(t *testing.T) {
-		incr := testReport()
-		incr.SATMode = "incremental"
-		fresh := testReport()
-		fresh.SATMode = "fresh"
-		a := writeReport(t, dir, "incr.json", incr)
-		b := writeReport(t, dir, "fresh.json", fresh)
+	t.Run("retired-solver-mode-field", func(t *testing.T) {
+		// Reports recorded while cecbench still had a SAT-mode switch
+		// (BENCH_cec_fresh.json) carry a sat_mode field the schema no
+		// longer has: the strict reader refuses them by name.
+		a := writeReport(t, dir, "base.json", testReport())
+		b := filepath.Join(dir, "fresh.json")
+		if err := os.WriteFile(b, []byte(`{"circuit":"s3384","engine":"sat","sat_mode":"fresh"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		var out, errb bytes.Buffer
 		if code := run([]string{a, b}, &out, &errb); code != 2 {
-			t.Fatalf("SAT mode mismatch: exit %d, want 2", code)
+			t.Fatalf("retired sat_mode field: exit %d, want 2", code)
 		}
-		if !strings.Contains(errb.String(), "SAT mode mismatch") {
-			t.Errorf("stderr does not explain the refusal: %s", errb.String())
-		}
-		if code := run([]string{"-allow-mode-mismatch", a, b}, &out, &errb); code != 0 {
-			t.Fatalf("-allow-mode-mismatch: exit %d, want 0", code)
+		if !strings.Contains(errb.String(), "sat_mode") {
+			t.Errorf("stderr does not name the field: %s", errb.String())
 		}
 	})
 

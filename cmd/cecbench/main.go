@@ -21,7 +21,7 @@
 // Usage:
 //
 //	cecbench [-circuit s3384] [-workers 1,2,4,8] [-iters 3] [-count 1]
-//	         [-sat-mode incremental|fresh] [-budgets 5ms,20ms,80ms,0]
+//	         [-engine hybrid|bdd|portfolio] [-budgets 5ms,20ms,80ms,0]
 //	         [-out BENCH_cec.json]
 //
 // Each worker row also records the run's allocation profile —
@@ -63,12 +63,10 @@ func main() {
 	iters := flag.Int("iters", 3, "check iterations per worker count")
 	count := flag.Int("count", 1, "repeats of the whole measurement per row; spread is recorded across all repeats")
 	out := flag.String("out", "BENCH_cec.json", "output JSON path (- for stdout)")
-	// Default to the sat engine: on an equivalent pair the hybrid
-	// engine's fraig stage collapses most miters structurally, leaving
-	// the worker pool idle — sat-only keeps one real SAT proof per
-	// output, which is the parallel hot path this harness tracks.
-	engine := flag.String("engine", "sat", "combinational engine: hybrid, sat, bdd, or portfolio")
-	satMode := flag.String("sat-mode", "incremental", "SAT solver state across output miters: incremental or fresh")
+	// The default is cec's default engine, so the committed baseline
+	// times the path users run: simulation, the eager fraig sweep, and
+	// incremental SAT probes on what the sweep leaves.
+	engine := flag.String("engine", "hybrid", "combinational engine: "+cec.EngineNames)
 	budgets := flag.String("budgets", "", "comma-separated wall-clock budgets to sweep (e.g. 5ms,20ms,80ms,0; 0: unbudgeted; empty: skip)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to FILE")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to FILE")
@@ -112,7 +110,6 @@ func main() {
 	rep := benchfmt.Report{
 		Circuit:    *circuit,
 		Engine:     *engine,
-		SATMode:    *satMode,
 		Outputs:    len(h.Outputs),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
@@ -148,7 +145,7 @@ func main() {
 			ctx := obs.WithTracer(context.Background(), obs.New(sum))
 			b0, o0, p0 := obs.MemCounters()
 			start := time.Now()
-			res, err := cec.CheckCtx(ctx, h, j, cec.Options{Engine: *engine, SATMode: *satMode, Workers: w})
+			res, err := cec.CheckCtx(ctx, h, j, cec.Options{Engine: *engine, Workers: w})
 			if err != nil {
 				fatal(err)
 			}
@@ -209,7 +206,7 @@ func main() {
 			var total, max int64
 			for it := 0; it < *iters; it++ {
 				start := time.Now()
-				res, err := cec.Check(h, j, cec.Options{Engine: *engine, SATMode: *satMode, Budget: bd})
+				res, err := cec.Check(h, j, cec.Options{Engine: *engine, Budget: bd})
 				if err != nil {
 					fatal(err)
 				}

@@ -20,19 +20,6 @@ type FraigOptions struct {
 	// (level-batched, see SimSchedule). The merge loop itself stays
 	// sequential — it owns the SAT solver. 0 or 1 means serial.
 	Workers int
-	// RecordClasses collects every proven equivalence as an EquivPair
-	// over the *input* AIG in FraigStats.Classes, so a caller that keeps
-	// proving over the original structure (the incremental CEC path) can
-	// feed them into its own solver as unit/equality clauses.
-	RecordClasses bool
-}
-
-// EquivPair is one fraig-proven equivalence expressed over the input
-// AIG: edge A computes the same function as edge B. B always refers to
-// an earlier node than A; for nodes proven constant, B is the constant
-// edge (node 0).
-type EquivPair struct {
-	A, B Lit
 }
 
 // FraigStats reports what a functional-reduction pass accomplished.
@@ -42,9 +29,6 @@ type FraigStats struct {
 	Merges      int // nodes merged into a proven-equivalent representative
 	ProveCalls  int // SAT equivalence proofs attempted
 	ProveFailed int // candidates kept separate (refuted or budget hit)
-	// Classes holds the proven equivalences over the input AIG; only
-	// populated under FraigOptions.RecordClasses.
-	Classes []EquivPair
 }
 
 func (o *FraigOptions) defaults() {
@@ -178,18 +162,6 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 	for i := 1; i <= a.numPIs; i++ {
 		repr[i] = MkLit(uint32(i), false)
 	}
-	// firstIn maps an output-AIG node to the first input node whose
-	// representative landed on it. A later input node mapping to the
-	// same output node is a *derived* equivalence over the input AIG
-	// (the input is structurally hashed, so collisions only arise from
-	// merge cascades) — exactly what RecordClasses reports.
-	var firstIn map[uint32]int
-	if opt.RecordClasses {
-		firstIn = make(map[uint32]int, a.NumNodes())
-		for i := 0; i <= a.numPIs; i++ {
-			firstIn[uint32(i)] = i
-		}
-	}
 	for i := a.numPIs + 1; i < a.NumNodes(); i++ {
 		if obsSpan != nil && i&0xfff == 0 && obsThr.Ok() {
 			obsSpan.Gauge("fraig.swept", int64(i-a.numPIs))
@@ -226,19 +198,6 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 			}
 		}
 		repr[i] = e
-		if firstIn != nil {
-			nd := e.Node()
-			if j, ok := firstIn[nd]; ok {
-				// repr[j] and e share the output node nd, so input nodes
-				// j and i agree up to the edges' relative polarity.
-				stats.Classes = append(stats.Classes, EquivPair{
-					A: MkLit(uint32(i), false),
-					B: MkLit(uint32(j), e.Compl() != repr[j].Compl()),
-				})
-			} else {
-				firstIn[nd] = i
-			}
-		}
 	}
 	for i := 0; i < a.NumPOs(); i++ {
 		p := a.PO(i)

@@ -17,11 +17,6 @@ type DiffOptions struct {
 	// comparable, and the committed BENCH_cec.json itself proves it (a
 	// 1-CPU box makes workers=2 look like a slowdown).
 	AllowProcsMismatch bool
-	// AllowModeMismatch skips the SAT-mode guard, for deliberate
-	// incremental-vs-fresh comparisons (the CI mode gate). Off by
-	// default: a mode change is a different solver policy, and an
-	// accidental comparison would hide (or fake) a regression.
-	AllowModeMismatch bool
 	// AllocThreshold is the new/old bytes_per_op ratio above which
 	// allocation growth counts as a regression; it has its own (tighter)
 	// default because allocation volume is nearly deterministic where
@@ -90,10 +85,6 @@ func Compare(base, head *Report, opt DiffOptions) (*Diff, error) {
 	}
 	if base.Engine != head.Engine {
 		return nil, fmt.Errorf("benchfmt: engine mismatch: %q vs %q — not the same decision procedure", base.Engine, head.Engine)
-	}
-	if !opt.AllowModeMismatch && base.SATMode != "" && head.SATMode != "" && base.SATMode != head.SATMode {
-		return nil, fmt.Errorf("benchfmt: SAT mode mismatch: %q vs %q — different solver-state policies (pass -allow-mode-mismatch for a deliberate cross-mode comparison)",
-			base.SATMode, head.SATMode)
 	}
 	if !opt.AllowProcsMismatch && base.GOMAXPROCS != head.GOMAXPROCS {
 		return nil, fmt.Errorf("benchfmt: GOMAXPROCS mismatch: %d vs %d — ns/op from different parallelism budgets are not comparable (rerun on a matching host, or pass -allow-procs-mismatch to override)",

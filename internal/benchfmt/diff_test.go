@@ -8,7 +8,7 @@ import (
 func sampleReport() *Report {
 	return &Report{
 		Circuit:    "s3384",
-		Engine:     "sat",
+		Engine:     "hybrid",
 		Outputs:    26,
 		GOMAXPROCS: 1,
 		NumCPU:     1,
@@ -141,34 +141,6 @@ func TestCompareRefusesMismatches(t *testing.T) {
 	head.Results[1].GOMAXPROCS = 16
 	if _, err := Compare(base, head, DiffOptions{}); err == nil || !strings.Contains(err.Error(), "row workers=2") {
 		t.Fatalf("per-row GOMAXPROCS mismatch not refused: %v", err)
-	}
-}
-
-func TestCompareSATModeGuard(t *testing.T) {
-	base := sampleReport()
-	base.SATMode = "incremental"
-	head := sampleReport()
-	head.SATMode = "fresh"
-	_, err := Compare(base, head, DiffOptions{})
-	if err == nil || !strings.Contains(err.Error(), "SAT mode mismatch") {
-		t.Fatalf("SAT mode mismatch not refused: %v", err)
-	}
-	if !strings.Contains(err.Error(), "allow-mode-mismatch") {
-		t.Fatalf("refusal must name the override flag: %v", err)
-	}
-	if _, err := Compare(base, head, DiffOptions{AllowModeMismatch: true}); err != nil {
-		t.Fatalf("AllowModeMismatch did not waive the guard: %v", err)
-	}
-	// A legacy file with no recorded mode matches anything: the guard
-	// must not break comparisons against pre-mode baselines.
-	legacy := sampleReport()
-	if _, err := Compare(legacy, head, DiffOptions{}); err != nil {
-		t.Fatalf("empty SATMode treated as mismatch: %v", err)
-	}
-	same := sampleReport()
-	same.SATMode = "incremental"
-	if _, err := Compare(base, same, DiffOptions{}); err != nil {
-		t.Fatalf("matching SAT modes refused: %v", err)
 	}
 }
 
@@ -314,7 +286,7 @@ func TestCompareAllocSkipsLegacyRows(t *testing.T) {
 }
 
 func TestReadRejectsUnknownFields(t *testing.T) {
-	_, err := Read(strings.NewReader(`{"circuit":"x","engine":"sat","bogus":1}`))
+	_, err := Read(strings.NewReader(`{"circuit":"x","engine":"hybrid","bogus":1}`))
 	if err == nil {
 		t.Fatal("unknown field accepted; schema drift would compare zeros")
 	}

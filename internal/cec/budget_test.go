@@ -18,13 +18,22 @@ import (
 // import internal/bench without a cycle).
 func multiplier(n int, reverse bool) *netlist.Circuit {
 	c := netlist.New("mul")
+	for k, p := range addMultiplier(c, "", n, reverse) {
+		c.AddOutput(fmt.Sprintf("p%d", k), p)
+	}
+	return c
+}
+
+// addMultiplier adds one n x n array multiplier over fresh inputs
+// prefix+"a<i>" and prefix+"b<i>" to c and returns its 2n product bits.
+func addMultiplier(c *netlist.Circuit, prefix string, n int, reverse bool) []int {
 	a := make([]int, n)
 	b := make([]int, n)
 	for i := 0; i < n; i++ {
-		a[i] = c.AddInput(fmt.Sprintf("a%d", i))
+		a[i] = c.AddInput(fmt.Sprintf("%sa%d", prefix, i))
 	}
 	for i := 0; i < n; i++ {
-		b[i] = c.AddInput(fmt.Sprintf("b%d", i))
+		b[i] = c.AddInput(fmt.Sprintf("%sb%d", prefix, i))
 	}
 	zero := c.AddGate("", netlist.OpConst0)
 	sum := make([]int, 2*n)
@@ -56,10 +65,7 @@ func multiplier(n int, reverse bool) *netlist.Circuit {
 			sum[k] = s
 		}
 	}
-	for k := 0; k < 2*n; k++ {
-		c.AddOutput(fmt.Sprintf("p%d", k), sum[k])
-	}
-	return c
+	return sum
 }
 
 // TestBudgetDeadline pins the graceful-degradation guarantee: on a hard
@@ -72,7 +78,7 @@ func TestBudgetDeadline(t *testing.T) {
 	c1 := multiplier(8, false)
 	c2 := multiplier(8, true)
 	const budget = 20 * time.Millisecond
-	for _, engine := range []string{"sat", "hybrid", "portfolio", "bdd"} {
+	for _, engine := range []string{"hybrid", "portfolio", "bdd"} {
 		start := time.Now()
 		res, err := Check(c1, c2, Options{Engine: engine, Budget: budget, Workers: 1})
 		elapsed := time.Since(start)
@@ -102,7 +108,7 @@ func TestBudgetDeadline(t *testing.T) {
 func TestBudgetNeverFlipsVerdict(t *testing.T) {
 	c1 := multiplier(3, false)
 	c2 := multiplier(3, true)
-	res, err := Check(c1, c2, Options{Engine: "sat"})
+	res, err := Check(c1, c2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +116,7 @@ func TestBudgetNeverFlipsVerdict(t *testing.T) {
 		t.Fatalf("unbudgeted verdict %v, want equivalent", res.Verdict)
 	}
 	for _, budget := range []time.Duration{time.Microsecond, 50 * time.Microsecond, 2 * time.Millisecond} {
-		res, err := Check(c1, c2, Options{Engine: "sat", Budget: budget})
+		res, err := Check(c1, c2, Options{Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,19 +215,20 @@ func TestPortfolioStatsRecorded(t *testing.T) {
 // degrades that output to undecided with the stack captured in
 // Stats.Panics, while every other output is still decided normally.
 func TestPanicRecovery(t *testing.T) {
-	const poisoned = "p3"
+	const poisoned = "p7"
 	testMiterHook = func(output string) {
 		if output == poisoned {
 			panic("injected miter crash")
 		}
 	}
 	defer func() { testMiterHook = nil }()
-	// The sat engine skips fraig, so every output reaches proveOne and
-	// the poisoned one is guaranteed to crash (fraig could otherwise
-	// discharge it structurally before the hook ever fires).
-	c1 := multiplier(3, false)
-	c2 := multiplier(3, true)
-	for _, engine := range []string{"sat"} {
+	// The poisoned output is a middle product bit of the 6x6 multiplier
+	// pair: fraig's 1000-conflict proofs cannot merge it, so it reaches
+	// proveOne and is guaranteed to crash (an output fraig discharges
+	// structurally never reaches the hook).
+	c1 := multiplier(6, false)
+	c2 := multiplier(6, true)
+	for _, engine := range []string{"hybrid", "portfolio"} {
 		for _, workers := range []int{1, 2} {
 			res, err := Check(c1, c2, Options{Engine: engine, Workers: workers, SimRounds: -1})
 			if err != nil {

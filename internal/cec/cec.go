@@ -9,7 +9,8 @@
 // free), random simulation filters inequivalences and groups candidate
 // internal equivalences, SAT-sweeping (fraig) merges internal points to
 // keep miters shallow, and a CDCL SAT solver discharges each output
-// miter. A pure-BDD engine is provided for the ablation bench, and the
+// miter. That pipeline is the default "hybrid" engine and the only SAT
+// path. A pure-BDD engine is the independent reference, and the
 // "portfolio" engine races SAT against BDD per miter in the
 // Kuehlmann-Krohm hybrid style.
 //
@@ -65,31 +66,14 @@ func (v Verdict) String() string {
 // Options tunes the engines.
 type Options struct {
 	// Engine selects the decision procedure: "hybrid" (default:
-	// simulation + fraig + SAT), "sat" (no fraig sweeping), "bdd", or
-	// "portfolio" (simulation + fraig, then SAT raced against BDD per
-	// miter — the first definitive answer wins and cancels the loser).
+	// simulation, an eager fraig sweep, then incremental SAT probes on a
+	// warm per-worker solver), "bdd" (one monolithic BDD build, the
+	// independent reference), or "portfolio" (the hybrid pipeline with
+	// SAT raced against BDD per miter — the first definitive answer wins
+	// and cancels the loser). Any other name is rejected.
 	Engine string
 	// MaxConflicts bounds each SAT proof (0: generous default).
 	MaxConflicts int64
-	// SATMode selects how the SAT arm treats solver state across the
-	// output miters of one check: "incremental" (default) keeps one
-	// solver per worker warm across miters — the shared cone structure
-	// is encoded once, each miter is an assumption probe over one clause
-	// database, and clauses learned on output i prune output i+1 —
-	// while "fresh" gives every miter a brand-new solver and encoding,
-	// the bisectable baseline the incremental path is benched against.
-	// Verdicts never depend on the mode.
-	SATMode string
-	// ClassTriggerConflicts is the conflict budget an incremental SAT
-	// probe may burn before the engine invests in the one-time fraig
-	// class analysis (an analysis-only SAT sweep whose proven internal
-	// equivalences are fed to every worker as equality clauses). Easy
-	// miter queues never trip it and skip the sweep entirely; the first
-	// probe on a hard queue pays it once and the remaining miters reuse
-	// the classes. 0 selects the default (5000); negative runs the
-	// sweep eagerly before the first probe. Only the sat engine in
-	// incremental mode consults it.
-	ClassTriggerConflicts int
 	// BDDLimit bounds the BDD engine's node count (0: default 2M).
 	BDDLimit int
 	Seed     int64
@@ -153,10 +137,8 @@ func CheckCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options) (*Resul
 	if engine == "" {
 		engine = "hybrid"
 	}
-	switch opt.SATMode {
-	case "", "incremental", "fresh":
-	default:
-		return nil, fmt.Errorf("cec: unknown SAT mode %q (want incremental or fresh)", opt.SATMode)
+	if !ValidEngine(engine) {
+		return nil, fmt.Errorf("cec: unknown engine %q (want %s)", opt.Engine, EngineNames)
 	}
 	ctx, sp := obs.Start(ctx, "cec", obs.S("engine", engine))
 	defer sp.End()
@@ -197,14 +179,24 @@ func CheckCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options) (*Resul
 
 	names := c1.OutputNames()
 	sort.Strings(names)
-	switch engine {
-	case "hybrid", "sat", "portfolio":
-		return checkSAT(ctx, a, piNames, pos1, pos2, names, opt, res, engine)
-	case "bdd":
+	if engine == "bdd" {
 		return checkBDD(ctx, a, piNames, pos1, pos2, names, opt, res)
-	default:
-		return nil, fmt.Errorf("cec: unknown engine %q", opt.Engine)
 	}
+	return checkSAT(ctx, a, piNames, pos1, pos2, names, opt, res, engine == "portfolio")
+}
+
+// EngineNames lists the values Options.Engine accepts, for error
+// messages and flag help.
+const EngineNames = "hybrid, bdd or portfolio"
+
+// ValidEngine reports whether name selects an engine; the empty string
+// selects the default, hybrid.
+func ValidEngine(name string) bool {
+	switch name {
+	case "", "hybrid", "bdd", "portfolio":
+		return true
+	}
+	return false
 }
 
 func sameOutputNames(c1, c2 *netlist.Circuit) error {

@@ -2,6 +2,7 @@ package cec
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"seqver/internal/netlist"
@@ -34,7 +35,7 @@ func xorPair(structural bool) (*netlist.Circuit, *netlist.Circuit) {
 }
 
 func TestEquivalentAcrossEngines(t *testing.T) {
-	for _, engine := range []string{"hybrid", "sat", "bdd"} {
+	for _, engine := range []string{"hybrid", "bdd", "portfolio"} {
 		c1, c2 := xorPair(true)
 		res, err := Check(c1, c2, Options{Engine: engine})
 		if err != nil {
@@ -47,7 +48,7 @@ func TestEquivalentAcrossEngines(t *testing.T) {
 }
 
 func TestInequivalentWithCounterexample(t *testing.T) {
-	for _, engine := range []string{"hybrid", "sat", "bdd"} {
+	for _, engine := range []string{"hybrid", "bdd", "portfolio"} {
 		c1, c2 := xorPair(false) // xor vs and
 		res, err := Check(c1, c2, Options{Engine: engine})
 		if err != nil {
@@ -266,17 +267,17 @@ func hardCircuit() *netlist.Circuit {
 }
 
 func TestUndecidedUnderTinyBudget(t *testing.T) {
-	// Hard miter (interleaved xor-of-ands) with starved SAT budget and
-	// no fraig: the hybrid stages can't finish, so the verdict must be
-	// Undecided — never a wrong answer.
-	c1 := hardCircuit()
-	c2 := hardCircuit()
+	// Hard miters with a starved SAT budget: the middle product bits of
+	// the 6x6 multiplier pair survive the fraig stage, and their probes
+	// can't finish in one conflict, so the verdict must be Undecided —
+	// never a wrong answer.
+	c1, c2 := multiplier(6, false), multiplier(6, true)
 	// Perturb c2 structurally (same function): rebuild via synthesis.
 	c2b, err := synth.OptimizeComb(c2, synth.Options{Balance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Check(c1, c2b, Options{Engine: "sat", MaxConflicts: 1})
+	res, err := Check(c1, c2b, Options{MaxConflicts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,9 +330,20 @@ func TestBDDEngineCounterexampleValid(t *testing.T) {
 	}
 }
 
+// TestUnknownEngineRejected also covers "sat", the removed engine that
+// skipped fraig: it must fail loudly rather than alias to hybrid, and
+// the error must name every engine that is accepted.
 func TestUnknownEngineRejected(t *testing.T) {
 	c1, c2 := xorPair(true)
-	if _, err := Check(c1, c2, Options{Engine: "quantum"}); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, engine := range []string{"quantum", "sat"} {
+		_, err := Check(c1, c2, Options{Engine: engine})
+		if err == nil {
+			t.Fatalf("unknown engine %q accepted", engine)
+		}
+		for _, want := range []string{engine, "hybrid", "bdd", "portfolio"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("engine %q: error %q does not name %q", engine, err, want)
+			}
+		}
 	}
 }

@@ -51,19 +51,14 @@ func (o Options) simShape() (rounds, wordsPerRound int) {
 	return rounds, wordsPerRound
 }
 
-// checkSAT is the hybrid/sat/portfolio pipeline: random simulation,
-// optional fraig sweeping, then one miter per output discharged by a
-// worker pool (SAT alone, or the SAT-vs-BDD portfolio race).
+// checkSAT is the hybrid/portfolio pipeline: random simulation, an
+// eager fraig sweep, then one miter per output discharged by a worker
+// pool (SAT alone, or the SAT-vs-BDD portfolio race).
 func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []aig.Lit,
-	names []string, opt Options, res *Result, engine string) (*Result, error) {
+	names []string, opt Options, res *Result, portfolio bool) (*Result, error) {
 	workers := opt.workerCount()
 	st := res.Stats
 	st.Workers = workers
-	satMode := opt.SATMode
-	if satMode == "" {
-		satMode = "incremental"
-	}
-	st.SATMode = satMode
 	mreg := metrics.FromContext(ctx)
 
 	// Stage 1: random simulation looks for cheap counterexamples.
@@ -89,62 +84,46 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 	// output miters collapse structurally where the circuits are similar.
 	// Under a deadline the sweep degrades to a structural copy, keeping
 	// stage 3 the only consumer of whatever budget remains.
-	if engine != "sat" {
-		st.FraigNodesBefore = a.NumAnds()
-		fctx, fsp := obs.Start(ctx, "fraig")
-		fmem := obs.SpanMem(fsp)
-		fctx, frestore := obs.PhaseLabel(fctx, "fraig")
-		af, fst := aig.FraigExCtx(fctx, a, aig.FraigOptions{
-			Seed: opt.Seed, MaxConflicts: 1000, Workers: workers,
-		})
-		frestore()
-		if fsp != nil {
-			fsp.Gauge("fraig.nodes_before", int64(st.FraigNodesBefore))
-			fsp.Gauge("fraig.nodes_after", int64(fst.NodesAfter))
-			fsp.Gauge("fraig.merges", int64(fst.Merges))
-		}
-		fmem.End()
-		fsp.End()
-		st.FraigNodesAfter = fst.NodesAfter
-		st.FraigMerges = fst.Merges
-		st.FraigProveCalls = fst.ProveCalls
-		mreg.Counter("seqver_fraig_merges_total",
-			"Internal equivalences merged by SAT sweeping.").Add(int64(fst.Merges))
-		// Recover per-output edges from the fraiged AIG's POs.
-		a = af
-		for i := 0; i < len(pos1); i++ {
-			pos1[i] = a.PO(2 * i)
-			pos2[i] = a.PO(2*i + 1)
-		}
+	st.FraigNodesBefore = a.NumAnds()
+	fctx, fsp := obs.Start(ctx, "fraig")
+	fmem := obs.SpanMem(fsp)
+	fctx, frestore := obs.PhaseLabel(fctx, "fraig")
+	af, fst := aig.FraigExCtx(fctx, a, aig.FraigOptions{
+		Seed: opt.Seed, MaxConflicts: 1000, Workers: workers,
+	})
+	frestore()
+	if fsp != nil {
+		fsp.Gauge("fraig.nodes_before", int64(st.FraigNodesBefore))
+		fsp.Gauge("fraig.nodes_after", int64(fst.NodesAfter))
+		fsp.Gauge("fraig.merges", int64(fst.Merges))
+	}
+	fmem.End()
+	fsp.End()
+	st.FraigNodesAfter = fst.NodesAfter
+	st.FraigMerges = fst.Merges
+	st.FraigProveCalls = fst.ProveCalls
+	mreg.Counter("seqver_fraig_merges_total",
+		"Internal equivalences merged by SAT sweeping.").Add(int64(fst.Merges))
+	// Recover per-output edges from the fraiged AIG's POs.
+	a = af
+	for i := 0; i < len(pos1); i++ {
+		pos1[i] = a.PO(2 * i)
+		pos2[i] = a.PO(2*i + 1)
 	}
 
-	// Stage 3: one miter per output, proved concurrently. The "sat"
-	// engine proves over the unmerged AIG, so fraig-proven internal
-	// equivalences are not folded into the structure. In incremental
-	// mode the workers recover them on demand: the first probe that
-	// burns through classTrigger conflicts without an answer runs one
-	// analysis-only sweep over the joint AIG, and every worker feeds
-	// the resulting classes into its clause database as equality
-	// clauses. Easy sweeps never pay for the analysis; hard miters
-	// amortize it across the remaining queue.
+	// Stage 3: one miter per output, proved concurrently over the
+	// fraiged AIG, so every internal equivalence the sweep proved is
+	// already folded into the structure the probes encode.
 	maxConf := opt.MaxConflicts
 	if maxConf == 0 {
 		maxConf = 200000
 	}
-	trigger := int64(opt.ClassTriggerConflicts)
-	if trigger == 0 {
-		trigger = 5000
-	}
 	env := &proveEnv{
 		a: a, piNames: piNames, names: names, pos1: pos1, pos2: pos2,
-		maxConf:      maxConf,
-		bddLimit:     opt.bddLimit(),
-		portfolio:    engine == "portfolio",
-		incremental:  satMode == "incremental",
-		classTrigger: trigger,
-		classSeed:    opt.Seed,
-		classWorkers: workers,
-		deadline:     newBudgeter(ctx, len(pos1)),
+		maxConf:   maxConf,
+		bddLimit:  opt.bddLimit(),
+		portfolio: portfolio,
+		deadline:  newBudgeter(ctx, len(pos1)),
 	}
 	env.resolveMetrics(mreg)
 	proveMiters(ctx, env, workers, res, st)
@@ -295,18 +274,7 @@ type proveEnv struct {
 	maxConf        int64
 	bddLimit       int
 	portfolio      bool
-	incremental    bool      // warm per-worker solver vs fresh per miter
 	deadline       *budgeter // nil when neither Budget nor a ctx deadline is set
-
-	// On-demand class analysis (sat engine, incremental mode): the
-	// first probe to exceed classTrigger conflicts runs the fraig
-	// sweep once; classes publishes the result to all workers.
-	classTrigger    int64 // <0: sweep eagerly before the first probe
-	classSeed       int64
-	classWorkers    int
-	classOnce       sync.Once
-	classes         atomic.Pointer[[]aig.EquivPair]
-	fraigProveCalls int // sweep's prove calls, read after the pool drains
 
 	// Reuse-telemetry accumulators, updated atomically by the workers
 	// and folded into Stats once the pool drains.
@@ -314,7 +282,6 @@ type proveEnv struct {
 	varsEncoded    int64
 	dbReductions   int64
 	clausesDeleted int64
-	classesFed     int64
 
 	// Aggregate-metric handles, pre-resolved once per Check so the
 	// per-miter loop pays one nil check and one atomic add per update
@@ -331,15 +298,11 @@ type proveEnv struct {
 }
 
 // workerState is what each pool worker owns privately: a warm SAT
-// solver and its CNF map over the shared read-only AIG (incremental
-// mode; fresh mode rebuilds both per miter).
+// solver and its CNF map over the shared read-only AIG, kept across
+// every miter the worker proves.
 type workerState struct {
 	solver *sat.Solver
 	cnf    *aig.CNFMap
-	// classDone marks env.classes entries already fed into this
-	// worker's clause database (applied lazily once both endpoints of a
-	// pair have been encoded by some cone).
-	classDone []bool
 }
 
 // proveMiters discharges one miter per output on a pool of workers.
@@ -469,11 +432,6 @@ func proveMiters(ctx context.Context, e *proveEnv, workers int, res *Result, st 
 	st.VarsEncoded = e.varsEncoded
 	st.DBReductions = e.dbReductions
 	st.ClausesDeleted = e.clausesDeleted
-	st.ClassesFed = int(e.classesFed)
-	if ptr := e.classes.Load(); ptr != nil {
-		st.FraigClasses = len(*ptr)
-		st.FraigProveCalls = e.fraigProveCalls
-	}
 	res.SATCalls = st.SATCalls
 
 	switch {
@@ -535,27 +493,19 @@ func (e *proveEnv) proveOne(ctx context.Context, ws *workerState, i int,
 	return status, "sat", cex
 }
 
-// proveSAT discharges one output miter. In incremental mode (the
-// default) the probe runs on the worker's warm solver: only the cone
-// delta is encoded into the shared CNF, the two one-sided checks run
-// as assumption probes over the retained clause database (clauses
-// learned on output i prune output i+1), and a proven equality is fed
-// back as permanent clauses for later miters. Directed assumption
-// pairs beat a retractable miter clause under an activation literal
-// here — assumptions propagate both cone values immediately, while an
-// activated disjunction forces the solver to branch on the case split
-// (measured ~20% more conflicts on the s3384 harness). A probe that
-// exhausts the class-trigger conflict cap runs the fraig class
-// analysis once and retries with the classes fed. Fresh mode rebuilds
-// solver and encoding per miter; it is the bisectable baseline.
+// proveSAT discharges one output miter on the worker's warm solver:
+// only the cone delta is encoded into the shared CNF, the two one-sided
+// checks run as assumption probes over the retained clause database
+// (clauses learned on output i prune output i+1), and a proven equality
+// is fed back as permanent clauses for later miters. Directed
+// assumption pairs beat a retractable miter clause under an activation
+// literal here — assumptions propagate both cone values immediately,
+// while an activated disjunction forces the solver to branch on the
+// case split (measured ~20% more conflicts on the s3384 harness).
 // Statuses: equal | cex | undecided (conflict budget) | timeout
 // (context fired).
 func (e *proveEnv) proveSAT(ctx context.Context, ws *workerState, i int,
 	o *OutputStats) (string, map[string]bool) {
-	if !e.incremental {
-		ws.solver = sat.New(0)
-		ws.cnf = &aig.CNFMap{VarOf: map[uint32]int{}}
-	}
 	s := ws.solver
 	if sp := obs.CurrentSpan(ctx); sp != nil {
 		thr := obs.NewThrottle(50 * time.Millisecond)
@@ -590,61 +540,21 @@ func (e *proveEnv) proveSAT(ctx context.Context, ws *workerState, i int,
 	e.mVarsEncoded.Add(int64(s.NumVars() - v0))
 	s.MaxConflicts = e.maxConf
 
-	if !e.incremental {
-		for pass := 0; pass < 2; pass++ {
-			a1, a2 := l1, l2.Not()
-			if pass == 1 {
-				a1, a2 = l1.Not(), l2
-			}
-			verdict, model := s.SolveModelCtx(ctx, a1, a2)
-			switch verdict {
-			case sat.Sat:
-				return "cex", cexFromModel(e.a, e.piNames, ws.cnf, model)
-			case sat.Unknown:
-				return "undecided", nil
-			case sat.Canceled:
-				return "timeout", nil
-			}
-		}
-		return "equal", nil
-	}
-
 	o.LearnedReused = s.NumLearned()
 	atomic.AddInt64(&e.clausesReused, int64(o.LearnedReused))
 	e.mClausesReused.Add(int64(o.LearnedReused))
 	e.mLearnedDB.Observe(int64(o.LearnedReused))
-	if e.classTrigger < 0 {
-		e.ensureClasses(ctx)
-	}
-	e.applyClasses(ws)
 
-	// Staged effort: probe under the class-trigger conflict cap first;
-	// only a probe that exhausts it invests in the one-time fraig class
-	// analysis, feeds the classes, and retries at the full budget.
-	limit := e.maxConf
-	staged := e.classes.Load() == nil && e.classTrigger > 0 && e.classTrigger < e.maxConf
-	if staged {
-		limit = e.classTrigger
-	}
 	for pass := 0; pass < 2; pass++ {
 		a1, a2 := l1, l2.Not()
 		if pass == 1 {
 			a1, a2 = l1.Not(), l2
 		}
-		s.MaxConflicts = limit
 		verdict, model := s.SolveModelCtx(ctx, a1, a2)
 		switch verdict {
 		case sat.Sat:
 			return "cex", cexFromModel(e.a, e.piNames, ws.cnf, model)
 		case sat.Unknown:
-			if staged {
-				staged = false
-				limit = e.maxConf
-				e.ensureClasses(ctx)
-				e.applyClasses(ws)
-				pass--
-				continue
-			}
 			return "undecided", nil
 		case sat.Canceled:
 			return "timeout", nil
@@ -655,76 +565,6 @@ func (e *proveEnv) proveSAT(ctx context.Context, ws *workerState, i int,
 	s.AddClause(l1.Not(), l2)
 	s.AddClause(l1, l2.Not())
 	return "equal", nil
-}
-
-// ensureClasses runs the analysis-only fraig sweep exactly once per
-// check and publishes the proven equivalence classes to all workers.
-// Concurrent callers block until the sweep finishes — a worker that
-// trips the trigger while another is already sweeping would only burn
-// more conflicts on a probe the classes are about to make easy.
-func (e *proveEnv) ensureClasses(ctx context.Context) {
-	e.classOnce.Do(func() {
-		fctx, fsp := obs.Start(ctx, "fraig.classes")
-		_, fst := aig.FraigExCtx(fctx, e.a, aig.FraigOptions{
-			Seed: e.classSeed, MaxConflicts: 1000, Workers: e.classWorkers,
-			RecordClasses: true,
-		})
-		if fsp != nil {
-			fsp.Gauge("fraig.classes", int64(len(fst.Classes)))
-		}
-		fsp.End()
-		e.fraigProveCalls = fst.ProveCalls
-		cls := fst.Classes
-		e.classes.Store(&cls)
-	})
-}
-
-// applyClasses feeds fraig-proven equivalence classes into the worker's
-// clause database. A pair is applied once both endpoints' nodes are
-// already in the worker's CNF (feeding never forces extra cone
-// encoding); constant classes need only their A side and become units.
-// A no-op until ensureClasses has published a class list.
-func (e *proveEnv) applyClasses(ws *workerState) {
-	ptr := e.classes.Load()
-	if ptr == nil {
-		return
-	}
-	classes := *ptr
-	if len(ws.classDone) != len(classes) {
-		ws.classDone = make([]bool, len(classes))
-	}
-	applied := 0
-	for k, p := range classes {
-		if ws.classDone[k] {
-			continue
-		}
-		va, ok := ws.cnf.VarOf[p.A.Node()]
-		if !ok {
-			continue
-		}
-		la := sat.MkLit(va, p.A.Compl())
-		if p.B.Node() == 0 {
-			// A is constant: B.Compl() distinguishes True from False.
-			u := la.Not()
-			if p.B.Compl() {
-				u = la
-			}
-			ws.solver.AddClause(u)
-		} else {
-			vb, ok := ws.cnf.VarOf[p.B.Node()]
-			if !ok {
-				continue
-			}
-			lb := sat.MkLit(vb, p.B.Compl())
-			ws.solver.AddClause(la.Not(), lb)
-			ws.solver.AddClause(la, lb.Not())
-		}
-		ws.classDone[k] = true
-		applied++
-	}
-	if applied > 0 {
-		atomic.AddInt64(&e.classesFed, int64(applied))
-	}
 }
 
 func recordPanic(st *Stats, mu *sync.Mutex, output string, r any) {

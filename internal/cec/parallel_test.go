@@ -12,7 +12,7 @@ import (
 
 // TestWorkersVerdictEquivalence checks that the worker count never
 // changes a verdict: equivalent pairs (original vs synthesized) and
-// mutated pairs must agree across Workers 1..8 and both SAT engines.
+// mutated pairs must agree across Workers 1..8 on the default engine.
 func TestWorkersVerdictEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for trial := 0; trial < 6; trial++ {
@@ -22,27 +22,25 @@ func TestWorkersVerdictEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		mut := mutate(rng, c)
-		for _, engine := range []string{"hybrid", "sat"} {
-			for _, pair := range [][2]*netlist.Circuit{{c, o}, {c, mut}} {
-				var base Verdict
-				for wi, workers := range []int{1, 2, 4, 8} {
-					res, err := Check(pair[0], pair[1], Options{
-						Engine: engine, Seed: int64(trial), Workers: workers,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if wi == 0 {
-						base = res.Verdict
-						continue
-					}
-					if res.Verdict != base {
-						t.Fatalf("trial %d engine %s workers %d: verdict %v != serial %v",
-							trial, engine, workers, res.Verdict, base)
-					}
-					if res.Verdict == Inequivalent {
-						assertGenuineCex(t, pair[0], pair[1], res)
-					}
+		for _, pair := range [][2]*netlist.Circuit{{c, o}, {c, mut}} {
+			var base Verdict
+			for wi, workers := range []int{1, 2, 4, 8} {
+				res, err := Check(pair[0], pair[1], Options{
+					Seed: int64(trial), Workers: workers,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wi == 0 {
+					base = res.Verdict
+					continue
+				}
+				if res.Verdict != base {
+					t.Fatalf("trial %d workers %d: verdict %v != serial %v",
+						trial, workers, res.Verdict, base)
+				}
+				if res.Verdict == Inequivalent {
+					assertGenuineCex(t, pair[0], pair[1], res)
 				}
 			}
 		}
@@ -88,13 +86,14 @@ func assertGenuineCex(t *testing.T, c1, c2 *netlist.Circuit, res *Result) {
 }
 
 // TestUndecidedVerdictWithWorkers exercises the Undecided path through
-// the worker pool: a hard miter under a one-conflict budget cannot be
-// proved either way, serially or in parallel.
+// the worker pool: hard miters under a one-conflict budget cannot be
+// proved either way, serially or in parallel. The middle product bits
+// of the 6x6 multiplier pair survive the fraig stage's 1000-conflict
+// proofs, so they reach the pool's SAT probes.
 func TestUndecidedVerdictWithWorkers(t *testing.T) {
-	c1 := xorChain(false)
-	c2b := xorChain(true)
+	c1, c2 := multiplier(6, false), multiplier(6, true)
 	for _, workers := range []int{1, 4} {
-		res, err := Check(c1, c2b, Options{Engine: "sat", MaxConflicts: 1, Workers: workers})
+		res, err := Check(c1, c2, Options{MaxConflicts: 1, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,32 +111,6 @@ func TestUndecidedVerdictWithWorkers(t *testing.T) {
 			t.Fatalf("workers %d: no per-output undecided entry: %+v", workers, res.Stats.PerOutput)
 		}
 	}
-}
-
-// xorChain builds o = x0^x1^...^x15 associated left-to-right or
-// right-to-left: equal functions, structurally disjoint AIGs, and an
-// UNSAT miter a SAT solver cannot discharge without conflicts.
-func xorChain(reverse bool) *netlist.Circuit {
-	c := netlist.New("xc")
-	const n = 16
-	ins := make([]int, n)
-	for i := range ins {
-		ins[i] = c.AddInput(string(rune('a'+i%26)) + string(rune('0'+i/26)))
-	}
-	acc := ins[0]
-	rest := ins[1:]
-	if reverse {
-		acc = ins[n-1]
-		rest = make([]int, 0, n-1)
-		for i := n - 2; i >= 0; i-- {
-			rest = append(rest, ins[i])
-		}
-	}
-	for _, x := range rest {
-		acc = c.AddGate("", netlist.OpXor, acc, x)
-	}
-	c.AddOutput("o", acc)
-	return c
 }
 
 // TestConcurrentChecks is the race-focused test: many goroutines run
@@ -183,7 +156,7 @@ func TestConcurrentChecks(t *testing.T) {
 // consistent with the Result.
 func TestStatsPopulated(t *testing.T) {
 	c1, c2 := xorPair(true)
-	res, err := Check(c1, c2, Options{Engine: "sat", Workers: 2})
+	res, err := Check(c1, c2, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +164,7 @@ func TestStatsPopulated(t *testing.T) {
 	if st == nil {
 		t.Fatal("no stats")
 	}
-	if st.Engine != "sat" || st.Workers < 1 {
+	if st.Engine != "hybrid" || st.Workers < 1 {
 		t.Fatalf("engine/workers: %+v", st)
 	}
 	if len(st.PerOutput) != res.Outputs {

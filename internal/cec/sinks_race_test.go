@@ -51,13 +51,23 @@ func TestSinksUnderParallelWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := CheckCtx(ctx, c, o, Options{Engine: "sat", Workers: 4, Seed: int64(trial)})
+		res, err := CheckCtx(ctx, c, o, Options{Workers: 4, Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Verdict != Equivalent {
 			t.Fatalf("trial %d: verdict %v, want Equivalent", trial, res.Verdict)
 		}
+	}
+	// Fraig collapses the small random pairs structurally, so the
+	// worker pool only runs on the multiplier pair's middle product
+	// bits: three miters proved by four workers at once.
+	res, err := CheckCtx(ctx, multiplier(6, false), multiplier(6, true), Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != Equivalent {
+		t.Fatalf("multiplier pair: verdict %v, want Equivalent", res.Verdict)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)

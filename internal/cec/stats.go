@@ -31,14 +31,9 @@ type Stats struct {
 	Conflicts       int64 `json:"conflicts"`
 	Decisions       int64 `json:"decisions"`
 
-	// SATMode is the solver-state policy of the SAT arm: "incremental"
-	// (one warm solver per worker, assumption probes over one clause
-	// database) or "fresh" (per-miter solver and encoding). Empty for
-	// the pure-BDD engine.
-	SATMode string `json:"sat_mode,omitempty"`
 	// ClausesReused totals, over all probes, the learned clauses already
 	// alive in the worker's database when the probe started — the
-	// cross-miter reuse the incremental mode exists for.
+	// cross-miter reuse a warm per-worker solver exists for.
 	ClausesReused int64 `json:"clauses_reused"`
 	// VarsEncoded counts solver variables created by cone encoding; with
 	// encode-once reuse this stays near the shared-cone size instead of
@@ -48,11 +43,6 @@ type Stats struct {
 	// garbage collection across the run.
 	DBReductions   int64 `json:"db_reductions"`
 	ClausesDeleted int64 `json:"clauses_deleted"`
-	// FraigClasses / ClassesFed: internal equivalences recorded by the
-	// fraig analysis pass and how many were fed into worker clause
-	// databases as equality clauses (sat engine, incremental mode only).
-	FraigClasses int `json:"fraig_classes,omitempty"`
-	ClassesFed   int `json:"classes_fed,omitempty"`
 
 	// BudgetNS is the configured wall-clock budget (0: unbudgeted).
 	BudgetNS int64 `json:"budget_ns,omitempty"`
@@ -101,7 +91,7 @@ type OutputStats struct {
 	Conflicts int64  `json:"conflicts"` // per-probe delta, not the solver's lifetime counter
 	Decisions int64  `json:"decisions"` // per-probe delta, not the solver's lifetime counter
 	// LearnedReused is the learned-clause count carried over from earlier
-	// miters and alive when this output's probe started (incremental mode).
+	// miters and alive when this output's probe started.
 	LearnedReused int   `json:"learned_reused,omitempty"`
 	TimeNS        int64 `json:"time_ns"`
 	Worker        int   `json:"worker"` // pool worker that proved this miter (-1: none)
@@ -120,13 +110,9 @@ func (s *Stats) String() string {
 	}
 	fmt.Fprintf(&b, "sat:         %d calls, %d conflicts, %d decisions\n",
 		s.SATCalls, s.Conflicts, s.Decisions)
-	if s.SATMode != "" {
-		fmt.Fprintf(&b, "sat mode:    %s (%d clauses reused, %d vars encoded, %d reductions)\n",
-			s.SATMode, s.ClausesReused, s.VarsEncoded, s.DBReductions)
-		if s.FraigClasses > 0 {
-			fmt.Fprintf(&b, "classes:     %d recorded, %d fed as equality clauses\n",
-				s.FraigClasses, s.ClassesFed)
-		}
+	if s.Engine != "bdd" {
+		fmt.Fprintf(&b, "sat reuse:   %d clauses reused, %d vars encoded, %d reductions\n",
+			s.ClausesReused, s.VarsEncoded, s.DBReductions)
 	}
 	if s.BudgetNS > 0 {
 		fmt.Fprintf(&b, "budget:      %v wall clock\n", time.Duration(s.BudgetNS))

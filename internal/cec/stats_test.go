@@ -27,13 +27,10 @@ func fullStats() *Stats {
 		SATCalls:         5,
 		Conflicts:        777,
 		Decisions:        1234,
-		SATMode:          "incremental",
 		ClausesReused:    321,
 		VarsEncoded:      654,
 		DBReductions:     2,
 		ClausesDeleted:   88,
-		FraigClasses:     7,
-		ClassesFed:       5,
 		BudgetNS:         2_000_000_000,
 		Portfolio: &PortfolioStats{
 			SATWins: 2, BDDWins: 1, SATTimeouts: 1, BDDTimeouts: 2, Unresolved: 1,
@@ -70,7 +67,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 // The optional sections must disappear entirely from the JSON when
 // unset — consumers key presence off the field, not a zero value.
 func TestStatsJSONOmitsEmptyOptionalFields(t *testing.T) {
-	data, err := json.Marshal(&Stats{Engine: "sat"})
+	data, err := json.Marshal(&Stats{Engine: "hybrid"})
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -88,8 +85,7 @@ outputs:     9 (6 structural)
 simulation:  8 rounds x 4 words (2048 patterns), 1 cex hits
 fraig:       120 -> 30 AND nodes, 45 merges (12 proofs)
 sat:         5 calls, 777 conflicts, 1234 decisions
-sat mode:    incremental (321 clauses reused, 654 vars encoded, 2 reductions)
-classes:     7 recorded, 5 fed as equality clauses
+sat reuse:   321 clauses reused, 654 vars encoded, 2 reductions
 budget:      2s wall clock
 portfolio:   sat 2 wins / 1 timeouts, bdd 1 wins / 2 timeouts, 1 unresolved
 panics:      1 recovered proofs (degraded to undecided)

@@ -138,88 +138,6 @@ func TestCoreIsItselfUnsat(t *testing.T) {
 	}
 }
 
-func TestActivationGroupEnforcedOnlyUnderAssumption(t *testing.T) {
-	// Guarded unit ¬x0: active only when the activation is assumed.
-	s := New(1)
-	act := s.NewActivation()
-	s.AddGuarded(act, MkLit(0, true))
-	if st := s.Solve(act, MkLit(0, false)); st != Unsat {
-		t.Fatalf("guarded clause not enforced under act: %v", st)
-	}
-	if st := s.Solve(MkLit(0, false)); st != Sat {
-		t.Fatalf("guarded clause leaked into unguarded solve: %v", st)
-	}
-}
-
-func TestRetractDisablesGroup(t *testing.T) {
-	s := New(1)
-	act := s.NewActivation()
-	s.AddGuarded(act, MkLit(0, true))
-	s.Retract(act)
-	// Assuming the retracted activation now contradicts the retraction
-	// unit itself; the core names it.
-	if st := s.Solve(act, MkLit(0, false)); st != Unsat {
-		t.Fatalf("st=%v", st)
-	}
-	if core := s.Core(); !coreContains(core, act) {
-		t.Fatalf("core=%v, want the retracted activation", core)
-	}
-	if st := s.Solve(MkLit(0, false)); st != Sat {
-		t.Fatalf("retraction broke the base formula: %v", st)
-	}
-}
-
-func TestRetractedGroupsPurged(t *testing.T) {
-	// 100 one-clause groups retracted one by one: the every-64th-retract
-	// purge must reclaim the dead clauses on a later Solve call.
-	s := New(2)
-	var acts []Lit
-	for i := 0; i < 100; i++ {
-		a := s.NewActivation()
-		s.AddGuarded(a, MkLit(0, true), MkLit(1, false))
-		acts = append(acts, a)
-	}
-	if before := s.NumClauses(); before != 100 {
-		t.Fatalf("setup: clauses=%d", before)
-	}
-	for _, a := range acts {
-		s.Retract(a)
-	}
-	if s.Solve() != Sat {
-		t.Fatal("base formula must stay SAT")
-	}
-	if after := s.NumClauses(); after != 0 {
-		t.Fatalf("%d dead group clauses survived the purge", after)
-	}
-	if s.Stats.Deleted == 0 {
-		t.Fatal("Stats.Deleted not accounted")
-	}
-}
-
-func TestPurgeReclaimsTopLevelPropagatedGuards(t *testing.T) {
-	// A binary guarded clause whose guard unit-propagates at the top
-	// level becomes the propagation's antecedent; once retracted and
-	// purged it must still be reclaimed (level-0 reasons are released,
-	// never dereferenced).
-	s := New(1)
-	var acts []Lit
-	for i := 0; i < 70; i++ {
-		a := s.NewActivation()
-		s.AddGuarded(a, MkLit(0, false)) // binary: (x0 ∨ ¬a)
-		acts = append(acts, a)
-	}
-	s.AddClause(MkLit(0, true)) // ¬x0 unit: every group propagates ¬a
-	for _, a := range acts {
-		s.Retract(a) // already-false guards: no-op adds, but counted
-	}
-	if s.Solve() != Sat {
-		t.Fatal("base formula must stay SAT")
-	}
-	if after := s.NumClauses(); after != 0 {
-		t.Fatalf("%d locked group clauses survived the purge", after)
-	}
-}
-
 func TestReduceDBKeepsVerdictsCorrect(t *testing.T) {
 	// Force aggressive reductions with a tiny cap and check random
 	// instances against brute force — clause deletion must never flip a
@@ -283,6 +201,31 @@ func TestReduceDBTriggersAndShrinks(t *testing.T) {
 	}
 	if s.Stats.Deleted == 0 {
 		t.Fatal("Stats.Deleted not accounted")
+	}
+}
+
+func TestReduceDBReclaimsTopLevelReasons(t *testing.T) {
+	// A binary clause that unit-propagates at the top level becomes the
+	// propagation's antecedent, and it is satisfied forever after. A
+	// reduction must still reclaim it: level-0 reasons are released,
+	// never dereferenced, so such clauses are not locked.
+	s := New(0)
+	s.MaxLearned = 16
+	addPigeonhole(s, 5)
+	orig := s.NumClauses()
+	x := s.NewVar()
+	for i := 0; i < 70; i++ {
+		s.AddClause(MkLit(x, false), MkLit(s.NewVar(), true)) // (x ∨ ¬a)
+	}
+	s.AddClause(MkLit(x, true)) // ¬x unit: every binary propagates ¬a
+	if st := s.Solve(); st != Unsat {
+		t.Fatalf("st=%v", st)
+	}
+	if s.Stats.Reductions == 0 {
+		t.Fatalf("no reductions despite cap (learned=%d)", s.Stats.Learned)
+	}
+	if s.numOrig > orig {
+		t.Fatalf("%d top-level reason clauses survived reduction", s.numOrig-orig)
 	}
 }
 

@@ -132,7 +132,6 @@ type Solver struct {
 	numLearned int // live learned clauses (attached, not deleted)
 	numOrig    int // live original clauses
 	maxLearned float64
-	retired    int // Retract calls since the last purge of satisfied clauses
 
 	// Budget: conflicts allowed per Solve call; <= 0 means unlimited.
 	MaxConflicts int64
@@ -152,8 +151,8 @@ type Solver struct {
 	Stats struct {
 		Decisions, Propagations, Conflicts, Learned, Restarts int64
 		// Reductions counts learned-database reduction passes; Deleted
-		// counts clauses dropped by reduction and by the purge of
-		// clauses satisfied at the top level (retracted groups).
+		// counts the clauses they dropped, including clauses satisfied
+		// at the top level.
 		Reductions, Deleted int64
 		// SolveCalls counts Solve invocations over the solver's
 		// lifetime, so incremental callers can bill per-probe deltas.
@@ -581,8 +580,9 @@ func (s *Solver) locked(cref int) bool {
 }
 
 // satisfiedAtTopLevel reports whether the clause holds a literal made
-// permanently true at decision level 0 — e.g. by a retracted activation
-// group. Such a clause can never propagate again and may be reclaimed.
+// permanently true at decision level 0 — e.g. by a unit learned since
+// the clause was added. Such a clause can never propagate again and may
+// be reclaimed.
 func (s *Solver) satisfiedAtTopLevel(c *clause) bool {
 	for _, l := range c.lits {
 		if s.litValue(l) == lTrue && s.level[l.Var()] == 0 {
@@ -595,9 +595,9 @@ func (s *Solver) satisfiedAtTopLevel(c *clause) bool {
 // releaseTopLevelReasons drops the antecedent references of top-level
 // assignments. Conflict analysis and core extraction skip level-0
 // literals, so these reasons are never dereferenced again — releasing
-// them unlocks their clauses for reclamation (a retracted activation
-// group whose guard propagated at the top level would otherwise stay
-// locked forever).
+// them unlocks their clauses for reclamation (a top-level-satisfied
+// clause that was some unit's antecedent would otherwise stay locked
+// forever).
 func (s *Solver) releaseTopLevelReasons() {
 	end := len(s.trail)
 	if s.decisionLevel() > 0 {
@@ -605,23 +605,6 @@ func (s *Solver) releaseTopLevelReasons() {
 	}
 	for _, l := range s.trail[:end] {
 		s.reason[l.Var()] = -1
-	}
-}
-
-// purgeSatisfied reclaims clauses permanently satisfied at the top
-// level (retracted miter groups, units learned since). Called between
-// Solve calls, not in the search loop.
-func (s *Solver) purgeSatisfied() {
-	s.releaseTopLevelReasons()
-	any := false
-	for cref, c := range s.clauses {
-		if !s.locked(cref) && s.satisfiedAtTopLevel(c) {
-			c.deleted = true
-			any = true
-		}
-	}
-	if any {
-		s.compact()
 	}
 }
 
@@ -758,13 +741,6 @@ func (s *Solver) solve(ctx context.Context, assumptions ...Lit) Status {
 	if ctx != nil && ctx.Err() != nil {
 		return Canceled
 	}
-	if s.retired >= 64 {
-		// Enough groups were retracted since the last purge to make a
-		// database sweep worthwhile; between calls the trail is at the
-		// top level, so the purge sees the final retraction units.
-		s.purgeSatisfied()
-		s.retired = 0
-	}
 	s.conflicts = 0
 	s.decisions = 0
 	restartNum := int64(1)
@@ -867,35 +843,6 @@ func (s *Solver) solve(ctx context.Context, assumptions ...Lit) Status {
 		s.trailLm = append(s.trailLm, int32(len(s.trail)))
 		s.enqueue(l, -1)
 	}
-}
-
-// NewActivation returns a fresh activation literal for a retractable
-// clause group: clauses added through AddGuarded(act, ...) are enforced
-// only by Solve calls that assume act, and Retract(act) disables the
-// group permanently. This is the MiniSat selector-variable idiom that
-// lets an incremental caller pose temporary constraints (one output
-// miter, say) over a persistent clause database without poisoning
-// later calls.
-func (s *Solver) NewActivation() Lit { return MkLit(s.NewVar(), false) }
-
-// AddGuarded adds a clause guarded by the activation literal act: the
-// disjunction of lits is enforced exactly in Solve calls assuming act.
-func (s *Solver) AddGuarded(act Lit, lits ...Lit) bool {
-	g := make([]Lit, 0, len(lits)+1)
-	g = append(g, lits...)
-	g = append(g, act.Not())
-	return s.AddClause(g...)
-}
-
-// Retract permanently disables the clause group guarded by act by
-// asserting its complement at the top level. The group's clauses — and
-// any learned clause mentioning ¬act — become forever satisfied; the
-// next database reduction reclaims them, and every 64th retraction
-// schedules a purge on the following Solve call so a long run of
-// retractable probes cannot accrete dead clauses.
-func (s *Solver) Retract(act Lit) bool {
-	s.retired++
-	return s.AddClause(act.Not())
 }
 
 // Solve decides satisfiability under the given assumptions.

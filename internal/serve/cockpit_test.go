@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"seqver/internal/metrics"
+	"seqver/internal/netlist"
 	"seqver/internal/obs"
 )
 
@@ -225,36 +226,55 @@ func TestTimeseriesEndpoint(t *testing.T) {
 	}
 }
 
-// hardXorPair builds an equivalent pair whose miter defeats structural
-// hashing (XOR-of-ANDs accumulated in opposite orders), so a starved
-// SAT budget must answer undecided — the SLO-relevant outcome.
-func hardXorPair(n int) (golden, revised string) {
-	build := func(name string, reverse bool) string {
-		var b strings.Builder
-		fmt.Fprintf(&b, ".model %s\n.inputs", name)
+// hardMultiplierPair builds two n x n array multipliers that add their
+// partial-product rows in opposite orders: equal functions with
+// disjoint structure. At n=6 the middle product bits survive the fraig
+// stage's proofs, so their miters reach SAT probes and a starved SAT
+// budget must answer undecided — the SLO-relevant outcome.
+func hardMultiplierPair(n int) (golden, revised string) {
+	build := func(reverse bool) string {
+		c := netlist.New("mul")
+		a := make([]int, n)
+		b := make([]int, n)
 		for i := 0; i < n; i++ {
-			fmt.Fprintf(&b, " x%d y%d", i, i)
+			a[i] = c.AddInput(fmt.Sprintf("a%d", i))
+			b[i] = c.AddInput(fmt.Sprintf("b%d", i))
 		}
-		b.WriteString("\n.outputs o\n")
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(&b, ".names x%d y%d p%d\n11 1\n", i, (i+3)%n, i)
+		zero := c.AddGate("", netlist.OpConst0)
+		sum := make([]int, 2*n)
+		for k := range sum {
+			sum[k] = zero
 		}
-		order := make([]int, n)
-		for i := range order {
+		for r := 0; r < n; r++ {
+			i := r
 			if reverse {
-				order[i] = n - 1 - i
-			} else {
-				order[i] = i
+				i = n - 1 - r
+			}
+			carry := zero
+			for j := 0; j < n; j++ {
+				pp := c.AddGate("", netlist.OpAnd, a[i], b[j])
+				k := i + j
+				s1 := c.AddGate("", netlist.OpXor, sum[k], pp)
+				c1 := c.AddGate("", netlist.OpAnd, sum[k], pp)
+				sum[k] = c.AddGate("", netlist.OpXor, s1, carry)
+				carry = c.AddGate("", netlist.OpOr, c1, c.AddGate("", netlist.OpAnd, s1, carry))
+			}
+			for k := i + n; k < 2*n; k++ {
+				s := c.AddGate("", netlist.OpXor, sum[k], carry)
+				carry = c.AddGate("", netlist.OpAnd, sum[k], carry)
+				sum[k] = s
 			}
 		}
-		fmt.Fprintf(&b, ".names p%d t0\n1 1\n", order[0])
-		for i := 1; i < n; i++ {
-			fmt.Fprintf(&b, ".names t%d p%d t%d\n10 1\n01 1\n", i-1, order[i], i)
+		for k, p := range sum {
+			c.AddOutput(fmt.Sprintf("p%d", k), p)
 		}
-		fmt.Fprintf(&b, ".names t%d o\n1 1\n.end\n", n-1)
-		return b.String()
+		var buf bytes.Buffer
+		if err := netlist.WriteBLIF(&buf, c); err != nil {
+			panic(err)
+		}
+		return buf.String()
 	}
-	return build("hard_g", false), build("hard_r", true)
+	return build(false), build(true)
 }
 
 func TestSLOBurnsOnUndecidedJob(t *testing.T) {
@@ -269,10 +289,10 @@ func TestSLOBurnsOnUndecidedJob(t *testing.T) {
 	s, ts := newTestServer(t, Options{Objectives: []metrics.Objective{lat, avail}})
 	c := &Client{Base: ts.URL}
 
-	g, r := hardXorPair(16)
+	g, r := hardMultiplierPair(6)
 	v := submitWait(t, c, &JobRequest{
 		Golden: SideSpec{BLIF: g}, Revised: SideSpec{BLIF: r},
-		Engine: "sat", MaxConflicts: 1,
+		MaxConflicts: 1,
 	})
 	if v.Status != StatusDone || v.Result == nil || v.Result.ExitCode != 2 {
 		t.Fatalf("want a budget-exhausted undecided job, got %+v", v)

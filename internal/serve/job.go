@@ -50,10 +50,8 @@ type JobRequest struct {
 	Golden  SideSpec `json:"golden"`
 	Revised SideSpec `json:"revised"`
 
-	// Engine: "hybrid" (default), "sat", "bdd", or "portfolio".
+	// Engine: "hybrid" (default), "bdd", or "portfolio".
 	Engine string `json:"engine,omitempty"`
-	// SATMode: "incremental" (default) or "fresh".
-	SATMode string `json:"sat_mode,omitempty"`
 	// BudgetMS bounds the check's wall clock in milliseconds. 0 selects
 	// the daemon's default budget; values above the daemon's maximum
 	// are clamped to it (the daemon never runs unbudgeted jobs).
@@ -81,15 +79,8 @@ func (r *JobRequest) validate() error {
 	if err := r.Revised.validate("revised"); err != nil {
 		return err
 	}
-	switch r.Engine {
-	case "", "hybrid", "sat", "bdd", "portfolio":
-	default:
-		return fmt.Errorf("unknown engine %q (want hybrid, sat, bdd, or portfolio)", r.Engine)
-	}
-	switch r.SATMode {
-	case "", "incremental", "fresh":
-	default:
-		return fmt.Errorf("unknown sat_mode %q (want incremental or fresh)", r.SATMode)
+	if !cec.ValidEngine(r.Engine) {
+		return fmt.Errorf("unknown engine %q (want %s)", r.Engine, cec.EngineNames)
 	}
 	if r.BudgetMS < 0 || r.Workers < 0 || r.MaxConflicts < 0 {
 		return fmt.Errorf("budget_ms, workers, and max_conflicts must be non-negative")
@@ -105,7 +96,6 @@ type requestView struct {
 	RevisedCorpus string `json:"revised_corpus,omitempty"`
 	InlineBLIF    bool   `json:"inline_blif,omitempty"`
 	Engine        string `json:"engine,omitempty"`
-	SATMode       string `json:"sat_mode,omitempty"`
 	BudgetMS      int64  `json:"budget_ms,omitempty"`
 	Workers       int    `json:"workers,omitempty"`
 	MaxConflicts  int64  `json:"max_conflicts,omitempty"`
@@ -218,8 +208,8 @@ func (j *Job) View() *JobView {
 			GoldenCorpus:  j.req.Golden.Corpus,
 			RevisedCorpus: j.req.Revised.Corpus,
 			InlineBLIF:    j.req.Golden.BLIF != "" || j.req.Revised.BLIF != "",
-			Engine:        j.req.Engine, SATMode: j.req.SATMode,
-			BudgetMS: j.req.BudgetMS, Workers: j.req.Workers,
+			Engine:        j.req.Engine,
+			BudgetMS:      j.req.BudgetMS, Workers: j.req.Workers,
 			MaxConflicts: j.req.MaxConflicts,
 			Acyclic:      j.req.Acyclic, Rewrite: j.req.Rewrite,
 			Unate: j.req.Unate, NoCache: j.req.NoCache,

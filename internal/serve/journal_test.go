@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -287,6 +288,82 @@ func TestJournalSurvivesRestartCycle(t *testing.T) {
 	}
 	if v2.Result == nil || v2.Result.Verdict != v1.Result.Verdict {
 		t.Fatalf("verdict changed across restart: %+v -> %+v", v1.Result, v2.Result)
+	}
+}
+
+// TestJournalReplaysRemovedSATEngine replays a journal written by a
+// daemon that still accepted engine "sat" and sat_mode "fresh": two
+// decided jobs, one failed job, one job running at the crash and one
+// still queued. Terminal jobs come back exactly as journaled; the two
+// live jobs fail at replay with the same unknown-engine error a fresh
+// submit gets — no solver run, no retry, no quarantine — and a second
+// restart finds them terminal.
+func TestJournalReplaysRemovedSATEngine(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "journal_engine_sat.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fixture's own terminal records are the expected outcomes.
+	want := map[string]journalRecord{}
+	var live []string
+	for _, line := range strings.Split(strings.TrimSpace(string(fixture)), "\n") {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		switch rec.Op {
+		case jopSubmitted:
+			live = append(live, rec.ID)
+		case jopDone, jopFailed:
+			want[rec.ID] = rec
+		}
+	}
+	if len(want) != 3 || len(live) != 5 {
+		t.Fatalf("fixture shape: %d terminal of %d jobs, want 3 of 5", len(want), len(live))
+	}
+	dir := t.TempDir()
+	writeJournal(t, dir, string(fixture))
+
+	for restart := 1; restart <= 2; restart++ {
+		s, err := New(Options{Workers: 1, JournalDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range live {
+			v := waitTerminal(t, s, id)
+			rec, terminal := want[id]
+			switch {
+			case terminal && rec.Op == jopDone:
+				if v.Status != StatusDone || v.Result == nil ||
+					v.Result.Verdict != rec.Result.Verdict ||
+					v.Result.ExitCode != rec.Result.ExitCode ||
+					v.Result.FailingOutput != rec.Result.FailingOutput ||
+					!reflect.DeepEqual(v.Result.Counterexample, rec.Result.Counterexample) {
+					t.Fatalf("restart %d: decided job %s changed: %+v, journaled %+v",
+						restart, id, v.Result, rec.Result)
+				}
+			case terminal:
+				if v.Status != StatusFailed || v.Error != rec.Error {
+					t.Fatalf("restart %d: failed job %s: %+v, journaled %q", restart, id, v, rec.Error)
+				}
+			default:
+				if v.Status != StatusFailed || v.Result != nil ||
+					!strings.Contains(v.Error, `unknown engine "sat" (want hybrid, bdd or portfolio)`) {
+					t.Fatalf("restart %d: live sat-engine job %s: %+v", restart, id, v)
+				}
+			}
+			if v.Request.Engine != "sat" || !v.Recovered {
+				t.Fatalf("restart %d: job %s request echo %+v recovered=%v",
+					restart, id, v.Request, v.Recovered)
+			}
+		}
+		for _, name := range []string{"seqverd_journal_requeued_total",
+			"seqverd_retries_total", "seqverd_quarantined_total"} {
+			if n := counterValue(t, s, name); n != 0 {
+				t.Errorf("restart %d: %s = %d, want 0", restart, name, n)
+			}
+		}
+		s.Drain(10 * time.Second)
 	}
 }
 

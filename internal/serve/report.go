@@ -92,8 +92,8 @@ type foldSpan struct {
 	parent uint64
 	miter  *MiterReport // set on "miter" spans
 	// first/last sampled solver gauges under this miter span. The gauges
-	// carry solver-lifetime values in incremental mode, so the in-span
-	// delta is the per-miter estimate.
+	// carry solver-lifetime values on a warm per-worker solver, so the
+	// in-span delta is the per-miter estimate.
 	firstConflicts, lastConflicts int64
 	firstDecisions, lastDecisions int64
 	sawConflicts, sawDecisions    bool

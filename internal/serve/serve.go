@@ -395,6 +395,14 @@ func (s *Server) recover(recovered []*replayedJob) {
 			}
 			fallthrough
 		default:
+			if err := rj.req.validate(); err != nil {
+				// Journaled by an older daemon under options this one no
+				// longer accepts (e.g. engine "sat"): fail it now with the
+				// same message a fresh submit would get, instead of
+				// running it into an engine error or the retry ladder.
+				s.finishJob(j, StatusFailed, nil, err.Error())
+				continue
+			}
 			if rj.attempts >= s.opt.MaxAttempts {
 				// A job that already burned its attempts (possibly crashing
 				// the daemon each time) must not get a fresh pool to wedge:
@@ -833,8 +841,7 @@ func (s *Server) execute(ctx context.Context, j *Job, attempt int) (*JobResult, 
 
 	engine, budgetMS := degradedOptions(req, attempt, s.opt.DefaultBudget)
 	opt := cec.Options{
-		Engine: engine, SATMode: req.SATMode,
-		MaxConflicts: req.MaxConflicts, Workers: req.Workers,
+		Engine: engine, MaxConflicts: req.MaxConflicts, Workers: req.Workers,
 		Budget: s.clampBudget(budgetMS),
 	}
 	res, err := u.CheckCtx(ctx, opt)

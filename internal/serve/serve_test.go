@@ -272,6 +272,22 @@ func TestValidationErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: %d %+v", resp.StatusCode, apiErr)
 	}
+	// The removed "sat" engine is refused, not aliased to hybrid (it
+	// meant "skip fraig"), and the error lists what is accepted.
+	resp, apiErr = post(`{"golden":{"corpus":"s400"},"revised":{"corpus":"s400"},"engine":"sat"}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("engine sat: %d %+v", resp.StatusCode, apiErr)
+	}
+	for _, want := range []string{`"sat"`, "hybrid", "bdd", "portfolio"} {
+		if !strings.Contains(apiErr.Message, want) {
+			t.Errorf("engine sat: message %q does not name %s", apiErr.Message, want)
+		}
+	}
+	// sat_mode is no longer a request field: the strict decoder names it.
+	resp, apiErr = post(`{"golden":{"corpus":"s400"},"revised":{"corpus":"s400"},"sat_mode":"fresh"}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Message, "sat_mode") {
+		t.Errorf("sat_mode field: %d %+v", resp.StatusCode, apiErr)
+	}
 }
 
 func TestJobNotFoundAndList(t *testing.T) {
