@@ -139,10 +139,10 @@ func main() {
 		var allocBytes, allocObjects uint64
 		n := *iters * *count
 		for it := 0; it < n; it++ {
-			// A fresh summary sink per iteration so phase_ns reports the
-			// last (warmed-up) run rather than a sum across iterations.
-			sum := obs.NewSummarySink()
-			ctx := obs.WithTracer(context.Background(), obs.New(sum))
+			// A fresh fold per iteration so phase_ns reports the last
+			// (warmed-up) run rather than a sum across iterations.
+			fold := obs.NewPhaseFold()
+			ctx := obs.WithTracer(context.Background(), obs.New(fold))
 			b0, o0, p0 := obs.MemCounters()
 			start := time.Now()
 			res, err := cec.CheckCtx(ctx, h, j, cec.Options{Engine: *engine, Workers: w})
@@ -164,7 +164,10 @@ func main() {
 			wr.SATCalls = res.SATCalls
 			wr.Conflicts = res.Stats.Conflicts
 			wr.Verdict = res.Verdict.String()
-			wr.PhaseNS = sum.PhaseNS()
+			wr.PhaseNS, wr.PhaseBusyNS = map[string]int64{}, map[string]int64{}
+			for _, ph := range fold.Phases() {
+				wr.PhaseNS[ph.Name], wr.PhaseBusyNS[ph.Name] = ph.WallNS, ph.BusyNS
+			}
 			if res.Verdict != cec.Equivalent {
 				fatal(fmt.Errorf("workers=%d: verdict %v on equivalent pair", w, res.Verdict))
 			}

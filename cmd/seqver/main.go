@@ -7,7 +7,7 @@
 //	       [-budget DUR] [-workers N] [-sim-rounds N] [-sim-words N]
 //	       [-stats] [-stats-json FILE] [-trace FILE] [-trace-format F]
 //	       [-progress] [-cpuprofile FILE] [-memprofile FILE]
-//	       [-debug-addr ADDR] [-debug-linger DUR] [-profile-dir DIR]
+//	       [-debug-addr ADDR] [-debug-linger DUR]
 //	       [-flight] [-flight-events N] [-flight-dir DIR]
 //	       golden.blif revised.blif
 //
@@ -20,17 +20,14 @@
 // cmd/tracelint), or a Chrome trace_event file with -trace-format
 // chrome (open in chrome://tracing or https://ui.perfetto.dev).
 // -progress renders coarse phase progress to stderr while the check
-// runs. -cpuprofile/-memprofile write pprof profiles.
+// runs. -cpuprofile/-memprofile write pprof profiles; compare two runs'
+// captures with `go tool pprof -top -diff_base=OLD NEW`.
 //
 // -debug-addr ADDR serves live introspection over HTTP while the check
 // grinds: /metrics (Prometheus text exposition of the aggregate
 // counters, gauges, and phase-latency histograms), /healthz, expvar at
 // /debug/vars, and the full net/http/pprof suite. -debug-linger keeps
 // the server up after the verdict so short runs can still be scraped.
-// Adding -profile-dir arms the continuous profiling ring on the same
-// listener (/debug/profiles): periodic CPU+heap captures while the
-// check grinds, plus one final round at the verdict — so a lingering
-// server always has at least one capture of this run to hand out.
 //
 // The flight recorder (-flight, on by default) keeps a bounded ring of
 // the last -flight-events trace events at negligible cost; when a run
@@ -60,7 +57,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -71,7 +67,6 @@ import (
 	"seqver/internal/cec"
 	"seqver/internal/metrics"
 	"seqver/internal/obs"
-	"seqver/internal/prof"
 	"seqver/internal/serve"
 )
 
@@ -96,7 +91,6 @@ func run() int {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to FILE")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz, /debug/vars, /debug/pprof on ADDR (e.g. :8080) during the run")
 	debugLinger := flag.Duration("debug-linger", 0, "keep the -debug-addr server up for DUR after the verdict (0: exit immediately)")
-	profileDir := flag.String("profile-dir", "", "with -debug-addr: continuous profiling ring directory, served at /debug/profiles (empty: off)")
 	flight := flag.Bool("flight", true, "flight recorder: ring-buffer the trace; dump it on undecided, error, or recovered panic")
 	flightEvents := flag.Int("flight-events", obs.DefaultRingSize, "flight recorder capacity in events")
 	flightDir := flag.String("flight-dir", ".", "directory for flight-recorder dumps")
@@ -156,39 +150,15 @@ func run() int {
 	// process lifetime and is scraped while the check grinds.
 	var dbg *metrics.DebugServer
 	var reg *metrics.Registry
-	var profRing *prof.Ring
 	if *debugAddr != "" {
 		reg = metrics.NewRegistry()
-		var mounts []metrics.Mount
-		if *profileDir != "" {
-			var err error
-			// CLI-sized ring cadence: a check lasting seconds still gets
-			// its final CaptureNow round; a long grind gets periodic ones.
-			profRing, err = prof.New(prof.Options{
-				Dir: *profileDir, Interval: 30 * time.Second,
-				CPUDuration: 2 * time.Second, Registry: reg,
-			})
-			if err != nil {
-				return fail(err)
-			}
-			profRing.Start()
-			defer profRing.Stop()
-			mounts = append(mounts, metrics.Mount{
-				Pattern: "GET /debug/profiles/",
-				Handler: http.StripPrefix("/debug/profiles", profRing.Handler()),
-			})
-		}
 		var err error
-		dbg, err = metrics.StartDebugServer(*debugAddr, reg, mounts...)
+		dbg, err = metrics.StartDebugServer(*debugAddr, reg)
 		if err != nil {
 			return fail(err)
 		}
 		defer dbg.Close()
-		surfaces := "/metrics /healthz /debug/vars /debug/pprof"
-		if profRing != nil {
-			surfaces += " /debug/profiles"
-		}
-		fmt.Fprintf(os.Stderr, "seqver: debug server on http://%s (%s)\n", dbg.Addr, surfaces)
+		fmt.Fprintf(os.Stderr, "seqver: debug server on http://%s (/metrics /healthz /debug/vars /debug/pprof)\n", dbg.Addr)
 		ctx = metrics.WithRegistry(ctx, reg)
 	}
 
@@ -250,14 +220,6 @@ func run() int {
 		dumpFlight(ring, *flightDir)
 	}
 
-	if profRing != nil {
-		// One final round at the verdict: even a run shorter than the
-		// periodic interval leaves a CPU+heap capture behind, and a
-		// lingering debug server serves it at /debug/profiles.
-		if err := profRing.CaptureNow(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "seqver: profile capture:", err)
-		}
-	}
 	if dbg != nil && *debugLinger > 0 {
 		fmt.Fprintf(os.Stderr, "seqver: verdict ready (exit %d); debug server lingering %v on http://%s\n",
 			code, *debugLinger, dbg.Addr)

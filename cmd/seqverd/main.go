@@ -41,7 +41,8 @@
 // heap pprof captures into a bounded on-disk ring (oldest evicted past
 // -profile-max-captures / -profile-max-bytes), listed and downloadable
 // at /debug/profiles — a post-incident profile exists without anyone
-// having been attached. Diff two captures with `profdiff`.
+// having been attached. Diff two captures with
+// `go tool pprof -diff_base=OLD NEW`.
 //
 // On SIGTERM or SIGINT the daemon drains: new submissions get 503 +
 // Retry-After, jobs still queued finish as "rejected", and in-flight

@@ -33,8 +33,12 @@ type WorkerResult struct {
 	// only add scheduling overhead.
 	Warning string `json:"warning,omitempty"`
 	// PhaseNS breaks the last iteration's wall clock down by engine
-	// phase (span name -> cumulative ns), from an obs.SummarySink.
-	PhaseNS map[string]int64 `json:"phase_ns,omitempty"`
+	// phase (span name -> ns during which any span of that name was
+	// open), from an obs.PhaseFold. PhaseBusyNS sums the same spans'
+	// durations, so concurrent miter proofs count once each there;
+	// busy/wall is the phase's mean parallelism.
+	PhaseNS     map[string]int64 `json:"phase_ns,omitempty"`
+	PhaseBusyNS map[string]int64 `json:"phase_busy_ns,omitempty"`
 	// Allocation profile of the measured iterations — per-op averages
 	// from runtime/metrics deltas around the timed loop. Zero in files
 	// predating the alloc schema; Compare skips the alloc gate for such

@@ -145,3 +145,42 @@ func checkChromeLanes(t *testing.T, raw []byte) {
 		}
 	}
 }
+
+// TestPhaseFoldNestsWallTimes folds a multiplier pair's check, whose
+// miters fraig cannot merge, at one and two workers. Wall times must
+// nest the way the spans do (miter inside miters inside cec) however
+// many miters run at once; busy time may exceed wall only when they
+// overlap, and at one worker the two agree. A one-conflict budget keeps
+// the check short: every unresolved output still opens a miter span.
+func TestPhaseFoldNestsWallTimes(t *testing.T) {
+	c1, c2 := multiplier(6, false), multiplier(6, true)
+	for _, workers := range []int{1, 2} {
+		fold := obs.NewPhaseFold()
+		ctx := obs.WithTracer(context.Background(), obs.New(fold))
+		res, err := CheckCtx(ctx, c1, c2, Options{Workers: workers, MaxConflicts: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict == Inequivalent {
+			t.Fatalf("workers=%d: verdict %v on an equivalent pair", workers, res.Verdict)
+		}
+		ph := map[string]obs.Phase{}
+		for _, p := range fold.Phases() {
+			ph[p.Name] = p
+		}
+		miter, miters, check := ph["miter"], ph["miters"], ph["cec"]
+		if miter.Count < 2 {
+			t.Fatalf("workers=%d: want several miter spans, got %+v", workers, miter)
+		}
+		if miter.WallNS > miters.WallNS || miters.WallNS > check.WallNS {
+			t.Fatalf("workers=%d: wall times do not nest: miter %d, miters %d, cec %d ns",
+				workers, miter.WallNS, miters.WallNS, check.WallNS)
+		}
+		if miter.BusyNS < miter.WallNS {
+			t.Fatalf("workers=%d: miter busy %d < wall %d ns", workers, miter.BusyNS, miter.WallNS)
+		}
+		if workers == 1 && miter.BusyNS != miter.WallNS {
+			t.Fatalf("one worker: miter busy %d != wall %d ns", miter.BusyNS, miter.WallNS)
+		}
+	}
+}

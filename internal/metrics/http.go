@@ -59,28 +59,15 @@ type DebugServer struct {
 	ln   net.Listener
 }
 
-// Mount is an extra route for StartDebugServer's mux — how callers
-// attach surfaces this package cannot know about (the profiling ring's
-// /debug/profiles, say) without an import cycle.
-type Mount struct {
-	Pattern string
-	Handler http.Handler
-}
-
-// StartDebugServer binds addr and serves DebugMux(reg) — plus any extra
-// mounts — on it in a background goroutine. It returns once the
-// listener is bound, so a caller printing s.Addr advertises a live
-// endpoint.
-func StartDebugServer(addr string, reg *Registry, mounts ...Mount) (*DebugServer, error) {
+// StartDebugServer binds addr and serves DebugMux(reg) on it in a
+// background goroutine. It returns once the listener is bound, so a
+// caller printing s.Addr advertises a live endpoint.
+func StartDebugServer(addr string, reg *Registry) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: debug server: %w", err)
 	}
-	mux := DebugMux(reg)
-	for _, m := range mounts {
-		mux.Handle(m.Pattern, m.Handler)
-	}
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: DebugMux(reg)}
 	go srv.Serve(ln)
 	return &DebugServer{Addr: ln.Addr().String(), srv: srv, ln: ln}, nil
 }

@@ -256,9 +256,6 @@ func TestSinkFolding(t *testing.T) {
 	if got := reg.HistogramL("seqver_phase_seconds", "", "phase", "sim").Count(); got != 2 {
 		t.Errorf("phase histogram count = %d, want 2", got)
 	}
-	if got := reg.CounterL("seqver_spans_total", "", "phase", "sim").Value(); got != 2 {
-		t.Errorf("spans counter = %d, want 2", got)
-	}
 	if got := reg.Counter("seqver_sat_conflicts_total", "").Value(); got != 42 {
 		t.Errorf("count fold = %d, want 42", got)
 	}

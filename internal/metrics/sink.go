@@ -8,8 +8,8 @@ import (
 // tracer already instruments gets aggregate metrics for free:
 //
 //   - span end      -> seqver_phase_seconds{phase=<span name>} histogram
-//     (observed in ns, exposed in seconds) and
-//     seqver_spans_total{phase=<span name>} counter
+//     (observed in ns, exposed in seconds); its _count series is the
+//     number of completed spans
 //   - count event   -> seqver_<name>_total counter
 //   - gauge event   -> seqver_<name> gauge (last sample wins)
 //   - instant event -> seqver_events_total{event=<name>} counter
@@ -28,7 +28,6 @@ type Sink struct {
 	// Per-obs-name handle caches: one map lookup per event instead of a
 	// registry lock + key assembly.
 	phaseHists map[string]*Histogram
-	spanCtrs   map[string]*Counter
 	countCtrs  map[string]*Counter
 	gauges     map[string]*Gauge
 	eventCtrs  map[string]*Counter
@@ -39,7 +38,6 @@ func NewSink(reg *Registry) *Sink {
 	return &Sink{
 		reg:        reg,
 		phaseHists: map[string]*Histogram{},
-		spanCtrs:   map[string]*Counter{},
 		countCtrs:  map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
 		eventCtrs:  map[string]*Counter{},
@@ -58,13 +56,6 @@ func (s *Sink) Emit(ev obs.Event) {
 			s.phaseHists[ev.Name] = h
 		}
 		h.Observe(ev.Dur)
-		c := s.spanCtrs[ev.Name]
-		if c == nil {
-			c = s.reg.CounterL("seqver_spans_total",
-				"Completed obs spans, by span name.", "phase", ev.Name)
-			s.spanCtrs[ev.Name] = c
-		}
-		c.Inc()
 	case obs.EvCount:
 		c := s.countCtrs[ev.Name]
 		if c == nil {

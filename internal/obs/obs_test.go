@@ -213,19 +213,48 @@ func TestThrottle(t *testing.T) {
 	}
 }
 
-func TestSummarySink(t *testing.T) {
-	s := NewSummarySink()
-	s.Emit(Event{Type: EvEnd, Name: "fraig", Dur: 100})
-	s.Emit(Event{Type: EvEnd, Name: "fraig", Dur: 50})
-	s.Emit(Event{Type: EvEnd, Name: "sim", Dur: 10})
-	s.Emit(Event{Type: EvCount, Name: "merges", Value: 7})
-	if got := s.PhaseNS()["fraig"]; got != 150 {
-		t.Fatalf("fraig total = %d, want 150", got)
+// TestPhaseFold folds two overlapping miter spans under one miters
+// span, a gap, a third miter, and a span the trace never ends: busy
+// time sums durations, wall time is the union of the open intervals,
+// and the unended span stretches to the last timestamp.
+func TestPhaseFold(t *testing.T) {
+	f := NewPhaseFold()
+	for _, ev := range []Event{
+		{Type: EvBegin, TS: 0, Span: 1, Name: "miters"},
+		{Type: EvBegin, TS: 10, Span: 2, Parent: 1, Name: "miter"},
+		{Type: EvBegin, TS: 20, Span: 3, Parent: 1, Name: "miter"},
+		{Type: EvEnd, TS: 50, Span: 2, Name: "miter", Dur: 40},
+		{Type: EvCount, TS: 55, Span: 3, Name: "sat.conflicts", Value: 9},
+		{Type: EvEnd, TS: 60, Span: 3, Name: "miter", Dur: 40},
+		{Type: EvBegin, TS: 80, Span: 4, Parent: 1, Name: "miter"},
+		{Type: EvEnd, TS: 100, Span: 4, Name: "miter", Dur: 20},
+		{Type: EvBegin, TS: 105, Span: 5, Name: "sim"},
+		{Type: EvEnd, TS: 110, Span: 1, Name: "miters", Dur: 110},
+		{Type: EvEnd, TS: 115, Span: 99, Name: "orphan", Dur: 7}, // begin never seen
+		{Type: EvGauge, TS: 120, Span: 5, Name: "bdd.nodes", Value: 3},
+	} {
+		f.Emit(ev)
 	}
-	if got := s.Counts()["merges"]; got != 7 {
-		t.Fatalf("merges = %d, want 7", got)
+	want := []Phase{
+		{Name: "miters", Count: 1, WallNS: 110, BusyNS: 110, MaxNS: 110},
+		{Name: "miter", Count: 3, WallNS: 70, BusyNS: 100, MaxNS: 40},
+		{Name: "sim", Count: 1, WallNS: 15, BusyNS: 15, MaxNS: 15},
 	}
-	if str := s.String(); !strings.Contains(str, "fraig") {
-		t.Fatalf("summary missing fraig:\n%s", str)
+	got := f.Phases()
+	if len(got) != len(want) {
+		t.Fatalf("phases = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("phase[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	// Phases does not close the open span: the fold keeps going.
+	f.Emit(Event{Type: EvEnd, TS: 130, Span: 5, Name: "sim", Dur: 25})
+	if ph := f.Phases()[2]; ph != (Phase{Name: "sim", Count: 1, WallNS: 25, BusyNS: 25, MaxNS: 25}) {
+		t.Errorf("sim after end = %+v", ph)
+	}
+	if NewPhaseFold().Phases() == nil {
+		t.Error("empty fold must return an empty, non-nil slice")
 	}
 }

@@ -9,7 +9,7 @@ import (
 // runtime's allocation and GC counters when a coarse phase span opens
 // and emits the deltas as gauges on that span when the phase ends, so a
 // trace answers "which phase allocated those bytes" without a heap
-// profiler attached. The ROADMAP's struct-of-arrays refactor (item 5)
+// profiler attached. The ROADMAP's struct-of-arrays refactor (item 3)
 // gates on exactly these numbers: per-phase alloc volume before and
 // after, from the same harness.
 //

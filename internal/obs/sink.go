@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 )
@@ -248,75 +247,111 @@ func (s *ChromeSink) Close() error {
 
 func us(ns int64) float64 { return float64(ns) / 1e3 }
 
-// SummarySink aggregates span wall time and counter totals by name; the
-// bench harness attaches the result to BENCH_cec.json so the perf
-// trajectory shows which stage moved. It keeps no event stream.
-type SummarySink struct {
-	durNS  map[string]int64
-	calls  map[string]int64
-	counts map[string]int64
+// Phase is every span of one name folded together. BusyNS sums the
+// span durations; WallNS is the length of the union of their
+// intervals, so concurrent spans (parallel miter proofs) count once in
+// WallNS and once each in BusyNS. BusyNS/WallNS is the phase's mean
+// parallelism; at one worker the two agree.
+type Phase struct {
+	Name   string `json:"name"`
+	Count  int64  `json:"count"` // spans begun, ended or not
+	WallNS int64  `json:"wall_ns"`
+	BusyNS int64  `json:"busy_ns"`
+	MaxNS  int64  `json:"max_ns"`
 }
 
-// NewSummarySink returns an empty aggregator.
-func NewSummarySink() *SummarySink {
-	return &SummarySink{
-		durNS:  map[string]int64{},
-		calls:  map[string]int64{},
-		counts: map[string]int64{},
+// PhaseFold is the one span-to-phase aggregation: the bench harness,
+// the daemon's job report and the dashboard all read Phases. Spans
+// still open when Phases is called extend to the last timestamp seen,
+// so a running or crashed trace folds without repair. An end whose
+// begin never reached the fold (a truncated trace) is ignored. It keeps
+// no event stream.
+type PhaseFold struct {
+	phases map[string]*phaseAcc
+	open   map[uint64]openSpan
+	lastTS int64
+}
+
+type phaseAcc struct {
+	Phase
+	nOpen int64 // spans of this name open now
+	since int64 // when nOpen last rose from 0
+}
+
+type openSpan struct {
+	name  string
+	start int64
+}
+
+// NewPhaseFold returns an empty fold.
+func NewPhaseFold() *PhaseFold {
+	return &PhaseFold{phases: map[string]*phaseAcc{}, open: map[uint64]openSpan{}}
+}
+
+// Emit folds one event; only span begins and ends count.
+func (f *PhaseFold) Emit(ev Event) {
+	if ev.TS > f.lastTS {
+		f.lastTS = ev.TS
 	}
-}
-
-// Emit folds the event into the aggregate.
-func (s *SummarySink) Emit(ev Event) {
 	switch ev.Type {
-	case EvEnd:
-		s.durNS[ev.Name] += ev.Dur
-		s.calls[ev.Name]++
-	case EvCount:
-		s.counts[ev.Name] += ev.Value
-	}
-}
-
-// Close is a no-op (the aggregate stays readable).
-func (s *SummarySink) Close() error { return nil }
-
-// PhaseNS returns total span wall time by span name, in ns.
-func (s *SummarySink) PhaseNS() map[string]int64 {
-	out := make(map[string]int64, len(s.durNS))
-	for k, v := range s.durNS {
-		out[k] = v
-	}
-	return out
-}
-
-// Counts returns accumulated counter totals by name.
-func (s *SummarySink) Counts() map[string]int64 {
-	out := make(map[string]int64, len(s.counts))
-	for k, v := range s.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// String renders the aggregate sorted by descending wall time.
-func (s *SummarySink) String() string {
-	type row struct {
-		name string
-		ns   int64
-	}
-	rows := make([]row, 0, len(s.durNS))
-	for k, v := range s.durNS {
-		rows = append(rows, row{k, v})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].ns != rows[j].ns {
-			return rows[i].ns > rows[j].ns
+	case EvBegin:
+		a := f.phases[ev.Name]
+		if a == nil {
+			a = &phaseAcc{Phase: Phase{Name: ev.Name}}
+			f.phases[ev.Name] = a
 		}
-		return rows[i].name < rows[j].name
-	})
-	out := ""
-	for _, r := range rows {
-		out += fmt.Sprintf("%-16s %12d ns  (%d spans)\n", r.name, r.ns, s.calls[r.name])
+		a.Count++
+		if a.nOpen == 0 {
+			a.since = ev.TS
+		}
+		a.nOpen++
+		f.open[ev.Span] = openSpan{name: ev.Name, start: ev.TS}
+	case EvEnd:
+		sp, ok := f.open[ev.Span]
+		if !ok {
+			return
+		}
+		delete(f.open, ev.Span)
+		a := f.phases[sp.name]
+		a.add(ev.Dur)
+		if a.nOpen--; a.nOpen == 0 {
+			a.WallNS += ev.TS - a.since
+		}
 	}
+}
+
+func (a *phaseAcc) add(dur int64) {
+	a.BusyNS += dur
+	if dur > a.MaxNS {
+		a.MaxNS = dur
+	}
+}
+
+// Close is a no-op (the fold stays readable).
+func (f *PhaseFold) Close() error { return nil }
+
+// Phases returns the fold sorted by descending WallNS, then name.
+func (f *PhaseFold) Phases() []Phase {
+	closed := make(map[string]*phaseAcc, len(f.phases))
+	for name, a := range f.phases {
+		c := *a
+		if c.nOpen > 0 {
+			c.WallNS += f.lastTS - c.since
+		}
+		closed[name] = &c
+	}
+	for _, sp := range f.open {
+		closed[sp.name].add(f.lastTS - sp.start)
+	}
+	out := make([]Phase, 0, len(closed))
+	for _, a := range closed {
+		out = append(out, a.Phase)
+	}
+	sort.Slice(out, func(i, k int) bool {
+		if out[i].WallNS != out[k].WallNS {
+			return out[i].WallNS > out[k].WallNS
+		}
+		return out[i].Name < out[k].Name
+	})
 	return out
 }

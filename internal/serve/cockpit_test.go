@@ -277,6 +277,48 @@ func hardMultiplierPair(n int) (golden, revised string) {
 	return build(false), build(true)
 }
 
+// TestJobReportPhasesWallVsBusy checks that parallel miter proofs do
+// not inflate the waterfall: at two workers every phase's wall time
+// fits inside the job, while busy time keeps the summed span durations.
+// A one-conflict budget keeps the job short; each output still opens
+// its own miter span, which is all the fold needs.
+func TestJobReportPhasesWallVsBusy(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	c := &Client{Base: ts.URL}
+	g, r := hardMultiplierPair(6)
+	v := submitWait(t, c, &JobRequest{
+		Golden: SideSpec{BLIF: g}, Revised: SideSpec{BLIF: r},
+		Workers: 2, MaxConflicts: 1,
+	})
+	if v.Status != StatusDone || v.Result == nil {
+		t.Fatalf("job: %+v", v)
+	}
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + v.ID + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rep JobReport
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+		t.Fatal(err)
+	}
+	var miter *obs.Phase
+	for i, ph := range rep.Phases {
+		if ph.WallNS > rep.TotalNS {
+			t.Errorf("phase %q wall %d ns exceeds job total %d ns", ph.Name, ph.WallNS, rep.TotalNS)
+		}
+		if ph.Name == "miter" {
+			miter = &rep.Phases[i]
+		}
+	}
+	if miter == nil || miter.Count < 2 {
+		t.Fatalf("want several miter spans, got %+v", miter)
+	}
+	if miter.BusyNS < miter.WallNS {
+		t.Fatalf("miter busy %d ns < wall %d ns", miter.BusyNS, miter.WallNS)
+	}
+}
+
 func TestSLOBurnsOnUndecidedJob(t *testing.T) {
 	lat, err := metrics.ParseLatencySLO("p99<2s")
 	if err != nil {
@@ -359,9 +401,9 @@ func TestJobReportMatchesTrace(t *testing.T) {
 		t.Fatalf("first solve must report a cache miss, got %q", rep.CacheOutcome)
 	}
 
-	// Consistency with the raw trace: the report's per-phase span counts
-	// must equal the trace's begin counts, and the job phase must equal
-	// the report total.
+	// Consistency with the raw trace: every begun span name is a phase
+	// whose count equals the trace's begin count, and the job phase's
+	// wall time is the report total.
 	trace, err := c.Trace(context.Background(), v.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +418,10 @@ func TestJobReportMatchesTrace(t *testing.T) {
 			begins[ev.Name]++
 		}
 	}
-	var jobPhase *PhaseReport
+	if len(rep.Phases) != len(begins) {
+		t.Fatalf("report has %d phases, trace begins %d span names", len(rep.Phases), len(begins))
+	}
+	var jobPhase *obs.Phase
 	for i := range rep.Phases {
 		ph := rep.Phases[i]
 		if got := begins[ph.Name]; got != ph.Count {
@@ -386,7 +431,7 @@ func TestJobReportMatchesTrace(t *testing.T) {
 			jobPhase = &rep.Phases[i]
 		}
 	}
-	if jobPhase == nil || jobPhase.TotalNS != rep.TotalNS {
+	if jobPhase == nil || jobPhase.WallNS != rep.TotalNS || jobPhase.BusyNS != rep.TotalNS {
 		t.Fatalf("job phase %+v vs total %d", jobPhase, rep.TotalNS)
 	}
 

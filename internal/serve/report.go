@@ -20,15 +20,6 @@ import (
 // miters are listed individually, the rest fold into the summary.
 const slowestMiters = 8
 
-// PhaseReport aggregates every span of one name: how many ran, their
-// total and maximum wall clock.
-type PhaseReport struct {
-	Name    string `json:"name"`
-	Count   int64  `json:"count"`
-	TotalNS int64  `json:"total_ns"`
-	MaxNS   int64  `json:"max_ns"`
-}
-
 // MiterReport is one output's miter proof in the waterfall. StartNS is
 // relative to the trace epoch (the attempt's first event), so the
 // dashboard can lay miters out on a shared time axis.
@@ -80,7 +71,7 @@ type JobReport struct {
 	Recovered      bool          `json:"recovered,omitempty"`
 	TraceTruncated bool          `json:"trace_truncated,omitempty"`
 	TotalNS        int64         `json:"total_ns"`
-	Phases         []PhaseReport `json:"phases"`
+	Phases         []obs.Phase   `json:"phases"`
 	Miters         *MiterSummary `json:"miters,omitempty"`
 	Budget         *BudgetReport `json:"budget,omitempty"`
 	SAT            *SATReport    `json:"sat,omitempty"`
@@ -114,7 +105,6 @@ func (s *Server) Report(j *Job) *JobReport {
 	rep := &JobReport{
 		ID: j.ID, Status: v.Status, Attempts: v.Attempts,
 		Error: v.Error, Recovered: v.Recovered, TraceTruncated: truncated,
-		Phases: []PhaseReport{},
 	}
 	if v.Result != nil {
 		rep.Verdict = v.Result.Verdict
@@ -128,13 +118,13 @@ func (s *Server) Report(j *Job) *JobReport {
 	return rep
 }
 
-// foldTrace walks the decoded events once, aggregating spans into
-// phases, miter spans into the waterfall, and budget/cache instants
-// into their summaries. Gauges and instants attach to their nearest
+// foldTrace walks the decoded events once, feeding spans to an
+// obs.PhaseFold for the phases, miter spans into the waterfall, and
+// budget/cache instants into their summaries. Gauges and instants attach to their nearest
 // enclosing miter span (portfolio arms open child spans under it).
 func foldTrace(rep *JobReport, events []obs.Event) {
 	spans := map[uint64]*foldSpan{}
-	phases := map[string]*PhaseReport{}
+	phases := obs.NewPhaseFold()
 	var miters []*MiterReport
 	budget := &BudgetReport{}
 	var maxTS, jobDur int64
@@ -154,6 +144,7 @@ func foldTrace(rep *JobReport, events []obs.Event) {
 	}
 
 	for _, ev := range events {
+		phases.Emit(ev)
 		if ev.TS > maxTS {
 			maxTS = ev.TS
 		}
@@ -173,16 +164,6 @@ func foldTrace(rep *JobReport, events []obs.Event) {
 			sp := spans[ev.Span]
 			if sp == nil {
 				continue
-			}
-			ph := phases[sp.name]
-			if ph == nil {
-				ph = &PhaseReport{Name: sp.name}
-				phases[sp.name] = ph
-			}
-			ph.Count++
-			ph.TotalNS += ev.Dur
-			if ev.Dur > ph.MaxNS {
-				ph.MaxNS = ev.Dur
 			}
 			if sp.miter != nil {
 				sp.miter.DurNS = ev.Dur
@@ -246,15 +227,7 @@ func foldTrace(rep *JobReport, events []obs.Event) {
 	if rep.TotalNS == 0 {
 		rep.TotalNS = maxTS
 	}
-	for _, ph := range phases {
-		rep.Phases = append(rep.Phases, *ph)
-	}
-	sort.Slice(rep.Phases, func(i, k int) bool {
-		if rep.Phases[i].TotalNS != rep.Phases[k].TotalNS {
-			return rep.Phases[i].TotalNS > rep.Phases[k].TotalNS
-		}
-		return rep.Phases[i].Name < rep.Phases[k].Name
-	})
+	rep.Phases = phases.Phases()
 	if budget.SlicesNS > 0 || budget.Donations > 0 {
 		rep.Budget = budget
 	}
