@@ -159,7 +159,6 @@ func run() int {
 		}
 		defer dbg.Close()
 		fmt.Fprintf(os.Stderr, "seqver: debug server on http://%s (/metrics /healthz /debug/vars /debug/pprof)\n", dbg.Addr)
-		ctx = metrics.WithRegistry(ctx, reg)
 	}
 
 	tracer, ring, err := buildTracer(*trace, *traceFormat, *progress, reg, *flight, *flightEvents)

@@ -36,7 +36,6 @@ import (
 
 	"seqver/internal/aig"
 	"seqver/internal/bdd"
-	"seqver/internal/metrics"
 	"seqver/internal/netlist"
 	"seqver/internal/obs"
 )
@@ -159,16 +158,7 @@ func CheckCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options) (*Resul
 	defer func() {
 		res.Elapsed = time.Since(start)
 		res.Stats.ElapsedNS = res.Elapsed.Nanoseconds()
-		// Aggregate-telemetry feed (nil registry: all no-ops). Cold
-		// path — once per Check, after the verdict is known.
-		mreg := metrics.FromContext(ctx)
-		mreg.CounterL("seqver_checks_total",
-			"Completed equivalence checks, by verdict.",
-			"verdict", res.Verdict.String()).Inc()
-		mreg.Histogram("seqver_check_seconds",
-			"Wall-clock duration of whole equivalence checks.").Observe(res.Elapsed.Nanoseconds())
-		mreg.Counter("seqver_undecided_outputs_total",
-			"Output miters left unresolved by budget/limit exhaustion.").Add(int64(len(res.UndecidedOutputs)))
+		sp.Count("undecided.outputs", int64(len(res.UndecidedOutputs)))
 	}()
 	if opt.Budget > 0 {
 		res.Stats.BudgetNS = opt.Budget.Nanoseconds()
@@ -324,31 +314,81 @@ func gateToAIG(a *aig.AIG, n *netlist.Node, in []aig.Lit) aig.Lit {
 	panic("cec: unknown op " + n.Op.String())
 }
 
+// checkBDD is the monolithic reference engine: one BDD per output
+// cone, compared output by output.
 func checkBDD(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []aig.Lit,
 	names []string, opt Options, res *Result) (*Result, error) {
-	limit := opt.BDDLimit
-	if limit == 0 {
-		limit = 2_000_000
-	}
 	_, bsp := obs.Start(ctx, "bdd.build")
 	defer bsp.End()
-	m := bdd.New(len(piNames))
+	roots := append(append([]aig.Lit(nil), pos1...), pos2...)
+	err := buildBDD(ctx, bsp, a, opt.bddLimit(), roots, func(m *bdd.Manager, edge func(aig.Lit) bdd.Ref) {
+		for i := range pos1 {
+			if b1, b2 := edge(pos1[i]), edge(pos2[i]); b1 != b2 {
+				cex := bddCex(m, piNames, b1, b2)
+				res.Verdict, res.FailingOutput, res.Counterexample = Inequivalent, names[i], cex
+				return
+			}
+		}
+		res.Verdict = Equivalent
+	})
+	if err != nil {
+		// Node limit or cancellation, in the build or in a
+		// counterexample's difference function: the monolithic check
+		// decides nothing, so every output is unresolved.
+		res.Verdict = Undecided
+		res.UndecidedOutputs = append([]string(nil), names...)
+	}
+	return res, nil
+}
+
+// buildBDD builds BDDs for the transitive fanin of roots under the
+// context and a node limit, then runs decide on the finished edges.
+// BDD variables are global PI indices, so an AnySat over them maps
+// directly onto a named counterexample. The build and decide both run
+// inside bdd.CatchLimit: a limit or deadline hit anywhere, a
+// counterexample's XOR included, comes back as the error instead of a
+// panic. Node-count samples land on sp as bdd.nodes gauges.
+func buildBDD(ctx context.Context, sp *obs.Span, a *aig.AIG, limit int, roots []aig.Lit,
+	decide func(m *bdd.Manager, edge func(aig.Lit) bdd.Ref)) error {
+	need := make([]bool, a.NumNodes())
+	var stack []uint32
+	push := func(n uint32) {
+		if !need[n] {
+			need[n] = true
+			stack = append(stack, n)
+		}
+	}
+	for _, r := range roots {
+		push(r.Node())
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if a.IsConst(n) || a.IsPI(n) {
+			continue
+		}
+		f0, f1 := a.Fanins(n)
+		push(f0.Node())
+		push(f1.Node())
+	}
+
+	m := bdd.New(a.NumPIs())
 	m.MaxNodes = limit
 	m.SetContext(ctx)
-	if bsp != nil {
+	if sp != nil {
 		// Node-count samples ride the manager's existing poll boundary
 		// (see bdd.Manager.Progress), throttled to trace scale.
 		thr := obs.NewThrottle(50 * time.Millisecond)
 		m.Progress = func(nodes int) {
 			if thr.Ok() {
-				bsp.Gauge("bdd.nodes", int64(nodes))
+				sp.Gauge("bdd.nodes", int64(nodes))
 			}
 		}
 	}
 	funcs := make([]bdd.Ref, a.NumNodes())
 	funcs[0] = bdd.False
-	for i := 0; i < a.NumPIs(); i++ {
-		funcs[i+1] = m.Var(i)
+	for pi := 0; pi < a.NumPIs(); pi++ {
+		funcs[pi+1] = m.Var(pi)
 	}
 	edge := func(l aig.Lit) bdd.Ref {
 		f := funcs[l.Node()]
@@ -357,30 +397,23 @@ func checkBDD(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 		}
 		return f
 	}
-	err := bdd.CatchLimit(func() {
+	return bdd.CatchLimit(func() {
+		// AIG node indices are topological (fanins precede fanouts),
+		// so one ascending sweep over the marked cone suffices.
 		for n := uint32(a.NumPIs() + 1); n < uint32(a.NumNodes()); n++ {
+			if !need[n] {
+				continue
+			}
 			f0, f1 := a.Fanins(n)
 			funcs[n] = m.And(edge(f0), edge(f1))
 		}
+		decide(m, edge)
 	})
-	if err != nil {
-		// Node limit or cancellation: the monolithic build decides
-		// nothing, so every output is unresolved.
-		res.Verdict = Undecided
-		res.UndecidedOutputs = append([]string(nil), names...)
-		return res, nil
-	}
-	for i := range pos1 {
-		b1, b2 := edge(pos1[i]), edge(pos2[i])
-		if b1 != b2 {
-			res.Verdict = Inequivalent
-			res.FailingOutput = names[i]
-			// Extract a counterexample from the difference function.
-			diffSat := m.AnySat(m.Xor(b1, b2))
-			res.Counterexample = cexAssign(piNames, func(j int) bool { return diffSat[j] })
-			return res, nil
-		}
-	}
-	res.Verdict = Equivalent
-	return res, nil
+}
+
+// bddCex extracts a counterexample from the difference of two unequal
+// output functions.
+func bddCex(m *bdd.Manager, piNames []string, b1, b2 bdd.Ref) map[string]bool {
+	diffSat := m.AnySat(m.Xor(b1, b2))
+	return cexAssign(piNames, func(j int) bool { return diffSat[j] })
 }

@@ -1,6 +1,7 @@
 package cec
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -344,6 +345,34 @@ func TestUnknownEngineRejected(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Fatalf("engine %q: error %q does not name %q", engine, err, want)
 			}
+		}
+	}
+}
+
+// TestBDDEngineLimitDuringCounterexample sweeps the BDD node limit
+// around the point where the output cones fit but the counterexample's
+// difference function does not: on a multiplier pair whose product
+// bits p5 and p6 are swapped, that XOR can cross the limit (or the
+// deadline) after the build succeeded. The engine must degrade to
+// Undecided there, never panic, and never call the pair equivalent.
+func TestBDDEngineLimitDuringCounterexample(t *testing.T) {
+	c1 := multiplier(6, false)
+	c2 := netlist.New("mul")
+	prod := addMultiplier(c2, "", 6, true)
+	prod[5], prod[6] = prod[6], prod[5]
+	for k, p := range prod {
+		c2.AddOutput(fmt.Sprintf("p%d", k), p)
+	}
+	for limit := 11900; limit <= 12200; limit += 5 {
+		res, err := Check(c1, c2, Options{Engine: "bdd", BDDLimit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch res.Verdict {
+		case Equivalent:
+			t.Fatalf("limit %d: swapped outputs judged equivalent", limit)
+		case Inequivalent:
+			assertGenuineCex(t, c1, c2, res)
 		}
 	}
 }

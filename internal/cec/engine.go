@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"seqver/internal/aig"
-	"seqver/internal/metrics"
 	"seqver/internal/obs"
 	"seqver/internal/sat"
 )
@@ -59,7 +58,6 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 	workers := opt.workerCount()
 	st := res.Stats
 	st.Workers = workers
-	mreg := metrics.FromContext(ctx)
 
 	// Stage 1: random simulation looks for cheap counterexamples.
 	sctx, ssp := obs.Start(ctx, "sim")
@@ -67,10 +65,9 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 	sctx, srestore := obs.PhaseLabel(sctx, "sim")
 	hit := simStage(sctx, a, pos1, pos2, opt, st)
 	srestore()
+	ssp.Count("sim.patterns", st.SimPatterns)
 	smem.End()
 	ssp.End()
-	mreg.Counter("seqver_sim_patterns_total",
-		"Random input vectors simulated in stage 1.").Add(st.SimPatterns)
 	if hit != nil {
 		res.Verdict = Inequivalent
 		res.FailingOutput = names[hit.out]
@@ -95,15 +92,13 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 	if fsp != nil {
 		fsp.Gauge("fraig.nodes_before", int64(st.FraigNodesBefore))
 		fsp.Gauge("fraig.nodes_after", int64(fst.NodesAfter))
-		fsp.Gauge("fraig.merges", int64(fst.Merges))
+		fsp.Count("fraig.merges", int64(fst.Merges))
 	}
 	fmem.End()
 	fsp.End()
 	st.FraigNodesAfter = fst.NodesAfter
 	st.FraigMerges = fst.Merges
 	st.FraigProveCalls = fst.ProveCalls
-	mreg.Counter("seqver_fraig_merges_total",
-		"Internal equivalences merged by SAT sweeping.").Add(int64(fst.Merges))
 	// Recover per-output edges from the fraiged AIG's POs.
 	a = af
 	for i := 0; i < len(pos1); i++ {
@@ -125,30 +120,8 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 		portfolio: portfolio,
 		deadline:  newBudgeter(ctx, len(pos1)),
 	}
-	env.resolveMetrics(mreg)
 	proveMiters(ctx, env, workers, res, st)
 	return res, nil
-}
-
-// resolveMetrics binds the hot-path metric handles. A nil registry
-// yields nil handles whose methods are no-ops.
-func (e *proveEnv) resolveMetrics(mreg *metrics.Registry) {
-	e.mSATCalls = mreg.Counter("seqver_sat_calls_total",
-		"SAT solver invocations across all miter proofs.")
-	e.mSATConflicts = mreg.Counter("seqver_sat_conflicts_total",
-		"CDCL conflicts accumulated across all SAT calls.")
-	e.mSATDecisions = mreg.Counter("seqver_sat_decisions_total",
-		"CDCL decisions accumulated across all SAT calls.")
-	e.mMiters = mreg.Counter("seqver_miters_resolved_total",
-		"Output miters taken off the worker queue (any status).")
-	e.mMiterSeconds = mreg.Histogram("seqver_miter_seconds",
-		"Wall-clock duration of individual miter proofs.")
-	e.mClausesReused = mreg.Counter("seqver_sat_clauses_reused_total",
-		"Learned clauses retained from earlier miters and alive at probe start.")
-	e.mVarsEncoded = mreg.Counter("seqver_sat_vars_encoded_total",
-		"Solver variables created by CNF cone encoding.")
-	e.mLearnedDB = mreg.Histogram("seqver_sat_learned_db_size",
-		"Live learned-clause database size at each SAT probe.")
 }
 
 func (o Options) bddLimit() int {
@@ -282,19 +255,6 @@ type proveEnv struct {
 	varsEncoded    int64
 	dbReductions   int64
 	clausesDeleted int64
-
-	// Aggregate-metric handles, pre-resolved once per Check so the
-	// per-miter loop pays one nil check and one atomic add per update
-	// (nil without a registry on the context — same zero-cost contract
-	// as the absent tracer, pinned by metrics.TestNoRegistryZeroAlloc).
-	mSATCalls      *metrics.Counter
-	mSATConflicts  *metrics.Counter
-	mSATDecisions  *metrics.Counter
-	mMiters        *metrics.Counter
-	mMiterSeconds  *metrics.Histogram
-	mClausesReused *metrics.Counter
-	mVarsEncoded   *metrics.Counter
-	mLearnedDB     *metrics.Histogram
 }
 
 // workerState is what each pool worker owns privately: a warm SAT
@@ -379,7 +339,8 @@ func proveMiters(ctx context.Context, e *proveEnv, workers int, res *Result, st 
 				ictx, isp := obs.Start1(ctx, "miter", obs.S("output", e.names[i]))
 				status, engine, cex := e.proveOne(ictx, ws, i, o, st, &mu)
 				if isp != nil {
-					isp.Event("resolved", obs.S("status", status), obs.S("engine", engine))
+					isp.Event("resolved", obs.S("status", status), obs.S("engine", engine),
+						obs.I("conflicts", o.Conflicts), obs.I("decisions", o.Decisions))
 					isp.End()
 				}
 				o.Status = status
@@ -387,11 +348,7 @@ func proveMiters(ctx context.Context, e *proveEnv, workers int, res *Result, st 
 				o.TimeNS = time.Since(t0).Nanoseconds()
 				busy[w] += o.TimeNS
 				e.deadline.finish()
-				e.mMiters.Add(1)
-				e.mMiterSeconds.Observe(o.TimeNS)
-				if msp != nil {
-					msp.Count("miters.resolved", 1)
-				}
+				msp.Count("miters.resolved", 1)
 				switch status {
 				case "cex":
 					mu.Lock()
@@ -433,6 +390,14 @@ func proveMiters(ctx context.Context, e *proveEnv, workers int, res *Result, st 
 	st.DBReductions = e.dbReductions
 	st.ClausesDeleted = e.clausesDeleted
 	res.SATCalls = st.SATCalls
+	// The exact stage totals, zeros included, go to the trace once the
+	// pool has drained; metrics.Sink folds them into the
+	// seqver_sat_*_total counters.
+	msp.Count("sat.calls", int64(st.SATCalls))
+	msp.Count("sat.conflicts", st.Conflicts)
+	msp.Count("sat.decisions", st.Decisions)
+	msp.Count("sat.clauses_reused", st.ClausesReused)
+	msp.Count("sat.vars_encoded", st.VarsEncoded)
 
 	switch {
 	case win != nil:
@@ -527,9 +492,6 @@ func (e *proveEnv) proveSAT(ctx context.Context, ws *workerState, i int,
 		o.Conflicts = s.Stats.Conflicts - c0
 		o.Decisions = s.Stats.Decisions - d0
 		o.SATCalls = int(s.Stats.SolveCalls - calls0)
-		e.mSATCalls.Add(s.Stats.SolveCalls - calls0)
-		e.mSATConflicts.Add(o.Conflicts)
-		e.mSATDecisions.Add(o.Decisions)
 		atomic.AddInt64(&e.dbReductions, s.Stats.Reductions-r0)
 		atomic.AddInt64(&e.clausesDeleted, s.Stats.Deleted-del0)
 	}()
@@ -537,13 +499,10 @@ func (e *proveEnv) proveSAT(ctx context.Context, ws *workerState, i int,
 	l1 := e.a.Encode(s, ws.cnf, e.pos1[i])
 	l2 := e.a.Encode(s, ws.cnf, e.pos2[i])
 	atomic.AddInt64(&e.varsEncoded, int64(s.NumVars()-v0))
-	e.mVarsEncoded.Add(int64(s.NumVars() - v0))
 	s.MaxConflicts = e.maxConf
 
 	o.LearnedReused = s.NumLearned()
 	atomic.AddInt64(&e.clausesReused, int64(o.LearnedReused))
-	e.mClausesReused.Add(int64(o.LearnedReused))
-	e.mLearnedDB.Observe(int64(o.LearnedReused))
 
 	for pass := 0; pass < 2; pass++ {
 		a1, a2 := l1, l2.Not()

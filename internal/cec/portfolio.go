@@ -176,75 +176,17 @@ func (e *proveEnv) racePortfolio(ctx context.Context, i int, ws *workerState,
 // proveBDDMiter decides pos1[i] == pos2[i] by building BDDs for just
 // the two output cones (transitive fanin only, not the whole joint
 // AIG), under the context's deadline and the configured node limit.
-// BDD variables are global PI indices, so a difference function's
-// AnySat maps directly onto a named counterexample.
 func (e *proveEnv) proveBDDMiter(ctx context.Context, i int) (string, map[string]bool) {
-	a := e.a
-	need := make([]bool, a.NumNodes())
-	var stack []uint32
-	push := func(n uint32) {
-		if !need[n] {
-			need[n] = true
-			stack = append(stack, n)
-		}
-	}
-	push(e.pos1[i].Node())
-	push(e.pos2[i].Node())
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if a.IsConst(n) || a.IsPI(n) {
-			continue
-		}
-		f0, f1 := a.Fanins(n)
-		push(f0.Node())
-		push(f1.Node())
-	}
-
-	m := bdd.New(len(e.piNames))
-	m.MaxNodes = e.bddLimit
-	m.SetContext(ctx)
-	if sp := obs.CurrentSpan(ctx); sp != nil {
-		thr := obs.NewThrottle(50 * time.Millisecond)
-		m.Progress = func(nodes int) {
-			if thr.Ok() {
-				sp.Gauge("bdd.nodes", int64(nodes))
-			}
-		}
-	}
-	funcs := make([]bdd.Ref, a.NumNodes())
-	funcs[0] = bdd.False
-	for pi := 0; pi < a.NumPIs(); pi++ {
-		funcs[pi+1] = m.Var(pi)
-	}
-	edge := func(l aig.Lit) bdd.Ref {
-		f := funcs[l.Node()]
-		if l.Compl() {
-			return f.Not()
-		}
-		return f
-	}
 	var status string
 	var cex map[string]bool
-	err := bdd.CatchLimit(func() {
-		// AIG node indices are topological (fanins precede fanouts),
-		// so one ascending sweep over the marked cone suffices.
-		for n := uint32(a.NumPIs() + 1); n < uint32(a.NumNodes()); n++ {
-			if !need[n] {
-				continue
+	err := buildBDD(ctx, obs.CurrentSpan(ctx), e.a, e.bddLimit, []aig.Lit{e.pos1[i], e.pos2[i]},
+		func(m *bdd.Manager, edge func(aig.Lit) bdd.Ref) {
+			if b1, b2 := edge(e.pos1[i]), edge(e.pos2[i]); b1 != b2 {
+				status, cex = "cex", bddCex(m, e.piNames, b1, b2)
+			} else {
+				status = "equal"
 			}
-			f0, f1 := a.Fanins(n)
-			funcs[n] = m.And(edge(f0), edge(f1))
-		}
-		b1, b2 := edge(e.pos1[i]), edge(e.pos2[i])
-		if b1 == b2 {
-			status = "equal"
-			return
-		}
-		status = "cex"
-		diffSat := m.AnySat(m.Xor(b1, b2))
-		cex = cexAssign(e.piNames, func(j int) bool { return diffSat[j] })
-	})
+		})
 	if err != nil {
 		if ctx.Err() != nil {
 			return "timeout", nil

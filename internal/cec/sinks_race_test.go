@@ -43,7 +43,6 @@ func TestSinksUnderParallelWorkers(t *testing.T) {
 		metrics.NewSink(reg),
 	)
 	ctx := obs.WithTracer(context.Background(), tr)
-	ctx = metrics.WithRegistry(ctx, reg)
 
 	for trial := 0; trial < 3; trial++ {
 		c := randomComb(rng)
@@ -90,6 +89,52 @@ func TestSinksUnderParallelWorkers(t *testing.T) {
 	}
 
 	checkChromeLanes(t, chrome.Bytes())
+}
+
+// TestTraceFeedsEngineCounters folds checks of the multiplier pair,
+// whose middle product bits reach SAT probes, through metrics.Sink
+// alone: the trace is the only feed of the engine counters, so every
+// seqver_*_total series must equal its exact Stats field and
+// miters_resolved must count the miter spans once each.
+func TestTraceFeedsEngineCounters(t *testing.T) {
+	c1, c2 := multiplier(6, false), multiplier(6, true)
+	for _, workers := range []int{1, 2} {
+		reg := metrics.NewRegistry()
+		fold := obs.NewPhaseFold()
+		tr := obs.New(metrics.NewSink(reg), fold)
+		res, err := CheckCtx(obs.WithTracer(context.Background(), tr), c1, c2, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.SATCalls == 0 {
+			t.Fatalf("workers=%d: no SAT calls; the pair must reach stage 3", workers)
+		}
+		var miterSpans int64
+		for _, p := range fold.Phases() {
+			if p.Name == "miter" {
+				miterSpans = p.Count
+			}
+		}
+		for name, want := range map[string]int64{
+			"seqver_sim_patterns_total":       st.SimPatterns,
+			"seqver_fraig_merges_total":       int64(st.FraigMerges),
+			"seqver_sat_calls_total":          int64(st.SATCalls),
+			"seqver_sat_conflicts_total":      st.Conflicts,
+			"seqver_sat_decisions_total":      st.Decisions,
+			"seqver_sat_clauses_reused_total": st.ClausesReused,
+			"seqver_sat_vars_encoded_total":   st.VarsEncoded,
+			"seqver_undecided_outputs_total":  int64(len(res.UndecidedOutputs)),
+			"seqver_miters_resolved_total":    miterSpans,
+		} {
+			if got := reg.Counter(name, "").Value(); got != want {
+				t.Errorf("workers=%d: %s = %d, want %d", workers, name, got, want)
+			}
+		}
+	}
 }
 
 // checkChromeLanes decodes a Chrome trace and asserts per-lane sanity:

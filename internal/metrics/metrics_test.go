@@ -12,19 +12,17 @@ import (
 	"seqver/internal/obs"
 )
 
-// TestNoRegistryZeroAlloc pins the "metrics off" contract: with no
-// registry on the context, every lookup and every handle update is a
-// nil check and nothing else. This is the metrics twin of obs's
-// TestNoTracerZeroAlloc — hot paths (SAT inner loop, miter workers)
-// call these unconditionally.
+// TestNoRegistryZeroAlloc pins the "metrics off" contract: on a nil
+// registry every lookup and every handle update is a nil check and
+// nothing else, so a caller holding an optional *Registry never
+// branches on it.
 func TestNoRegistryZeroAlloc(t *testing.T) {
-	ctx := context.Background()
+	var reg *Registry
 	allocs := testing.AllocsPerRun(1000, func() {
-		reg := FromContext(ctx) // nil: no registry installed
 		reg.Counter("seqver_sat_calls_total", "h").Inc()
-		reg.CounterL("seqver_checks_total", "h", "verdict", "equal").Add(3)
+		reg.CounterL("seqverd_job_verdicts_total", "h", "verdict", "equal").Add(3)
 		reg.Gauge("seqver_bdd_nodes", "h").Set(42)
-		reg.Histogram("seqver_miter_seconds", "h").Observe(1234)
+		reg.Histogram("seqver_phase_seconds", "h").Observe(1234)
 	})
 	if allocs != 0 {
 		t.Fatalf("no-registry fast path allocates: %v allocs/op, want 0", allocs)
@@ -147,27 +145,13 @@ func TestRegistryKindConflict(t *testing.T) {
 
 func TestRegistryLabeledSeries(t *testing.T) {
 	reg := NewRegistry()
-	reg.CounterL("seqver_checks_total", "h", "verdict", "equal").Add(2)
-	reg.CounterL("seqver_checks_total", "h", "verdict", "cex").Add(1)
-	if got := reg.CounterL("seqver_checks_total", "h", "verdict", "equal").Value(); got != 2 {
+	reg.CounterL("seqverd_job_verdicts_total", "h", "verdict", "equal").Add(2)
+	reg.CounterL("seqverd_job_verdicts_total", "h", "verdict", "cex").Add(1)
+	if got := reg.CounterL("seqverd_job_verdicts_total", "h", "verdict", "equal").Value(); got != 2 {
 		t.Fatalf("equal series = %d, want 2", got)
 	}
-	if got := reg.CounterL("seqver_checks_total", "h", "verdict", "cex").Value(); got != 1 {
+	if got := reg.CounterL("seqverd_job_verdicts_total", "h", "verdict", "cex").Value(); got != 1 {
 		t.Fatalf("cex series = %d, want 1", got)
-	}
-}
-
-func TestWithRegistryRoundTrip(t *testing.T) {
-	reg := NewRegistry()
-	ctx := WithRegistry(context.Background(), reg)
-	if FromContext(ctx) != reg {
-		t.Fatal("FromContext must return the installed registry")
-	}
-	if FromContext(context.Background()) != nil {
-		t.Fatal("FromContext on a bare context must be nil")
-	}
-	if FromContext(nil) != nil {
-		t.Fatal("FromContext(nil) must be nil")
 	}
 }
 

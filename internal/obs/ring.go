@@ -173,20 +173,17 @@ func (s *RingSink) WriteJSONL(w io.Writer) error {
 			}
 		}
 		sp.beginTS = ts
-		if err := enc.Encode(wireEvent{
+		if err := enc.Encode(wire(Event{
 			Type: EvBegin, TS: ts, Name: sp.name, Span: id,
-			Attrs: map[string]any{"synth": int64(1)},
-		}); err != nil {
+			Attrs: []Attr{I("synth", 1)},
+		})); err != nil {
 			return err
 		}
 	}
 
 	// The retained events, verbatim.
 	for _, ev := range evs {
-		if err := enc.Encode(wireEvent{
-			Type: ev.Type, TS: ev.TS, Name: ev.Name, Span: ev.Span,
-			Parent: ev.Parent, Dur: ev.Dur, Value: ev.Value, Attrs: attrMap(ev.Attrs),
-		}); err != nil {
+		if err := enc.Encode(wire(ev)); err != nil {
 			return err
 		}
 	}
@@ -202,9 +199,9 @@ func (s *RingSink) WriteJSONL(w io.Writer) error {
 		if dur < 0 {
 			dur = 0
 		}
-		if err := enc.Encode(wireEvent{
+		if err := enc.Encode(wire(Event{
 			Type: EvEnd, TS: lastTS, Name: sp.name, Span: id, Dur: dur,
-		}); err != nil {
+		})); err != nil {
 			return err
 		}
 	}

@@ -22,6 +22,15 @@ type wireEvent struct {
 	Attrs  map[string]any `json:"attrs,omitempty"`
 }
 
+// wire converts an event to its JSONL form; every JSONL writer in this
+// package encodes through it.
+func wire(ev Event) wireEvent {
+	return wireEvent{
+		Type: ev.Type, TS: ev.TS, Name: ev.Name, Span: ev.Span,
+		Parent: ev.Parent, Dur: ev.Dur, Value: ev.Value, Attrs: attrMap(ev.Attrs),
+	}
+}
+
 func attrMap(attrs []Attr) map[string]any {
 	if len(attrs) == 0 {
 		return nil
@@ -43,10 +52,7 @@ func attrMap(attrs []Attr) map[string]any {
 // fan-out re-encodes per subscriber-visible line and must stay
 // bit-compatible with what ValidateJSONL accepts.
 func MarshalEvent(ev Event) ([]byte, error) {
-	return json.Marshal(wireEvent{
-		Type: ev.Type, TS: ev.TS, Name: ev.Name, Span: ev.Span,
-		Parent: ev.Parent, Dur: ev.Dur, Value: ev.Value, Attrs: attrMap(ev.Attrs),
-	})
+	return json.Marshal(wire(ev))
 }
 
 // JSONLSink streams every event as one JSON line (the wireEvent
@@ -74,10 +80,7 @@ func (s *JSONLSink) Emit(ev Event) {
 	if s.err != nil {
 		return
 	}
-	s.err = s.enc.Encode(wireEvent{
-		Type: ev.Type, TS: ev.TS, Name: ev.Name, Span: ev.Span,
-		Parent: ev.Parent, Dur: ev.Dur, Value: ev.Value, Attrs: attrMap(ev.Attrs),
-	})
+	s.err = s.enc.Encode(wire(ev))
 }
 
 // Close flushes the buffer (and closes the underlying writer when it is

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"seqver/internal/cec"
 	"seqver/internal/metrics"
 	"seqver/internal/netlist"
 	"seqver/internal/obs"
@@ -316,6 +317,65 @@ func TestJobReportPhasesWallVsBusy(t *testing.T) {
 	}
 	if miter.BusyNS < miter.WallNS {
 		t.Fatalf("miter busy %d ns < wall %d ns", miter.BusyNS, miter.WallNS)
+	}
+}
+
+// TestJobReportMiterCountsExact checks that the report's per-miter
+// conflicts and decisions, read from each miter's resolved instant in
+// the trace, are the engine's exact per-output accounting.
+func TestJobReportMiterCountsExact(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	c := &Client{Base: ts.URL}
+	g, r := hardMultiplierPair(6)
+	v := submitWait(t, c, &JobRequest{
+		Golden: SideSpec{BLIF: g}, Revised: SideSpec{BLIF: r}, Workers: 2,
+	})
+	if v.Status != StatusDone || v.Result == nil || v.Result.Stats == nil {
+		t.Fatalf("job: %+v", v)
+	}
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + v.ID + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rep JobReport
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Miters == nil || len(rep.Miters.Slowest) == 0 {
+		t.Fatalf("report has no miters: %+v", rep)
+	}
+	exact := map[string]cec.OutputStats{}
+	for _, o := range v.Result.Stats.PerOutput {
+		exact[o.Name] = o
+	}
+	var conflicts int64
+	for _, m := range rep.Miters.Slowest {
+		o, ok := exact[m.Output]
+		if !ok {
+			t.Fatalf("miter %q has no Stats.PerOutput entry", m.Output)
+		}
+		if m.Conflicts != o.Conflicts || m.Decisions != o.Decisions {
+			t.Errorf("miter %q: report %d conflicts, %d decisions; Stats %d, %d",
+				m.Output, m.Conflicts, m.Decisions, o.Conflicts, o.Decisions)
+		}
+		conflicts += m.Conflicts
+	}
+	if conflicts == 0 {
+		t.Fatal("no miter needed a conflict; the pair must reach SAT probes")
+	}
+
+	// The daemon's registry sees each miter once: the trace is its only
+	// feed of engine counters.
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	expo, _ := io.ReadAll(mresp.Body)
+	want := fmt.Sprintf("\nseqver_miters_resolved_total %d\n", rep.Miters.Total)
+	if !strings.Contains(string(expo), want) {
+		t.Fatalf("/metrics lacks %q for %d miter spans", strings.TrimSpace(want), rep.Miters.Total)
 	}
 }
 

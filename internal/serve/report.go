@@ -8,13 +8,12 @@ import (
 )
 
 // The job report is the dashboard's drill-down view: the job's JSONL
-// trace folded into a phase/miter waterfall. It is derived entirely
-// from data the daemon already keeps — the fanSink's buffered trace
-// plus the engine's exact per-output Stats when the job finished with
-// them — so a running job reports its partial waterfall and a finished
-// one reports the full story. Where the trace only has throttled
-// solver gauges (sat.conflicts is sampled, not exact), the engine's
-// per-output deltas overwrite the approximation.
+// trace folded into a phase/miter waterfall. Everything per phase and
+// per miter comes from the fanSink's buffered trace alone — a miter's
+// exact conflicts and decisions ride its "resolved" instant — so a
+// running job reports its partial waterfall (an open miter has no
+// counts until it resolves) and a finished one reports the full story.
+// Only the SAT header, the job's totals, is read from the job view.
 
 // slowestMiters bounds the per-miter detail in a report: the k slowest
 // miters are listed individually, the rest fold into the summary.
@@ -77,19 +76,6 @@ type JobReport struct {
 	SAT            *SATReport    `json:"sat,omitempty"`
 }
 
-// foldSpan is the folder's per-span state while walking the trace.
-type foldSpan struct {
-	name   string
-	parent uint64
-	miter  *MiterReport // set on "miter" spans
-	// first/last sampled solver gauges under this miter span. The gauges
-	// carry solver-lifetime values on a warm per-worker solver, so the
-	// in-span delta is the per-miter estimate.
-	firstConflicts, lastConflicts int64
-	firstDecisions, lastDecisions int64
-	sawConflicts, sawDecisions    bool
-}
-
 // Report folds the job's buffered trace (plus its result, when
 // terminal) into a JobReport.
 func (s *Server) Report(j *Job) *JobReport {
@@ -106,113 +92,80 @@ func (s *Server) Report(j *Job) *JobReport {
 		ID: j.ID, Status: v.Status, Attempts: v.Attempts,
 		Error: v.Error, Recovered: v.Recovered, TraceTruncated: truncated,
 	}
-	if v.Result != nil {
-		rep.Verdict = v.Result.Verdict
-		rep.Cached = v.Result.Cached
-		if v.Result.Stats != nil {
-			rep.Engine = v.Result.Stats.Engine
+	if r := v.Result; r != nil {
+		rep.Verdict = r.Verdict
+		rep.Cached = r.Cached
+		if st := r.Stats; st != nil {
+			rep.Engine = st.Engine
+			rep.SAT = &SATReport{Calls: st.SATCalls, Conflicts: st.Conflicts, Decisions: st.Decisions}
+		} else if r.SATCalls > 0 {
+			rep.SAT = &SATReport{Calls: r.SATCalls}
 		}
 	}
 	foldTrace(rep, events)
-	overlayStats(rep, v)
 	return rep
 }
 
 // foldTrace walks the decoded events once, feeding spans to an
 // obs.PhaseFold for the phases, miter spans into the waterfall, and
-// budget/cache instants into their summaries. Gauges and instants attach to their nearest
-// enclosing miter span (portfolio arms open child spans under it).
+// budget/cache instants into their summaries. Every instant a miter
+// row reads (resolved, budget.slice, budget.donate) is emitted on the
+// miter span itself, so attaching one is a lookup by span id.
 func foldTrace(rep *JobReport, events []obs.Event) {
-	spans := map[uint64]*foldSpan{}
+	bySpan := map[uint64]*MiterReport{}
 	phases := obs.NewPhaseFold()
 	var miters []*MiterReport
 	budget := &BudgetReport{}
 	var maxTS, jobDur int64
-
-	miterOf := func(id uint64) *foldSpan {
-		for hops := 0; hops < 64; hops++ {
-			sp := spans[id]
-			if sp == nil {
-				return nil
-			}
-			if sp.miter != nil {
-				return sp
-			}
-			id = sp.parent
-		}
-		return nil
-	}
 
 	for _, ev := range events {
 		phases.Emit(ev)
 		if ev.TS > maxTS {
 			maxTS = ev.TS
 		}
+		m := bySpan[ev.Span]
 		switch ev.Type {
 		case "begin":
-			sp := &foldSpan{name: ev.Name, parent: ev.Parent}
-			spans[ev.Span] = sp
 			if ev.Name == "miter" {
-				sp.miter = &MiterReport{
+				m = &MiterReport{
 					Output:  obs.AttrStr(ev.Attrs, "output"),
 					StartNS: ev.TS,
 					DurNS:   -1, // still open until the end event lands
 				}
-				miters = append(miters, sp.miter)
+				bySpan[ev.Span] = m
+				miters = append(miters, m)
 			}
 		case "end":
-			sp := spans[ev.Span]
-			if sp == nil {
-				continue
+			if m != nil {
+				m.DurNS = ev.Dur
 			}
-			if sp.miter != nil {
-				sp.miter.DurNS = ev.Dur
-				sp.miter.Conflicts = gaugeDelta(sp.sawConflicts, sp.firstConflicts, sp.lastConflicts)
-				sp.miter.Decisions = gaugeDelta(sp.sawDecisions, sp.firstDecisions, sp.lastDecisions)
-			}
-			if sp.name == "job" && ev.Dur > jobDur {
+			if ev.Name == "job" && ev.Dur > jobDur {
 				jobDur = ev.Dur
 			}
 		case "instant":
-			m := miterOf(ev.Span)
 			switch ev.Name {
 			case "resolved":
 				if m != nil {
-					m.miter.Status = obs.AttrStr(ev.Attrs, "status")
-					m.miter.Engine = obs.AttrStr(ev.Attrs, "engine")
+					m.Status = obs.AttrStr(ev.Attrs, "status")
+					m.Engine = obs.AttrStr(ev.Attrs, "engine")
+					m.Conflicts = obs.AttrInt(ev.Attrs, "conflicts")
+					m.Decisions = obs.AttrInt(ev.Attrs, "decisions")
 				}
 			case "budget.slice":
 				ns := obs.AttrInt(ev.Attrs, "slice_ns")
 				budget.SlicesNS += ns
 				if m != nil {
-					m.miter.SliceNS = ns
+					m.SliceNS = ns
 				}
 			case "budget.donate":
 				ns := obs.AttrInt(ev.Attrs, "unused_ns")
 				budget.Donations++
 				budget.DonatedNS += ns
 				if m != nil {
-					m.miter.DonatedNS = ns
+					m.DonatedNS = ns
 				}
 			case "cache":
 				rep.CacheOutcome = obs.AttrStr(ev.Attrs, "outcome")
-			}
-		case "gauge":
-			m := miterOf(ev.Span)
-			if m == nil {
-				continue
-			}
-			switch ev.Name {
-			case "sat.conflicts":
-				if !m.sawConflicts {
-					m.firstConflicts, m.sawConflicts = ev.Value, true
-				}
-				m.lastConflicts = ev.Value
-			case "sat.decisions":
-				if !m.sawDecisions {
-					m.firstDecisions, m.sawDecisions = ev.Value, true
-				}
-				m.lastDecisions = ev.Value
 			}
 		}
 	}
@@ -234,13 +187,6 @@ func foldTrace(rep *JobReport, events []obs.Event) {
 	if len(miters) > 0 {
 		rep.Miters = summarizeMiters(miters)
 	}
-}
-
-func gaugeDelta(saw bool, first, last int64) int64 {
-	if !saw || last < first {
-		return 0
-	}
-	return last - first
 }
 
 func summarizeMiters(miters []*MiterReport) *MiterSummary {
@@ -267,42 +213,4 @@ func summarizeMiters(miters []*MiterReport) *MiterSummary {
 		sum.Slowest = append(sum.Slowest, *m)
 	}
 	return sum
-}
-
-// overlayStats replaces trace-derived approximations with the engine's
-// exact accounting when the job carries Stats: the throttled
-// sat.conflicts gauges undercount short probes, while OutputStats holds
-// the true per-probe deltas.
-func overlayStats(rep *JobReport, v *JobView) {
-	if v.Result == nil {
-		return
-	}
-	st := v.Result.Stats
-	if st == nil {
-		if v.Result.SATCalls > 0 {
-			rep.SAT = &SATReport{Calls: v.Result.SATCalls}
-		}
-		return
-	}
-	rep.SAT = &SATReport{Calls: st.SATCalls, Conflicts: st.Conflicts, Decisions: st.Decisions}
-	if rep.Miters == nil || len(st.PerOutput) == 0 {
-		return
-	}
-	exact := make(map[string]int, len(st.PerOutput))
-	for i := range st.PerOutput {
-		exact[st.PerOutput[i].Name] = i
-	}
-	for i := range rep.Miters.Slowest {
-		m := &rep.Miters.Slowest[i]
-		if k, ok := exact[m.Output]; ok {
-			o := &st.PerOutput[k]
-			m.Conflicts, m.Decisions = o.Conflicts, o.Decisions
-			if o.Status != "" {
-				m.Status = o.Status
-			}
-			if o.Engine != "" {
-				m.Engine = o.Engine
-			}
-		}
-	}
 }
