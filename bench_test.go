@@ -164,12 +164,12 @@ func BenchmarkFig18Unroll(b *testing.B) {
 	}
 }
 
-// --- Ablation: CEC engines (hybrid vs portfolio vs bdd) ---------------
+// --- Ablation: CEC engines (hybrid vs bdd) ----------------------------
 
 func BenchmarkCECEngine(b *testing.B) {
 	sp, _ := findSpec("s1269")
 	h, j := prepareHJ(b, sp)
-	for _, engine := range []string{"hybrid", "portfolio", "bdd"} {
+	for _, engine := range []string{"hybrid", "bdd"} {
 		b.Run(engine, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := cec.Check(h, j, cec.Options{Engine: engine})

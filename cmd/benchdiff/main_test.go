@@ -85,8 +85,8 @@ func TestRunExitCodes(t *testing.T) {
 
 	t.Run("retired-solver-mode-field", func(t *testing.T) {
 		// Reports recorded while cecbench still had a SAT-mode switch
-		// (BENCH_cec_fresh.json) carry a sat_mode field the schema no
-		// longer has: the strict reader refuses them by name.
+		// carry a sat_mode field the schema no longer has: the strict
+		// reader refuses them by name.
 		a := writeReport(t, dir, "base.json", testReport())
 		b := filepath.Join(dir, "fresh.json")
 		if err := os.WriteFile(b, []byte(`{"circuit":"s3384","engine":"sat","sat_mode":"fresh"}`), 0o644); err != nil {

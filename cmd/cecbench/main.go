@@ -21,7 +21,7 @@
 // Usage:
 //
 //	cecbench [-circuit s3384] [-workers 1,2,4,8] [-iters 3] [-count 1]
-//	         [-engine hybrid|bdd|portfolio] [-budgets 5ms,20ms,80ms,0]
+//	         [-engine hybrid|bdd] [-budgets 5ms,20ms,80ms,0]
 //	         [-out BENCH_cec.json]
 //
 // Each worker row also records the run's allocation profile —

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	seqver [-acyclic] [-rewrite] [-engine hybrid|bdd|portfolio]
+//	seqver [-acyclic] [-rewrite] [-engine hybrid|bdd]
 //	       [-budget DUR] [-workers N] [-sim-rounds N] [-sim-words N]
 //	       [-stats] [-stats-json FILE] [-trace FILE] [-trace-format F]
 //	       [-progress] [-cpuprofile FILE] [-memprofile FILE]
@@ -75,7 +75,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	acyclic := flag.Bool("acyclic", false, "circuits are already feedback-free")
 	rewrite := flag.Bool("rewrite", false, "enable Eq. 5 event rewriting (EDBF path)")
-	engine := flag.String("engine", "hybrid", "combinational engine: hybrid, bdd, or portfolio (race SAT vs BDD per miter)")
+	engine := flag.String("engine", "hybrid", "combinational engine: "+cec.EngineNames)
 	budget := flag.Duration("budget", 0, "wall-clock budget for the equivalence check (e.g. 500ms, 10s; 0: unbudgeted)")
 	unateAware := flag.Bool("unate", false, "re-model positive-unate self-loops before exposing")
 	workers := flag.Int("workers", 0, "parallel miter/simulation workers (0: GOMAXPROCS)")

@@ -1,10 +1,12 @@
 // Budget: graceful degradation under a wall-clock budget. A hard
 // combinational miter (two 8x8 array multipliers accumulating their
 // partial products in opposite row orders — equal functions, disjoint
-// structure) is checked twice: a 50ms budget returns the structured
-// Undecided verdict listing the unresolved outputs, and a generous
-// budget proves equivalence with the same call. Verdicts are
+// structure) is checked twice: the default engine under a 50ms budget
+// returns the structured Undecided verdict listing the unresolved
+// outputs, and the bdd engine proves equivalence. Verdicts are
 // budget-dependent but never wrong.
+//
+//	go run ./examples/budget
 package main
 
 import (
@@ -64,10 +66,10 @@ func main() {
 	c1 := multiplier(8, false)
 	c2 := multiplier(8, true)
 
-	// Under a 50ms budget the hard middle product bits cannot be proved:
-	// the check returns promptly with Undecided and names what is left.
+	// Under a 50ms budget the default engine cannot prove the hard
+	// middle product bits: the check returns promptly with Undecided and
+	// names what is left.
 	res, err := seqver.CheckCombinational(c1, c2, seqver.CECOptions{
-		Engine: "portfolio",
 		Budget: 50 * time.Millisecond,
 	})
 	must(err)
@@ -78,28 +80,20 @@ func main() {
 		log.Fatal("budget: expected Undecided under a 50ms budget")
 	}
 
-	// The same call with a generous budget proves every output; the
-	// portfolio race attributes each hard miter to the engine that won.
+	// Multiplier cones are where BDDs beat resolution: the bdd engine
+	// builds each product bit's function over the 16 inputs directly and
+	// proves every output in well under a second, while the default
+	// engine's SAT probes still leave middle product bits undecided
+	// after seconds.
 	res, err = seqver.CheckCombinational(c1, c2, seqver.CECOptions{
-		Engine: "portfolio",
+		Engine: "bdd",
 		Budget: 5 * time.Minute,
 	})
 	must(err)
-	fmt.Printf("budget 5m:    %v in %v\n", res.Verdict, res.Elapsed.Round(time.Millisecond))
-	if p := res.Stats.Portfolio; p != nil {
-		fmt.Printf("portfolio:    sat %d wins, bdd %d wins, %d unresolved\n",
-			p.SATWins, p.BDDWins, p.Unresolved)
-	}
+	fmt.Printf("engine bdd:   %v in %v\n", res.Verdict, res.Elapsed.Round(time.Millisecond))
 	if res.Verdict != seqver.Equivalent {
-		log.Fatal("budget: expected Equivalent under a generous budget")
+		log.Fatal("budget: expected Equivalent from the bdd engine")
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func must(err error) {

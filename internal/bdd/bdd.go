@@ -21,13 +21,13 @@
 //     abandoned.
 //   - SetContext arms cooperative cancellation: node construction polls
 //     the context every few thousand fresh nodes and raises ErrCanceled
-//     the same way. This is what lets the CEC portfolio race a BDD
-//     build against a SAT proof and stop the loser mid-computation.
+//     the same way. This is what lets the CEC bdd engine honour a
+//     wall-clock budget and stop mid-build when it runs out.
 //
 // Both brakes degrade a computation to "no answer" without ever
 // producing a wrong Ref: any Ref returned before the brake fired is
 // still canonical and valid. A Manager is not safe for concurrent use;
-// the portfolio gives each race arm its own instance.
+// concurrent callers each need their own instance.
 package bdd
 
 import (
@@ -73,7 +73,7 @@ const (
 // ErrNodeLimit is the panic value raised when the manager exceeds its
 // configured node budget. Callers that want graceful degradation (e.g.
 // the symbolic reachability baseline demonstrating blowup, or the CEC
-// portfolio's BDD arm) recover it via CatchLimit.
+// bdd engine) recover it via CatchLimit.
 var ErrNodeLimit = fmt.Errorf("bdd: node limit exceeded")
 
 // ErrCanceled is the panic value raised when a manager's context (see

@@ -78,7 +78,7 @@ func TestBudgetDeadline(t *testing.T) {
 	c1 := multiplier(8, false)
 	c2 := multiplier(8, true)
 	const budget = 20 * time.Millisecond
-	for _, engine := range []string{"hybrid", "portfolio", "bdd"} {
+	for _, engine := range []string{"hybrid", "bdd"} {
 		start := time.Now()
 		res, err := Check(c1, c2, Options{Engine: engine, Budget: budget, Workers: 1})
 		elapsed := time.Since(start)
@@ -129,87 +129,6 @@ func TestBudgetNeverFlipsVerdict(t *testing.T) {
 	}
 }
 
-// TestPortfolioDeterminism pins the race-semantics contract: both
-// engines are exact, so the verdict is independent of the worker count
-// and of which arm is launched first (losing a race changes timing and
-// stats, never the answer).
-func TestPortfolioDeterminism(t *testing.T) {
-	eq1, eq2 := multiplier(4, false), multiplier(4, true)
-	ineq1, ineq2 := xorPair(false)
-	saved := portfolioOrder
-	defer func() { portfolioOrder = saved }()
-	for _, pair := range []struct {
-		name   string
-		c1, c2 *netlist.Circuit
-		want   Verdict
-	}{
-		{"equivalent", eq1, eq2, Equivalent},
-		{"inequivalent", ineq1, ineq2, Inequivalent},
-	} {
-		for _, order := range [][]string{{"sat", "bdd"}, {"bdd", "sat"}} {
-			portfolioOrder = order
-			for _, workers := range []int{1, 2, 4} {
-				res, err := Check(pair.c1, pair.c2, Options{
-					Engine: "portfolio", Workers: workers, SimRounds: -1,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Verdict != pair.want {
-					t.Fatalf("%s pair, order %v, workers %d: verdict %v, want %v",
-						pair.name, order, workers, res.Verdict, pair.want)
-				}
-				if res.Verdict == Inequivalent {
-					assertGenuineCex(t, pair.c1, pair.c2, res)
-				}
-			}
-		}
-	}
-}
-
-// TestPortfolioStatsRecorded checks that a portfolio run on miters the
-// fraig stage cannot collapse records per-engine outcomes: every raced
-// miter is attributed to a winning engine (or counted unresolved), and
-// the seqver -stats rendering includes the portfolio line.
-func TestPortfolioStatsRecorded(t *testing.T) {
-	// A 6x6 multiplier pair: the middle product bits are out of reach for
-	// the fraig stage's 1000-conflict proofs, so those miters reach the
-	// worker pool and are actually raced (the 12-input BDD cones decide
-	// them quickly).
-	c1 := multiplier(6, false)
-	c2 := multiplier(6, true)
-	res, err := Check(c1, c2, Options{Engine: "portfolio", Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != Equivalent {
-		t.Fatalf("verdict %v, want equivalent", res.Verdict)
-	}
-	p := res.Stats.Portfolio
-	if p == nil {
-		t.Fatal("portfolio engine left Stats.Portfolio nil")
-	}
-	raced := 0
-	for _, o := range res.Stats.PerOutput {
-		if o.Status == "structural" {
-			continue
-		}
-		raced++
-		if o.Engine != "sat" && o.Engine != "bdd" {
-			t.Fatalf("raced miter %s decided by engine %q", o.Name, o.Engine)
-		}
-	}
-	if raced == 0 {
-		t.Fatal("fraig collapsed every miter structurally; no race to account")
-	}
-	if p.SATWins+p.BDDWins+p.Unresolved != raced {
-		t.Fatalf("portfolio accounting %+v does not cover %d raced miters", p, raced)
-	}
-	if !strings.Contains(res.Stats.String(), "portfolio:") {
-		t.Fatalf("stats rendering missing portfolio line:\n%s", res.Stats.String())
-	}
-}
-
 // TestPanicRecovery pins the degradation contract for crashing proofs:
 // a panic injected into one miter's proof (via the test-only hook)
 // degrades that output to undecided with the stack captured in
@@ -228,7 +147,7 @@ func TestPanicRecovery(t *testing.T) {
 	// structurally never reaches the hook).
 	c1 := multiplier(6, false)
 	c2 := multiplier(6, true)
-	for _, engine := range []string{"hybrid", "portfolio"} {
+	for _, engine := range []string{"hybrid"} {
 		for _, workers := range []int{1, 2} {
 			res, err := Check(c1, c2, Options{Engine: engine, Workers: workers, SimRounds: -1})
 			if err != nil {

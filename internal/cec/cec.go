@@ -10,9 +10,7 @@
 // internal equivalences, SAT-sweeping (fraig) merges internal points to
 // keep miters shallow, and a CDCL SAT solver discharges each output
 // miter. That pipeline is the default "hybrid" engine and the only SAT
-// path. A pure-BDD engine is the independent reference, and the
-// "portfolio" engine races SAT against BDD per miter in the
-// Kuehlmann-Krohm hybrid style.
+// path. A pure-BDD engine, "bdd", is the independent reference.
 //
 // # Budget semantics
 //
@@ -66,10 +64,8 @@ func (v Verdict) String() string {
 type Options struct {
 	// Engine selects the decision procedure: "hybrid" (default:
 	// simulation, an eager fraig sweep, then incremental SAT probes on a
-	// warm per-worker solver), "bdd" (one monolithic BDD build, the
-	// independent reference), or "portfolio" (the hybrid pipeline with
-	// SAT raced against BDD per miter — the first definitive answer wins
-	// and cancels the loser). Any other name is rejected.
+	// warm per-worker solver) or "bdd" (one monolithic BDD build, the
+	// independent reference). Any other name is rejected.
 	Engine string
 	// MaxConflicts bounds each SAT proof (0: generous default).
 	MaxConflicts int64
@@ -172,18 +168,18 @@ func CheckCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options) (*Resul
 	if engine == "bdd" {
 		return checkBDD(ctx, a, piNames, pos1, pos2, names, opt, res)
 	}
-	return checkSAT(ctx, a, piNames, pos1, pos2, names, opt, res, engine == "portfolio")
+	return checkSAT(ctx, a, piNames, pos1, pos2, names, opt, res)
 }
 
 // EngineNames lists the values Options.Engine accepts, for error
 // messages and flag help.
-const EngineNames = "hybrid, bdd or portfolio"
+const EngineNames = "hybrid or bdd"
 
 // ValidEngine reports whether name selects an engine; the empty string
 // selects the default, hybrid.
 func ValidEngine(name string) bool {
 	switch name {
-	case "", "hybrid", "bdd", "portfolio":
+	case "", "hybrid", "bdd":
 		return true
 	}
 	return false
@@ -339,6 +335,13 @@ func checkBDD(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 		res.UndecidedOutputs = append([]string(nil), names...)
 	}
 	return res, nil
+}
+
+func (o Options) bddLimit() int {
+	if o.BDDLimit > 0 {
+		return o.BDDLimit
+	}
+	return 2_000_000
 }
 
 // buildBDD builds BDDs for the transitive fanin of roots under the

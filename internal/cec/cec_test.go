@@ -36,7 +36,7 @@ func xorPair(structural bool) (*netlist.Circuit, *netlist.Circuit) {
 }
 
 func TestEquivalentAcrossEngines(t *testing.T) {
-	for _, engine := range []string{"hybrid", "bdd", "portfolio"} {
+	for _, engine := range []string{"hybrid", "bdd"} {
 		c1, c2 := xorPair(true)
 		res, err := Check(c1, c2, Options{Engine: engine})
 		if err != nil {
@@ -49,7 +49,7 @@ func TestEquivalentAcrossEngines(t *testing.T) {
 }
 
 func TestInequivalentWithCounterexample(t *testing.T) {
-	for _, engine := range []string{"hybrid", "bdd", "portfolio"} {
+	for _, engine := range []string{"hybrid", "bdd"} {
 		c1, c2 := xorPair(false) // xor vs and
 		res, err := Check(c1, c2, Options{Engine: engine})
 		if err != nil {
@@ -331,17 +331,18 @@ func TestBDDEngineCounterexampleValid(t *testing.T) {
 	}
 }
 
-// TestUnknownEngineRejected also covers "sat", the removed engine that
-// skipped fraig: it must fail loudly rather than alias to hybrid, and
-// the error must name every engine that is accepted.
+// TestUnknownEngineRejected also covers the removed engines: "sat",
+// which skipped fraig, and "portfolio", which raced SAT against BDD per
+// miter. Each must fail loudly rather than alias to hybrid, and the
+// error must name exactly the engines that are accepted.
 func TestUnknownEngineRejected(t *testing.T) {
 	c1, c2 := xorPair(true)
-	for _, engine := range []string{"quantum", "sat"} {
+	for _, engine := range []string{"quantum", "sat", "portfolio"} {
 		_, err := Check(c1, c2, Options{Engine: engine})
 		if err == nil {
 			t.Fatalf("unknown engine %q accepted", engine)
 		}
-		for _, want := range []string{engine, "hybrid", "bdd", "portfolio"} {
+		for _, want := range []string{engine, "(want hybrid or bdd)"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Fatalf("engine %q: error %q does not name %q", engine, err, want)
 			}

@@ -50,11 +50,10 @@ func (o Options) simShape() (rounds, wordsPerRound int) {
 	return rounds, wordsPerRound
 }
 
-// checkSAT is the hybrid/portfolio pipeline: random simulation, an
-// eager fraig sweep, then one miter per output discharged by a worker
-// pool (SAT alone, or the SAT-vs-BDD portfolio race).
+// checkSAT is the hybrid pipeline: random simulation, an eager fraig
+// sweep, then one SAT miter per output discharged by a worker pool.
 func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []aig.Lit,
-	names []string, opt Options, res *Result, portfolio bool) (*Result, error) {
+	names []string, opt Options, res *Result) (*Result, error) {
 	workers := opt.workerCount()
 	st := res.Stats
 	st.Workers = workers
@@ -115,20 +114,11 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 	}
 	env := &proveEnv{
 		a: a, piNames: piNames, names: names, pos1: pos1, pos2: pos2,
-		maxConf:   maxConf,
-		bddLimit:  opt.bddLimit(),
-		portfolio: portfolio,
-		deadline:  newBudgeter(ctx, len(pos1)),
+		maxConf:  maxConf,
+		deadline: newBudgeter(ctx, len(pos1)),
 	}
 	proveMiters(ctx, env, workers, res, st)
 	return res, nil
-}
-
-func (o Options) bddLimit() int {
-	if o.BDDLimit > 0 {
-		return o.BDDLimit
-	}
-	return 2_000_000
 }
 
 // simHit locates the first differing pattern found by stage 1:
@@ -245,8 +235,6 @@ type proveEnv struct {
 	piNames, names []string
 	pos1, pos2     []aig.Lit
 	maxConf        int64
-	bddLimit       int
-	portfolio      bool
 	deadline       *budgeter // nil when neither Budget nor a ctx deadline is set
 
 	// Reuse-telemetry accumulators, updated atomically by the workers
@@ -294,9 +282,6 @@ func proveMiters(ctx context.Context, e *proveEnv, workers int, res *Result, st 
 		// Structural matches consume no budget; divide over real work.
 		e.deadline.setPending(len(pending))
 	}
-	if e.portfolio {
-		st.Portfolio = &PortfolioStats{}
-	}
 	if workers > len(pending) {
 		workers = len(pending)
 	}
@@ -337,14 +322,13 @@ func proveMiters(ctx context.Context, e *proveEnv, workers int, res *Result, st 
 				t0 := time.Now()
 				o.Worker = w
 				ictx, isp := obs.Start1(ctx, "miter", obs.S("output", e.names[i]))
-				status, engine, cex := e.proveOne(ictx, ws, i, o, st, &mu)
+				status, cex := e.proveOne(ictx, ws, i, o, st, &mu)
 				if isp != nil {
-					isp.Event("resolved", obs.S("status", status), obs.S("engine", engine),
+					isp.Event("resolved", obs.S("status", status),
 						obs.I("conflicts", o.Conflicts), obs.I("decisions", o.Decisions))
 					isp.End()
 				}
 				o.Status = status
-				o.Engine = engine
 				o.TimeNS = time.Since(t0).Nanoseconds()
 				busy[w] += o.TimeNS
 				e.deadline.finish()
@@ -422,10 +406,10 @@ func proveMiters(ctx context.Context, e *proveEnv, workers int, res *Result, st 
 // panicking proof into an undecided "panic" status (stack captured in
 // st.Panics) so one bad cone can never take down a batch run.
 func (e *proveEnv) proveOne(ctx context.Context, ws *workerState, i int,
-	o *OutputStats, st *Stats, mu *sync.Mutex) (status, engine string, cex map[string]bool) {
+	o *OutputStats, st *Stats, mu *sync.Mutex) (status string, cex map[string]bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			status, engine, cex = "panic", "", nil
+			status, cex = "panic", nil
 			recordPanic(st, mu, e.names[i], r)
 		}
 	}()
@@ -451,11 +435,7 @@ func (e *proveEnv) proveOne(ctx context.Context, ws *workerState, i int,
 		mctx, cancel = context.WithDeadline(ctx, d)
 		defer cancel()
 	}
-	if e.portfolio {
-		return e.racePortfolio(mctx, i, ws, o, st, mu)
-	}
-	status, cex = e.proveSAT(mctx, ws, i, o)
-	return status, "sat", cex
+	return e.proveSAT(mctx, ws, i, o)
 }
 
 // proveSAT discharges one output miter on the worker's warm solver:

@@ -46,9 +46,6 @@ type Stats struct {
 
 	// BudgetNS is the configured wall-clock budget (0: unbudgeted).
 	BudgetNS int64 `json:"budget_ns,omitempty"`
-	// Portfolio is the per-engine race accounting; set only by the
-	// "portfolio" engine.
-	Portfolio *PortfolioStats `json:"portfolio,omitempty"`
 	// Panics records proofs that crashed and were degraded to an
 	// undecided output instead of taking down the batch.
 	Panics []PanicRecord `json:"panics,omitempty"`
@@ -57,18 +54,6 @@ type Stats struct {
 	WorkerBusyNS []int64       `json:"worker_busy_ns,omitempty"`
 	Utilization  float64       `json:"utilization"` // mean busy fraction of the miter-stage wall time
 	ElapsedNS    int64         `json:"elapsed_ns"`
-}
-
-// PortfolioStats counts, per engine, how many miters it won (first
-// definitive answer in the race) and how many it failed to decide on
-// miters that ended unresolved. A loser canceled by a winner is counted
-// in neither column.
-type PortfolioStats struct {
-	SATWins     int `json:"sat_wins"`
-	BDDWins     int `json:"bdd_wins"`
-	SATTimeouts int `json:"sat_timeouts"`
-	BDDTimeouts int `json:"bdd_timeouts"`
-	Unresolved  int `json:"unresolved"` // miters no engine decided
 }
 
 // PanicRecord is one crashed miter proof: the worker recovered it, the
@@ -86,7 +71,6 @@ type OutputStats struct {
 	// timeout (wall-clock budget / cancellation) | panic (proof crashed,
 	// recovered) | skipped (another output's cex ended the run first).
 	Status    string `json:"status"`
-	Engine    string `json:"engine,omitempty"` // engine that decided it ("sat" | "bdd")
 	SATCalls  int    `json:"sat_calls"`
 	Conflicts int64  `json:"conflicts"` // per-probe delta, not the solver's lifetime counter
 	Decisions int64  `json:"decisions"` // per-probe delta, not the solver's lifetime counter
@@ -116,10 +100,6 @@ func (s *Stats) String() string {
 	}
 	if s.BudgetNS > 0 {
 		fmt.Fprintf(&b, "budget:      %v wall clock\n", time.Duration(s.BudgetNS))
-	}
-	if p := s.Portfolio; p != nil {
-		fmt.Fprintf(&b, "portfolio:   sat %d wins / %d timeouts, bdd %d wins / %d timeouts, %d unresolved\n",
-			p.SATWins, p.SATTimeouts, p.BDDWins, p.BDDTimeouts, p.Unresolved)
 	}
 	if len(s.Panics) > 0 {
 		fmt.Fprintf(&b, "panics:      %d recovered proofs (degraded to undecided)\n", len(s.Panics))

@@ -8,11 +8,11 @@ import (
 )
 
 // fullStats builds a Stats with every field populated, including the
-// optional Portfolio and Panics sections, so the round-trip test
+// optional Panics section, so the round-trip test
 // covers the whole wire surface.
 func fullStats() *Stats {
 	return &Stats{
-		Engine:           "portfolio",
+		Engine:           "hybrid",
 		Workers:          4,
 		Outputs:          9,
 		SimRounds:        8,
@@ -32,16 +32,13 @@ func fullStats() *Stats {
 		DBReductions:     2,
 		ClausesDeleted:   88,
 		BudgetNS:         2_000_000_000,
-		Portfolio: &PortfolioStats{
-			SATWins: 2, BDDWins: 1, SATTimeouts: 1, BDDTimeouts: 2, Unresolved: 1,
-		},
 		Panics: []PanicRecord{
 			{Output: "o3", Value: "index out of range", Stack: "goroutine 7 [running]:\n..."},
 		},
 		PerOutput: []OutputStats{
 			{Name: "o0", Status: "structural", SATCalls: 0, Worker: -1},
-			{Name: "o1", Status: "equal", Engine: "sat", SATCalls: 2, Conflicts: 500, Decisions: 900, LearnedReused: 42, TimeNS: 120_000, Worker: 0},
-			{Name: "o2", Status: "cex", Engine: "bdd", SATCalls: 1, Conflicts: 277, Decisions: 334, TimeNS: 80_000, Worker: 1},
+			{Name: "o1", Status: "equal", SATCalls: 2, Conflicts: 500, Decisions: 900, LearnedReused: 42, TimeNS: 120_000, Worker: 0},
+			{Name: "o2", Status: "cex", SATCalls: 1, Conflicts: 277, Decisions: 334, TimeNS: 80_000, Worker: 1},
 		},
 		WorkerBusyNS: []int64{150_000, 90_000, 0, 0},
 		Utilization:  0.3,
@@ -71,7 +68,7 @@ func TestStatsJSONOmitsEmptyOptionalFields(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	for _, key := range []string{"portfolio", "panics", "per_output", "worker_busy_ns", "budget_ns"} {
+	for _, key := range []string{"panics", "per_output", "worker_busy_ns", "budget_ns"} {
 		if strings.Contains(string(data), `"`+key+`"`) {
 			t.Errorf("zero-valued optional field %q serialized: %s", key, data)
 		}
@@ -80,14 +77,13 @@ func TestStatsJSONOmitsEmptyOptionalFields(t *testing.T) {
 
 func TestStatsStringGolden(t *testing.T) {
 	got := fullStats().String()
-	want := `engine:      portfolio (4 workers)
+	want := `engine:      hybrid (4 workers)
 outputs:     9 (6 structural)
 simulation:  8 rounds x 4 words (2048 patterns), 1 cex hits
 fraig:       120 -> 30 AND nodes, 45 merges (12 proofs)
 sat:         5 calls, 777 conflicts, 1234 decisions
 sat reuse:   321 clauses reused, 654 vars encoded, 2 reductions
 budget:      2s wall clock
-portfolio:   sat 2 wins / 1 timeouts, bdd 1 wins / 2 timeouts, 1 unresolved
 panics:      1 recovered proofs (degraded to undecided)
 utilization: 30% over 200µs
 hardest miters:

@@ -57,7 +57,7 @@ func TestLogHandlerStampsBaggage(t *testing.T) {
 	logger := NewLogger(slog.NewJSONHandler(&buf, nil))
 	ctx := WithBaggage(context.Background(), S("job_id", "j-7"), I("attempt", 3))
 
-	logger.InfoContext(ctx, "job started", "engine", "portfolio")
+	logger.InfoContext(ctx, "job started", "engine", "bdd")
 	logger.With("component", "worker").InfoContext(ctx, "still stamped")
 	logger.InfoContext(context.Background(), "no baggage")
 
@@ -73,7 +73,7 @@ func TestLogHandlerStampsBaggage(t *testing.T) {
 		return rec
 	}
 	rec := parse(lines[0])
-	if rec["job_id"] != "j-7" || rec["attempt"] != float64(3) || rec["engine"] != "portfolio" {
+	if rec["job_id"] != "j-7" || rec["attempt"] != float64(3) || rec["engine"] != "bdd" {
 		t.Fatalf("line 0 = %v", rec)
 	}
 	rec = parse(lines[1])

@@ -57,7 +57,7 @@ func TestSpanHierarchyAndEvents(t *testing.T) {
 	tr := New(sink)
 	ctx := WithTracer(context.Background(), tr)
 
-	ctx1, root := Start(ctx, "root", S("engine", "portfolio"))
+	ctx1, root := Start(ctx, "root", S("engine", "bdd"))
 	ctx2, child := Start(ctx1, "child")
 	child.Count("merges", 3)
 	child.Gauge("nodes", 17)

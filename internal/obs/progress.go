@@ -9,7 +9,7 @@ import (
 // ProgressSink renders a live, human-readable account of the pipeline
 // to a writer (stderr in the CLIs): phase begin/end lines for shallow
 // spans, and throttled counter/gauge lines with rates so a stuck run
-// shows where it is stuck. Deep spans (per-miter, per-arm) are
+// shows where it is stuck. Deep spans (per-miter) are
 // summarized through their counters rather than printed individually —
 // a 10k-output run must not print 10k lines.
 type ProgressSink struct {

@@ -50,7 +50,7 @@ type JobRequest struct {
 	Golden  SideSpec `json:"golden"`
 	Revised SideSpec `json:"revised"`
 
-	// Engine: "hybrid" (default), "bdd", or "portfolio".
+	// Engine: "hybrid" (default) or "bdd".
 	Engine string `json:"engine,omitempty"`
 	// BudgetMS bounds the check's wall clock in milliseconds. 0 selects
 	// the daemon's default budget; values above the daemon's maximum

@@ -291,21 +291,35 @@ func TestJournalSurvivesRestartCycle(t *testing.T) {
 	}
 }
 
-// TestJournalReplaysRemovedSATEngine replays a journal written by a
-// daemon that still accepted engine "sat" and sat_mode "fresh": two
-// decided jobs, one failed job, one job running at the crash and one
-// still queued. Terminal jobs come back exactly as journaled; the two
-// live jobs fail at replay with the same unknown-engine error a fresh
-// submit gets — no solver run, no retry, no quarantine — and a second
-// restart finds them terminal.
-func TestJournalReplaysRemovedSATEngine(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "journal_engine_sat.jsonl"))
+// TestJournalReplaysRemovedEngines replays journals written by daemons
+// that still accepted a since-removed engine: "sat" (with sat_mode
+// "fresh") and "portfolio". Each fixture holds decided jobs, a failed
+// job, one job running at the crash and one still queued. Terminal jobs
+// come back exactly as journaled — the portfolio fixture's decided
+// records still carry per-miter engine attribution and race stats,
+// which the lenient reader skips — while the live jobs fail at replay
+// with the same unknown-engine error a fresh submit gets: no solver
+// run, no retry, no quarantine. A second restart finds them terminal.
+func TestJournalReplaysRemovedEngines(t *testing.T) {
+	for _, fx := range []struct {
+		engine           string
+		nTerminal, nJobs int
+	}{
+		{"sat", 3, 5},
+		{"portfolio", 4, 6},
+	} {
+		t.Run(fx.engine, func(t *testing.T) { replayRemovedEngine(t, fx.engine, fx.nTerminal, fx.nJobs) })
+	}
+}
+
+func replayRemovedEngine(t *testing.T, engine string, nTerminal, nJobs int) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "journal_engine_"+engine+".jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The fixture's own terminal records are the expected outcomes.
 	want := map[string]journalRecord{}
-	var live []string
+	var jobs []string
 	for _, line := range strings.Split(strings.TrimSpace(string(fixture)), "\n") {
 		var rec journalRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -313,13 +327,13 @@ func TestJournalReplaysRemovedSATEngine(t *testing.T) {
 		}
 		switch rec.Op {
 		case jopSubmitted:
-			live = append(live, rec.ID)
+			jobs = append(jobs, rec.ID)
 		case jopDone, jopFailed:
 			want[rec.ID] = rec
 		}
 	}
-	if len(want) != 3 || len(live) != 5 {
-		t.Fatalf("fixture shape: %d terminal of %d jobs, want 3 of 5", len(want), len(live))
+	if len(want) != nTerminal || len(jobs) != nJobs {
+		t.Fatalf("fixture shape: %d terminal of %d jobs, want %d of %d", len(want), len(jobs), nTerminal, nJobs)
 	}
 	dir := t.TempDir()
 	writeJournal(t, dir, string(fixture))
@@ -329,7 +343,7 @@ func TestJournalReplaysRemovedSATEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, id := range live {
+		for _, id := range jobs {
 			v := waitTerminal(t, s, id)
 			rec, terminal := want[id]
 			switch {
@@ -348,11 +362,11 @@ func TestJournalReplaysRemovedSATEngine(t *testing.T) {
 				}
 			default:
 				if v.Status != StatusFailed || v.Result != nil ||
-					!strings.Contains(v.Error, `unknown engine "sat" (want hybrid, bdd or portfolio)`) {
-					t.Fatalf("restart %d: live sat-engine job %s: %+v", restart, id, v)
+					!strings.Contains(v.Error, `unknown engine "`+engine+`" (want hybrid or bdd)`) {
+					t.Fatalf("restart %d: live %s-engine job %s: %+v", restart, engine, id, v)
 				}
 			}
-			if v.Request.Engine != "sat" || !v.Recovered {
+			if v.Request.Engine != engine || !v.Recovered {
 				t.Fatalf("restart %d: job %s request echo %+v recovered=%v",
 					restart, id, v.Request, v.Recovered)
 			}

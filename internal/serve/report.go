@@ -27,7 +27,6 @@ type MiterReport struct {
 	StartNS   int64  `json:"start_ns"`
 	DurNS     int64  `json:"dur_ns"`
 	Status    string `json:"status,omitempty"`
-	Engine    string `json:"engine,omitempty"`
 	Conflicts int64  `json:"conflicts,omitempty"`
 	Decisions int64  `json:"decisions,omitempty"`
 	SliceNS   int64  `json:"slice_ns,omitempty"`
@@ -38,7 +37,6 @@ type MiterReport struct {
 type MiterSummary struct {
 	Total    int            `json:"total"`
 	ByStatus map[string]int `json:"by_status,omitempty"`
-	ByEngine map[string]int `json:"by_engine,omitempty"`
 	Slowest  []MiterReport  `json:"slowest,omitempty"`
 }
 
@@ -147,7 +145,6 @@ func foldTrace(rep *JobReport, events []obs.Event) {
 			case "resolved":
 				if m != nil {
 					m.Status = obs.AttrStr(ev.Attrs, "status")
-					m.Engine = obs.AttrStr(ev.Attrs, "engine")
 					m.Conflicts = obs.AttrInt(ev.Attrs, "conflicts")
 					m.Decisions = obs.AttrInt(ev.Attrs, "decisions")
 				}
@@ -190,13 +187,10 @@ func foldTrace(rep *JobReport, events []obs.Event) {
 }
 
 func summarizeMiters(miters []*MiterReport) *MiterSummary {
-	sum := &MiterSummary{Total: len(miters), ByStatus: map[string]int{}, ByEngine: map[string]int{}}
+	sum := &MiterSummary{Total: len(miters), ByStatus: map[string]int{}}
 	for _, m := range miters {
 		if m.Status != "" {
 			sum.ByStatus[m.Status]++
-		}
-		if m.Engine != "" {
-			sum.ByEngine[m.Engine]++
 		}
 	}
 	sorted := append([]*MiterReport(nil), miters...)

@@ -774,7 +774,7 @@ func (s *Server) executeGuarded(ctx context.Context, j *Job, attempt int) (res *
 // a combinational miter, consult the result cache by the miter's
 // structural hash, and only on a miss spend solver time. The returned
 // error string (not error) is the job's failure message. Retried
-// attempts run under degradedOptions' engine/budget ladder.
+// attempts run under retryBudget's budget ladder.
 func (s *Server) execute(ctx context.Context, j *Job, attempt int) (*JobResult, string) {
 	start := time.Now()
 	req := j.req
@@ -838,10 +838,9 @@ func (s *Server) execute(ctx context.Context, j *Job, attempt int) (*JobResult, 
 		}, ""
 	}
 
-	engine, budgetMS := degradedOptions(req, attempt, s.opt.DefaultBudget)
 	opt := cec.Options{
-		Engine: engine, MaxConflicts: req.MaxConflicts, Workers: req.Workers,
-		Budget: s.clampBudget(budgetMS),
+		Engine: req.Engine, MaxConflicts: req.MaxConflicts, Workers: req.Workers,
+		Budget: s.clampBudget(retryBudget(req, attempt, s.opt.DefaultBudget)),
 	}
 	res, err := u.CheckCtx(ctx, opt)
 	if err != nil {

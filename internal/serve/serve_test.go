@@ -280,15 +280,18 @@ func TestValidationErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: %d %+v", resp.StatusCode, apiErr)
 	}
-	// The removed "sat" engine is refused, not aliased to hybrid (it
-	// meant "skip fraig"), and the error lists what is accepted.
-	resp, apiErr = post(`{"golden":{"corpus":"s400"},"revised":{"corpus":"s400"},"engine":"sat"}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("engine sat: %d %+v", resp.StatusCode, apiErr)
-	}
-	for _, want := range []string{`"sat"`, "hybrid", "bdd", "portfolio"} {
-		if !strings.Contains(apiErr.Message, want) {
-			t.Errorf("engine sat: message %q does not name %s", apiErr.Message, want)
+	// The removed engines are refused, not aliased to hybrid ("sat"
+	// meant "skip fraig", "portfolio" raced SAT against BDD per miter),
+	// and the error lists what is accepted.
+	for _, engine := range []string{"sat", "portfolio"} {
+		resp, apiErr = post(`{"golden":{"corpus":"s400"},"revised":{"corpus":"s400"},"engine":"` + engine + `"}`)
+		if resp.StatusCode != http.StatusBadRequest || apiErr.Code != "invalid_request" {
+			t.Errorf("engine %s: %d %+v", engine, resp.StatusCode, apiErr)
+		}
+		for _, want := range []string{`"` + engine + `"`, "(want hybrid or bdd)"} {
+			if !strings.Contains(apiErr.Message, want) {
+				t.Errorf("engine %s: message %q does not name %s", engine, apiErr.Message, want)
+			}
 		}
 	}
 	// sat_mode is no longer a request field: the strict decoder names it.

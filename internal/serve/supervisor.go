@@ -168,31 +168,25 @@ func retryBackoff(base, max time.Duration, attempt int) time.Duration {
 	return d
 }
 
-// degradedOptions is the retry ladder: attempt 1 runs the request as
-// submitted; attempt 2 forces the portfolio engine (the SAT-vs-BDD race
-// is the most robust configuration against a single pathological
-// engine); attempt 3 and later additionally halve the budget each
+// retryBudget is the retry ladder, in budget_ms: attempts 1 and 2 run
+// the request as submitted; attempt 3 and later halve the budget each
 // attempt so a stalling miter converges toward a fast structured
 // Undecided instead of burning the pool — the ladder's last rung before
-// quarantine.
-func degradedOptions(req *JobRequest, attempt int, defaultBudget time.Duration) (engine string, budgetMS int64) {
-	engine, budgetMS = req.Engine, req.BudgetMS
-	if attempt <= 1 {
-		return
+// quarantine. The engine never changes: every retry reruns the
+// submitted one.
+func retryBudget(req *JobRequest, attempt int, defaultBudget time.Duration) int64 {
+	if attempt <= 2 {
+		return req.BudgetMS
 	}
-	engine = "portfolio"
-	if attempt > 2 {
-		ms := budgetMS
-		if ms <= 0 {
-			ms = defaultBudget.Milliseconds()
-		}
-		for i := 2; i < attempt; i++ {
-			ms /= 2
-		}
-		if ms < 100 {
-			ms = 100 // floor: enough for hash + structural phases
-		}
-		budgetMS = ms
+	ms := req.BudgetMS
+	if ms <= 0 {
+		ms = defaultBudget.Milliseconds()
 	}
-	return
+	for i := 2; i < attempt; i++ {
+		ms /= 2
+	}
+	if ms < 100 {
+		ms = 100 // floor: enough for hash + structural phases
+	}
+	return ms
 }

@@ -118,28 +118,61 @@ func TestRetryBackoffShape(t *testing.T) {
 	}
 }
 
+// TestDegradedOptions pins the retry ladder's budget per attempt
+// (TestRetryKeepsEngine pins that no attempt changes the engine).
 func TestDegradedOptions(t *testing.T) {
 	def := 30 * time.Second
 	cases := []struct {
 		name       string
 		req        JobRequest
 		attempt    int
-		wantEngine string
 		wantBudget int64
 	}{
-		{"attempt 1 runs as submitted", JobRequest{Engine: "bdd", BudgetMS: 8000}, 1, "bdd", 8000},
-		{"attempt 2 forces portfolio", JobRequest{Engine: "bdd", BudgetMS: 8000}, 2, "portfolio", 8000},
-		{"attempt 3 halves the budget", JobRequest{BudgetMS: 8000}, 3, "portfolio", 4000},
-		{"attempt 4 halves twice", JobRequest{BudgetMS: 8000}, 4, "portfolio", 2000},
-		{"default budget degrades from the default", JobRequest{}, 3, "portfolio", def.Milliseconds() / 2},
-		{"budget floor holds", JobRequest{BudgetMS: 300}, 4, "portfolio", 100},
+		{"attempt 1 runs as submitted", JobRequest{Engine: "bdd", BudgetMS: 8000}, 1, 8000},
+		{"attempt 2 reruns as submitted", JobRequest{Engine: "bdd", BudgetMS: 8000}, 2, 8000},
+		{"attempt 3 halves the budget", JobRequest{BudgetMS: 8000}, 3, 4000},
+		{"attempt 4 halves twice", JobRequest{BudgetMS: 8000}, 4, 2000},
+		{"default budget degrades from the default", JobRequest{}, 3, def.Milliseconds() / 2},
+		{"budget floor holds", JobRequest{BudgetMS: 300}, 4, 100},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			engine, budget := degradedOptions(&tc.req, tc.attempt, def)
-			if engine != tc.wantEngine || budget != tc.wantBudget {
-				t.Fatalf("degradedOptions(attempt %d) = (%q, %d), want (%q, %d)",
-					tc.attempt, engine, budget, tc.wantEngine, tc.wantBudget)
+			if budget := retryBudget(&tc.req, tc.attempt, def); budget != tc.wantBudget {
+				t.Fatalf("retryBudget(attempt %d) = %d, want %d", tc.attempt, budget, tc.wantBudget)
+			}
+		})
+	}
+}
+
+// TestRetryKeepsEngine: a job whose first attempt crashes is retried
+// on the engine it was submitted with — the ladder only ever shrinks
+// the budget.
+func TestRetryKeepsEngine(t *testing.T) {
+	for _, engine := range []string{"hybrid", "bdd"} {
+		t.Run(engine, func(t *testing.T) {
+			installFaults(t, "seed=9,worker_panic=1")
+			s, err := New(Options{
+				Workers: 1, MaxAttempts: 3,
+				RetryBaseBackoff: 200 * time.Millisecond, RetryMaxBackoff: 500 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Drain(10 * time.Second)
+			req := inlineReq()
+			req.Engine = engine
+			j, err := s.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitStatus(t, s, j.ID, StatusRetrying)
+			faults.Disable()
+			v := waitTerminal(t, s, j.ID)
+			if v.Status != StatusDone || v.Attempts != 2 || v.Result == nil || v.Result.Stats == nil {
+				t.Fatalf("retried job: %+v (error %q)", v, v.Error)
+			}
+			if got := v.Result.Stats.Engine; got != engine {
+				t.Fatalf("attempt 2 ran engine %q, submitted %q", got, engine)
 			}
 		})
 	}

@@ -121,8 +121,8 @@ type Options = core.Options
 // Report is a verification outcome.
 type Report = core.Report
 
-// CECOptions tunes the combinational engine ("hybrid", "bdd",
-// "portfolio") including the wall-clock Budget.
+// CECOptions tunes the combinational engine ("hybrid" or "bdd")
+// including the wall-clock Budget.
 type CECOptions = cec.Options
 
 // CECResult is the combinational checker's verdict and diagnostics.
