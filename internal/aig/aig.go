@@ -255,10 +255,16 @@ func (a *AIG) MaxLevel() int {
 // per PI, returning one word per node. Used for equivalence-candidate
 // filtering.
 func (a *AIG) SimWords(piWords []uint64) []uint64 {
+	w := make([]uint64, len(a.fanin0))
+	a.simInto(w, piWords)
+	return w
+}
+
+// simInto is SimWords writing into w, which holds one word per node.
+func (a *AIG) simInto(w, piWords []uint64) {
 	if len(piWords) != a.numPIs {
 		panic("aig: wrong PI word count")
 	}
-	w := make([]uint64, len(a.fanin0))
 	for i, v := range piWords {
 		w[i+1] = v
 	}
@@ -272,7 +278,6 @@ func (a *AIG) SimWords(piWords []uint64) []uint64 {
 	for n := uint32(a.numPIs + 1); n < uint32(len(a.fanin0)); n++ {
 		w[n] = lv(a.fanin0[n]) & lv(a.fanin1[n])
 	}
-	return w
 }
 
 // RandomWords draws one 64-bit pattern word per PI.

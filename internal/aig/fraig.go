@@ -12,23 +12,22 @@ import (
 // FraigOptions bounds the functional-reduction effort; zero values select
 // defaults.
 type FraigOptions struct {
-	SimWords     int   // 64-pattern signature words per node
+	SimWords     int   // random 64-pattern words that key the candidate classes
 	MaxConflicts int64 // SAT budget per proof; Unknown keeps nodes separate
-	MaxClassSize int   // candidates compared per signature class
+	MaxClassSize int   // SAT proofs attempted per node
 	Seed         int64
-	// Workers shards the signature simulation pass across goroutines
-	// (level-batched, see SimSchedule). The merge loop itself stays
-	// sequential — it owns the SAT solver. 0 or 1 means serial.
-	Workers int
 }
 
 // FraigStats reports what a functional-reduction pass accomplished.
 type FraigStats struct {
-	NodesBefore int // AND nodes in the input AIG
-	NodesAfter  int // AND nodes after merging and compaction
-	Merges      int // nodes merged into a proven-equivalent representative
-	ProveCalls  int // SAT equivalence proofs attempted
-	ProveFailed int // candidates kept separate (refuted or budget hit)
+	NodesBefore int   // AND nodes in the input AIG
+	NodesAfter  int   // AND nodes after merging and compaction
+	Merges      int   // nodes merged into a proven-equivalent representative
+	ProveCalls  int   // SAT equivalence proofs attempted
+	ProveFailed int   // candidates kept separate (refuted or budget hit)
+	Refuted     int   // failed proofs whose SAT model refined the signatures
+	Conflicts   int64 // SAT conflicts over all proofs
+	Decisions   int64 // SAT decisions over all proofs
 }
 
 func (o *FraigOptions) defaults() {
@@ -64,38 +63,45 @@ func FraigEx(a *AIG, opt FraigOptions) (*AIG, *FraigStats) {
 // proofs and degrades to a plain structural copy, so it always returns a
 // function-identical AIG promptly — possibly less reduced than an
 // unbudgeted run would produce, but never wrong. A nil ctx never fires.
+//
+// A refuted proof is paid for once (Mishchenko et al., ICCAD'06): its
+// counterexample becomes one more simulation pattern, and every later
+// candidate pair that pattern separates is skipped without calling SAT.
+// Each proof decides only the variables of the two nodes' cones.
 func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStats) {
 	opt.defaults()
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
 	k := opt.SimWords
 	stats := &FraigStats{NodesBefore: a.NumAnds()}
 
-	piPatterns := make([][]uint64, a.numPIs)
-	for i := range piPatterns {
-		ws := make([]uint64, k)
-		for j := range ws {
-			ws[j] = rng.Uint64()
+	// Signatures are column-major over the input AIG: cols[j][n] is
+	// pattern word j of input node n. The first k columns are random and
+	// fix the class keys; each later column packs the counterexamples of
+	// up to 64 refuted proofs (see refine).
+	piWords := make([]uint64, a.numPIs*k)
+	for i := range piWords {
+		piWords[i] = rng.Uint64()
+	}
+	pend := make([]uint64, a.numPIs)
+	cols := make([][]uint64, k)
+	for j := range cols {
+		for i := range pend {
+			pend[i] = piWords[i*k+j]
 		}
-		piPatterns[i] = ws
+		cols[j] = a.SimWords(pend)
 	}
-	// Signature pass: every new-AIG node below is function-identical to
-	// the input node it is created for (representatives preserve
-	// functions exactly), so all signatures can be precomputed on the
-	// input AIG in one sharded sweep instead of word-by-word inside the
-	// sequential merge loop.
-	var sch *SimSchedule
-	if opt.Workers > 1 {
-		sch = a.NewSimSchedule()
-	}
-	sigIn := a.SimWordsK(sch, piPatterns, k, opt.Workers)
 
 	out := New(a.PINames())
-	// Per new-AIG node: k signature words (const + PIs match the input
-	// AIG's leading nodes exactly).
-	sig := make([][]uint64, 0, a.NumNodes())
-	sig = append(sig, sigIn[:a.numPIs+1]...)
+	// src maps each new-AIG node to the input node it was created for.
+	// The two are function-identical (representatives preserve functions
+	// exactly), so new nodes read their signatures from cols.
+	src := make([]uint32, out.NumNodes(), a.NumNodes())
+	for i := range src {
+		src[i] = uint32(i)
+	}
 
 	solver := sat.New(0)
+	solver.MaxConflicts = opt.MaxConflicts
 	cnf := &CNFMap{VarOf: make(map[uint32]int)}
 	// expired flips once the context fires; from then on no further merge
 	// proofs are attempted and the loop below is a pure structural copy.
@@ -111,31 +117,108 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 		}
 		return expired
 	}
+
+	// Cone-limited proofs: decide masks the solver variables of the DFS
+	// cone of the two nodes under proof. Every other encoded variable is
+	// a free PI or a Tseitin function of its fanins, so a cone-consistent
+	// assignment extends to a full model and the solver need not decide
+	// it. varOf caches cnf.VarOf per new-AIG node (var+1; 0 = not
+	// cached).
+	var varOf []int32
+	var decide []bool
+	var coneVars []int
+	var stack []uint32
+	markCone := func(x, y Lit) {
+		if n := solver.NumVars(); len(decide) < n {
+			decide = append(decide, make([]bool, n-len(decide))...)
+		}
+		if n := out.NumNodes(); len(varOf) < n {
+			varOf = append(varOf, make([]int32, n-len(varOf))...)
+		}
+		stack = append(stack[:0], x.Node(), y.Node())
+		for len(stack) > 0 {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if varOf[n] == 0 {
+				varOf[n] = int32(cnf.VarOf[n]) + 1
+			}
+			v := int(varOf[n] - 1)
+			if decide[v] {
+				continue
+			}
+			decide[v] = true
+			coneVars = append(coneVars, v)
+			if n > uint32(out.numPIs) {
+				stack = append(stack, out.fanin0[n].Node(), out.fanin1[n].Node())
+			}
+		}
+	}
+
+	// Counterexample refinement: a Sat answer writes the model's values
+	// of the cone's PIs into bit fill of the pending PI words (every
+	// other bit stays random) and re-simulates the last column in place.
+	// A new column opens every 64 refutations. Class keys stay those of
+	// the first k columns, so refinement never rebuilds the class map;
+	// the new bits act through sameSig alone.
+	fill := 64
+	refine := func() {
+		if fill == 64 {
+			for i := range pend {
+				pend[i] = rng.Uint64()
+			}
+			cols = append(cols, make([]uint64, a.NumNodes()))
+			fill = 0
+		}
+		bit := uint64(1) << uint(fill)
+		for i := range pend {
+			if v := varOf[i+1]; v != 0 && decide[v-1] {
+				if solver.Model(int(v - 1)) {
+					pend[i] |= bit
+				} else {
+					pend[i] &^= bit
+				}
+			}
+		}
+		a.simInto(cols[len(cols)-1], pend)
+		fill++
+	}
+
 	prove := func(x, y Lit) bool {
 		stats.ProveCalls++
 		lx := out.Encode(solver, cnf, x)
 		ly := out.Encode(solver, cnf, y)
-		solver.MaxConflicts = opt.MaxConflicts
-		ok := solver.SolveCtx(ctx, lx, ly.Not()) == sat.Unsat &&
-			solver.SolveCtx(ctx, lx.Not(), ly) == sat.Unsat
-		if !ok {
+		markCone(x, y)
+		st := solver.SolveMaskCtx(ctx, decide, lx, ly.Not())
+		if st == sat.Unsat {
+			st = solver.SolveMaskCtx(ctx, decide, lx.Not(), ly)
+		}
+		if st == sat.Sat {
+			stats.Refuted++
+			refine()
+		}
+		for _, v := range coneVars {
+			decide[v] = false
+		}
+		coneVars = coneVars[:0]
+		if st != sat.Unsat {
 			stats.ProveFailed++
 		}
-		return ok
+		return st == sat.Unsat
 	}
 
 	// normEdge returns the polarity-normalized edge of a node (bit 0 of
 	// signature word 0 cleared) — equivalence up to complement becomes
 	// plain equality of normalized edges.
 	normEdge := func(nd uint32) Lit {
-		return MkLit(nd, sig[nd][0]&1 == 1)
+		return MkLit(nd, cols[0][src[nd]]&1 == 1)
 	}
 	classes := make(map[[2]uint64][]Lit)
 	classKey := func(nd uint32) [2]uint64 {
 		var key [2]uint64
-		inv := sig[nd][0]&1 == 1
+		n := src[nd]
+		inv := cols[0][n]&1 == 1
 		for j := 0; j < k; j++ {
-			w := sig[nd][j]
+			w := cols[j][n]
 			if inv {
 				w = ^w
 			}
@@ -173,18 +256,22 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 		f1 := repr[e1.Node()].NotIf(e1.Compl())
 		e := out.And(f0, f1)
 		nd := e.Node()
-		if int(nd) >= len(sig) {
-			// Fresh structural node: function-identical to input node i,
-			// so its signature was already computed in the sharded pass.
-			sig = append(sig, sigIn[i])
+		if int(nd) >= len(src) {
+			// Fresh structural node, function-identical to input node i.
+			src = append(src, uint32(i))
 			me := normEdge(nd)
 			key := classKey(nd)
 			merged := false
-			for ci, cand := range classes[key] {
-				if ci >= opt.MaxClassSize || pollCtx() {
+			tried := 0
+			for _, cand := range classes[key] {
+				if tried >= opt.MaxClassSize || pollCtx() {
 					break
 				}
-				if sameSig(sig, me, cand, k) && prove(me, cand) {
+				if !sameSig(cols, src, me, cand) {
+					continue // separated by a refinement pattern
+				}
+				tried++
+				if prove(me, cand) {
 					// me ≡ cand, so node nd == cand adjusted for nd's
 					// normalization polarity.
 					e = cand.NotIf(me.Compl()).NotIf(e.Compl())
@@ -205,20 +292,21 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 	}
 	res := Compact(out)
 	stats.NodesAfter = res.NumAnds()
+	stats.Conflicts = solver.Stats.Conflicts
+	stats.Decisions = solver.Stats.Decisions
 	return res, stats
 }
 
-func sameSig(sig [][]uint64, x, y Lit, k int) bool {
-	for j := 0; j < k; j++ {
-		wx := sig[x.Node()][j]
-		if x.Compl() {
-			wx = ^wx
-		}
-		wy := sig[y.Node()][j]
-		if y.Compl() {
-			wy = ^wy
-		}
-		if wx != wy {
+// sameSig reports whether new-AIG edges x and y agree on every signature
+// column; src maps new-AIG nodes to the input nodes that index cols.
+func sameSig(cols [][]uint64, src []uint32, x, y Lit) bool {
+	nx, ny := src[x.Node()], src[y.Node()]
+	var flip uint64
+	if x.Compl() != y.Compl() {
+		flip = ^uint64(0)
+	}
+	for _, c := range cols {
+		if c[nx]^c[ny] != flip {
 			return false
 		}
 	}

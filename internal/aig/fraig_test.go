@@ -1,6 +1,7 @@
 package aig
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -156,5 +157,123 @@ func TestBalanceRespectsSharedNodes(t *testing.T) {
 	b := Balance(a)
 	if b.NumAnds() > a.NumAnds() {
 		t.Fatalf("balance duplicated shared logic: %d -> %d", a.NumAnds(), b.NumAnds())
+	}
+}
+
+// exhaustiveEqual compares two AIGs over every input assignment.
+func exhaustiveEqual(a, b *AIG) bool {
+	nv := a.NumPIs()
+	in := make([]bool, nv)
+	for m := 0; m < 1<<nv; m++ {
+		for i := range in {
+			in[i] = m>>i&1 == 1
+		}
+		oa, ob := a.Eval(in), b.Eval(in)
+		for i := range oa {
+			if oa[i] != ob[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkFraigStats asserts the accounting identities of a fraig pass.
+func checkFraigStats(t *testing.T, a, f *AIG, st *FraigStats) {
+	t.Helper()
+	if st.NodesBefore != a.NumAnds() || st.NodesAfter != f.NumAnds() {
+		t.Fatalf("stats nodes wrong: %+v (%d -> %d ands)", st, a.NumAnds(), f.NumAnds())
+	}
+	if st.ProveCalls != st.Merges+st.ProveFailed {
+		t.Fatalf("prove calls %d != merges %d + failed %d", st.ProveCalls, st.Merges, st.ProveFailed)
+	}
+	if st.Refuted > st.ProveFailed {
+		t.Fatalf("refuted %d > failed %d", st.Refuted, st.ProveFailed)
+	}
+}
+
+func TestFraigExDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 8; trial++ {
+		nv := 4 + rng.Intn(4)
+		a := randomAIG(rng, nv, 60)
+		f1, st1 := FraigEx(a, FraigOptions{Seed: int64(trial)})
+		f2, st2 := FraigEx(a, FraigOptions{Seed: int64(trial)})
+		// Refinement patterns come from SAT models of a deterministic
+		// solver, so one seed must give one reduction.
+		if f1.StructuralHash() != f2.StructuralHash() || *st1 != *st2 {
+			t.Fatalf("trial %d: same seed, different reduction: %+v vs %+v", trial, st1, st2)
+		}
+		if !exhaustiveEqual(a, f1) {
+			t.Fatalf("trial %d: function changed", trial)
+		}
+		checkFraigStats(t, a, f1, st1)
+	}
+}
+
+func TestFraigExReportsMerges(t *testing.T) {
+	// Build an AIG with a guaranteed redundancy: XOR in its two-AND
+	// sum-of-products form and in its (x|y)&!(x&y) form — structurally
+	// distinct nodes the strash cannot collapse, equal functions.
+	a := New([]string{"a", "b"})
+	x, y := a.PI(0), a.PI(1)
+	xor1 := a.Xor(x, y)
+	xor2 := a.And(a.Or(x, y), a.And(x, y).Not())
+	if xor1 == xor2 {
+		t.Fatal("test premise broken: strash collapsed the two XOR forms")
+	}
+	a.AddPO("o1", xor1)
+	a.AddPO("o2", xor2)
+	f, st := FraigEx(a, FraigOptions{})
+	if st.Merges == 0 {
+		t.Fatalf("no merge found: %+v, %d -> %d ands", st, a.NumAnds(), f.NumAnds())
+	}
+	if f.NumAnds() >= a.NumAnds() {
+		t.Fatalf("no reduction: %d -> %d ands", a.NumAnds(), f.NumAnds())
+	}
+}
+
+// TestFraigRefinementSkipsRefutedCandidates builds many distinct
+// functions that agree on the 256 random class-key patterns: each is
+// the conjunction of a 24-PI cube (true on about one pattern in 16M)
+// with a different extra literal, so all of them share the constant-0
+// class. Without refinement every pair would reach SAT; each refuting
+// model must instead separate most of the class at once.
+func TestFraigRefinementSkipsRefutedCandidates(t *testing.T) {
+	const cube, extra = 24, 12
+	names := make([]string, cube+extra)
+	for i := range names {
+		names[i] = fmt.Sprintf("x%d", i)
+	}
+	a := New(names)
+	lits := make([]Lit, cube)
+	for i := range lits {
+		lits[i] = a.PI(i)
+	}
+	c := a.AndN(lits)
+	var outs []Lit
+	for i := 0; i < extra; i++ {
+		for _, neg := range []bool{false, true} {
+			outs = append(outs, a.And(c, a.PI(cube+i).NotIf(neg)))
+		}
+	}
+	for i, o := range outs {
+		a.AddPO(fmt.Sprintf("o%d", i), o)
+	}
+	// Every pair of the 2*extra outputs, plus each against constant 0,
+	// is a candidate pair under the static class keys.
+	n := len(outs)
+	pairs := n*(n-1)/2 + n
+	f, st := FraigEx(a, FraigOptions{MaxClassSize: 1 << 20})
+	checkFraigStats(t, a, f, st)
+	if st.Merges != 0 {
+		t.Fatalf("distinct functions merged: %+v", st)
+	}
+	if st.Refuted*4 > pairs || st.Refuted > 3*n {
+		t.Fatalf("refuted %d of %d candidate pairs (%d nodes): refinement is not pruning", st.Refuted, pairs, n)
+	}
+	rng := rand.New(rand.NewSource(5))
+	if !equalAIGs(a, f, len(names), rng, 200) {
+		t.Fatal("function changed")
 	}
 }

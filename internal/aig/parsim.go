@@ -1,74 +1,10 @@
 package aig
 
-import (
-	"runtime"
-	"sync"
-)
-
-// SimSchedule is a level-batched execution plan for parallel bit
-// simulation over a frozen AIG: AND nodes are grouped by logic level, so
-// every node in a batch depends only on nodes in earlier batches and a
-// batch can be swept by several goroutines with no synchronization
-// beyond a per-level barrier. Build it once (the AIG must not grow
-// afterwards) and reuse it across simulation calls.
-type SimSchedule struct {
-	levels [][]uint32
-}
-
-// NewSimSchedule computes the level batches of the AIG's AND nodes.
-func (a *AIG) NewSimSchedule() *SimSchedule {
-	lev := a.Levels()
-	max := 0
-	for _, l := range lev {
-		if l > max {
-			max = l
-		}
-	}
-	counts := make([]int, max)
-	for n := a.numPIs + 1; n < a.NumNodes(); n++ {
-		counts[lev[n]-1]++
-	}
-	levels := make([][]uint32, max)
-	for l := range levels {
-		levels[l] = make([]uint32, 0, counts[l])
-	}
-	for n := a.numPIs + 1; n < a.NumNodes(); n++ {
-		levels[lev[n]-1] = append(levels[lev[n]-1], uint32(n))
-	}
-	return &SimSchedule{levels: levels}
-}
-
-// shardGrain is the minimum number of (node, word) evaluations in a
-// level before the sweep bothers spawning goroutines for it.
-const shardGrain = 2048
-
-// SimWordsSharded is SimWords with the AND sweep partitioned across
-// workers using the level schedule. workers <= 1 (or a nil schedule)
-// falls back to the serial sweep. The result is identical to SimWords.
-func (a *AIG) SimWordsSharded(sch *SimSchedule, piWords []uint64, workers int) []uint64 {
-	if workers <= 1 || sch == nil {
-		return a.SimWords(piWords)
-	}
-	if len(piWords) != a.numPIs {
-		panic("aig: wrong PI word count")
-	}
-	w := make([]uint64, len(a.fanin0))
-	for i, v := range piWords {
-		w[i+1] = v
-	}
-	sweepLevels(sch, workers, 1, func(n uint32) {
-		w[n] = LitWord(w, a.fanin0[n]) & LitWord(w, a.fanin1[n])
-	})
-	return w
-}
-
 // SimWordsK runs k-word parallel simulation (64*k patterns at once):
 // piWords[i] holds k words for PI i, and the result holds k words per
 // node (node-major, backed by one contiguous array). It generalizes
-// SimWords to wider rounds — the signature pass of the fraig sweep and
-// the CEC stage-1 simulation both use it. With workers > 1 and a
-// schedule, the AND sweep is sharded level by level.
-func (a *AIG) SimWordsK(sch *SimSchedule, piWords [][]uint64, k, workers int) [][]uint64 {
+// SimWords to wider rounds for the CEC stage-1 simulation.
+func (a *AIG) SimWordsK(piWords [][]uint64, k int) [][]uint64 {
 	if len(piWords) != a.numPIs {
 		panic("aig: wrong PI word count")
 	}
@@ -84,7 +20,7 @@ func (a *AIG) SimWordsK(sch *SimSchedule, piWords [][]uint64, k, workers int) []
 		}
 		copy(w[i+1], ws)
 	}
-	eval := func(nd uint32) {
+	for nd := uint32(a.numPIs + 1); nd < uint32(n); nd++ {
 		f0, f1 := a.fanin0[nd], a.fanin1[nd]
 		w0, w1 := w[f0.Node()], w[f1.Node()]
 		dst := w[nd]
@@ -107,58 +43,5 @@ func (a *AIG) SimWordsK(sch *SimSchedule, piWords [][]uint64, k, workers int) []
 			}
 		}
 	}
-	if workers <= 1 || sch == nil {
-		for nd := uint32(a.numPIs + 1); nd < uint32(n); nd++ {
-			eval(nd)
-		}
-		return w
-	}
-	sweepLevels(sch, workers, k, eval)
 	return w
-}
-
-// sweepLevels runs eval over every scheduled node, level by level,
-// splitting each sufficiently large level across workers.
-func sweepLevels(sch *SimSchedule, workers, k int, eval func(n uint32)) {
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
-	for _, nodes := range sch.levels {
-		if workers <= 1 || len(nodes)*k < shardGrain {
-			for _, n := range nodes {
-				eval(n)
-			}
-			continue
-		}
-		chunk := (len(nodes) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for lo := 0; lo < len(nodes); lo += chunk {
-			hi := lo + chunk
-			if hi > len(nodes) {
-				hi = len(nodes)
-			}
-			wg.Add(1)
-			go func(part []uint32) {
-				defer wg.Done()
-				for _, n := range part {
-					eval(n)
-				}
-			}(nodes[lo:hi])
-		}
-		wg.Wait()
-	}
-}
-
-// LitWords extracts an edge's k-word signature from a node-major word
-// table, complementing in place into a scratch slice when needed.
-func LitWords(w [][]uint64, l Lit, scratch []uint64) []uint64 {
-	ws := w[l.Node()]
-	if !l.Compl() {
-		return ws
-	}
-	scratch = scratch[:0]
-	for _, v := range ws {
-		scratch = append(scratch, ^v)
-	}
-	return scratch
 }

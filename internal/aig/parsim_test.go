@@ -5,32 +5,11 @@ import (
 	"testing"
 )
 
-func TestSimWordsShardedMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		nv := 4 + rng.Intn(5)
-		a := randomAIG(rng, nv, 200)
-		sch := a.NewSimSchedule()
-		piWords := a.RandomWords(rng)
-		want := a.SimWords(piWords)
-		for _, workers := range []int{1, 2, 4, 8} {
-			got := a.SimWordsSharded(sch, piWords, workers)
-			for n := range want {
-				if got[n] != want[n] {
-					t.Fatalf("trial %d workers %d: node %d: %x != %x",
-						trial, workers, n, got[n], want[n])
-				}
-			}
-		}
-	}
-}
-
 func TestSimWordsKMatchesSimWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {
 		nv := 3 + rng.Intn(5)
 		a := randomAIG(rng, nv, 120)
-		sch := a.NewSimSchedule()
 		const k = 5
 		piWords := make([][]uint64, a.NumPIs())
 		for i := range piWords {
@@ -40,98 +19,19 @@ func TestSimWordsKMatchesSimWords(t *testing.T) {
 			}
 			piWords[i] = ws
 		}
-		for _, workers := range []int{1, 4} {
-			got := a.SimWordsK(sch, piWords, k, workers)
-			for j := 0; j < k; j++ {
-				col := make([]uint64, a.NumPIs())
-				for i := range col {
-					col[i] = piWords[i][j]
-				}
-				want := a.SimWords(col)
-				for n := range want {
-					if got[n][j] != want[n] {
-						t.Fatalf("trial %d workers %d word %d node %d: %x != %x",
-							trial, workers, j, n, got[n][j], want[n])
-					}
+		got := a.SimWordsK(piWords, k)
+		for j := 0; j < k; j++ {
+			col := make([]uint64, a.NumPIs())
+			for i := range col {
+				col[i] = piWords[i][j]
+			}
+			want := a.SimWords(col)
+			for n := range want {
+				if got[n][j] != want[n] {
+					t.Fatalf("trial %d word %d node %d: %x != %x",
+						trial, j, n, got[n][j], want[n])
 				}
 			}
 		}
-	}
-}
-
-func TestSimScheduleCoversAllAnds(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	a := randomAIG(rng, 6, 300)
-	sch := a.NewSimSchedule()
-	seen := make(map[uint32]bool)
-	for _, nodes := range sch.levels {
-		for _, n := range nodes {
-			if seen[n] {
-				t.Fatalf("node %d scheduled twice", n)
-			}
-			seen[n] = true
-		}
-	}
-	if len(seen) != a.NumAnds() {
-		t.Fatalf("scheduled %d nodes, want %d", len(seen), a.NumAnds())
-	}
-}
-
-func TestLitWords(t *testing.T) {
-	w := [][]uint64{{0x0f, 0xf0}, {0xff, 0x00}}
-	if got := LitWords(w, MkLit(1, false), nil); got[0] != 0xff || got[1] != 0x00 {
-		t.Fatalf("plain edge: %x", got)
-	}
-	scratch := make([]uint64, 0, 2)
-	got := LitWords(w, MkLit(0, true), scratch)
-	if got[0] != ^uint64(0x0f) || got[1] != ^uint64(0xf0) {
-		t.Fatalf("complemented edge: %x", got)
-	}
-}
-
-func TestFraigExWorkersEquivalent(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 8; trial++ {
-		nv := 4 + rng.Intn(4)
-		a := randomAIG(rng, nv, 60)
-		f1, st1 := FraigEx(a, FraigOptions{Seed: int64(trial), Workers: 1})
-		f4, st4 := FraigEx(a, FraigOptions{Seed: int64(trial), Workers: 4})
-		// The sharded signature pass computes the same signatures, so
-		// the reduction must be bit-identical.
-		if f1.NumAnds() != f4.NumAnds() || st1.Merges != st4.Merges {
-			t.Fatalf("trial %d: workers changed the reduction: %d/%d ands, %d/%d merges",
-				trial, f1.NumAnds(), f4.NumAnds(), st1.Merges, st4.Merges)
-		}
-		if !equalAIGs(f1, f4, nv, rng, 100) || !equalAIGs(a, f4, nv, rng, 100) {
-			t.Fatalf("trial %d: function changed", trial)
-		}
-		if st1.NodesBefore != a.NumAnds() || st1.NodesAfter != f1.NumAnds() {
-			t.Fatalf("trial %d: stats nodes wrong: %+v", trial, st1)
-		}
-		if st1.ProveCalls < st1.Merges {
-			t.Fatalf("trial %d: prove calls %d < merges %d", trial, st1.ProveCalls, st1.Merges)
-		}
-	}
-}
-
-func TestFraigExReportsMerges(t *testing.T) {
-	// Build an AIG with a guaranteed redundancy: XOR in its two-AND
-	// sum-of-products form and in its (x|y)&!(x&y) form — structurally
-	// distinct nodes the strash cannot collapse, equal functions.
-	a := New([]string{"a", "b"})
-	x, y := a.PI(0), a.PI(1)
-	xor1 := a.Xor(x, y)
-	xor2 := a.And(a.Or(x, y), a.And(x, y).Not())
-	if xor1 == xor2 {
-		t.Fatal("test premise broken: strash collapsed the two XOR forms")
-	}
-	a.AddPO("o1", xor1)
-	a.AddPO("o2", xor2)
-	f, st := FraigEx(a, FraigOptions{})
-	if st.Merges == 0 {
-		t.Fatalf("no merge found: %+v, %d -> %d ands", st, a.NumAnds(), f.NumAnds())
-	}
-	if f.NumAnds() >= a.NumAnds() {
-		t.Fatalf("no reduction: %d -> %d ands", a.NumAnds(), f.NumAnds())
 	}
 }

@@ -81,10 +81,10 @@ type Options struct {
 	Budget time.Duration
 	// Workers sets the engine parallelism: output miters are proved
 	// concurrently (one SAT solver and CNF map per worker over the
-	// shared read-only AIG), the fraig signature pass is sharded, and
-	// stage-1 simulation rounds run as parallel batches. 0 selects
-	// runtime.GOMAXPROCS(0); 1 forces the serial path. Verdicts do not
-	// depend on the worker count.
+	// shared read-only AIG) and stage-1 simulation rounds run as
+	// parallel batches; the fraig sweep between them is sequential.
+	// 0 selects runtime.GOMAXPROCS(0); 1 forces the serial path.
+	// Verdicts do not depend on the worker count.
 	Workers int
 	// SimRounds is the number of stage-1 random-simulation rounds
 	// (0: default 8; negative: skip stage 1).

@@ -84,20 +84,25 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 	fctx, fsp := obs.Start(ctx, "fraig")
 	fmem := obs.SpanMem(fsp)
 	fctx, frestore := obs.PhaseLabel(fctx, "fraig")
-	af, fst := aig.FraigExCtx(fctx, a, aig.FraigOptions{
-		Seed: opt.Seed, MaxConflicts: 1000, Workers: workers,
-	})
+	af, fst := aig.FraigExCtx(fctx, a, aig.FraigOptions{Seed: opt.Seed, MaxConflicts: 1000})
 	frestore()
 	if fsp != nil {
 		fsp.Gauge("fraig.nodes_before", int64(st.FraigNodesBefore))
 		fsp.Gauge("fraig.nodes_after", int64(fst.NodesAfter))
 		fsp.Count("fraig.merges", int64(fst.Merges))
+		fsp.Count("fraig.prove_calls", int64(fst.ProveCalls))
+		fsp.Count("fraig.refuted", int64(fst.Refuted))
+		fsp.Count("fraig.sat_conflicts", fst.Conflicts)
+		fsp.Count("fraig.sat_decisions", fst.Decisions)
 	}
 	fmem.End()
 	fsp.End()
 	st.FraigNodesAfter = fst.NodesAfter
 	st.FraigMerges = fst.Merges
 	st.FraigProveCalls = fst.ProveCalls
+	st.FraigRefuted = fst.Refuted
+	st.FraigConflicts = fst.Conflicts
+	st.FraigDecisions = fst.Decisions
 	// Recover per-output edges from the fraiged AIG's POs.
 	a = af
 	for i := 0; i < len(pos1); i++ {
@@ -185,7 +190,7 @@ func simStage(ctx context.Context, a *aig.AIG, pos1, pos2 []aig.Lit, opt Options
 					}
 					piWords[i] = ws
 				}
-				w := a.SimWordsK(nil, piWords, wpr, 1)
+				w := a.SimWordsK(piWords, wpr)
 				for i := range pos1 {
 					w1, w2 := w[pos1[i].Node()], w[pos2[i].Node()]
 					x1, x2 := flipMask(pos1[i]), flipMask(pos2[i])

@@ -120,15 +120,19 @@ func TestTraceFeedsEngineCounters(t *testing.T) {
 			}
 		}
 		for name, want := range map[string]int64{
-			"seqver_sim_patterns_total":       st.SimPatterns,
-			"seqver_fraig_merges_total":       int64(st.FraigMerges),
-			"seqver_sat_calls_total":          int64(st.SATCalls),
-			"seqver_sat_conflicts_total":      st.Conflicts,
-			"seqver_sat_decisions_total":      st.Decisions,
-			"seqver_sat_clauses_reused_total": st.ClausesReused,
-			"seqver_sat_vars_encoded_total":   st.VarsEncoded,
-			"seqver_undecided_outputs_total":  int64(len(res.UndecidedOutputs)),
-			"seqver_miters_resolved_total":    miterSpans,
+			"seqver_sim_patterns_total":        st.SimPatterns,
+			"seqver_fraig_merges_total":        int64(st.FraigMerges),
+			"seqver_fraig_prove_calls_total":   int64(st.FraigProveCalls),
+			"seqver_fraig_refuted_total":       int64(st.FraigRefuted),
+			"seqver_fraig_sat_conflicts_total": st.FraigConflicts,
+			"seqver_fraig_sat_decisions_total": st.FraigDecisions,
+			"seqver_sat_calls_total":           int64(st.SATCalls),
+			"seqver_sat_conflicts_total":       st.Conflicts,
+			"seqver_sat_decisions_total":       st.Decisions,
+			"seqver_sat_clauses_reused_total":  st.ClausesReused,
+			"seqver_sat_vars_encoded_total":    st.VarsEncoded,
+			"seqver_undecided_outputs_total":   int64(len(res.UndecidedOutputs)),
+			"seqver_miters_resolved_total":     miterSpans,
 		} {
 			if got := reg.Counter(name, "").Value(); got != want {
 				t.Errorf("workers=%d: %s = %d, want %d", workers, name, got, want)

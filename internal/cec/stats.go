@@ -21,10 +21,13 @@ type Stats struct {
 	SimPatterns      int64  `json:"sim_patterns"` // input vectors simulated in stage 1
 	SimCexHits       int    `json:"sim_cex_hits"` // stage-1 rounds that exposed a difference
 
-	FraigNodesBefore int `json:"fraig_nodes_before"`
-	FraigNodesAfter  int `json:"fraig_nodes_after"`
-	FraigMerges      int `json:"fraig_merges"`
-	FraigProveCalls  int `json:"fraig_prove_calls"`
+	FraigNodesBefore int   `json:"fraig_nodes_before"`
+	FraigNodesAfter  int   `json:"fraig_nodes_after"`
+	FraigMerges      int   `json:"fraig_merges"`
+	FraigProveCalls  int   `json:"fraig_prove_calls"`
+	FraigRefuted     int   `json:"fraig_refuted"` // proofs answered with a counterexample
+	FraigConflicts   int64 `json:"fraig_conflicts"`
+	FraigDecisions   int64 `json:"fraig_decisions"`
 
 	StructuralEqual int   `json:"structural_equal"` // miters discharged without SAT
 	SATCalls        int   `json:"sat_calls"`
@@ -89,8 +92,9 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "simulation:  %d rounds x %d words (%d patterns), %d cex hits\n",
 		s.SimRounds, s.SimWordsPerRound, s.SimPatterns, s.SimCexHits)
 	if s.FraigNodesBefore > 0 {
-		fmt.Fprintf(&b, "fraig:       %d -> %d AND nodes, %d merges (%d proofs)\n",
-			s.FraigNodesBefore, s.FraigNodesAfter, s.FraigMerges, s.FraigProveCalls)
+		fmt.Fprintf(&b, "fraig:       %d -> %d AND nodes, %d merges (%d proofs, %d refuted; %d conflicts, %d decisions)\n",
+			s.FraigNodesBefore, s.FraigNodesAfter, s.FraigMerges, s.FraigProveCalls,
+			s.FraigRefuted, s.FraigConflicts, s.FraigDecisions)
 	}
 	fmt.Fprintf(&b, "sat:         %d calls, %d conflicts, %d decisions\n",
 		s.SATCalls, s.Conflicts, s.Decisions)

@@ -23,6 +23,9 @@ func fullStats() *Stats {
 		FraigNodesAfter:  30,
 		FraigMerges:      45,
 		FraigProveCalls:  12,
+		FraigRefuted:     7,
+		FraigConflicts:   33,
+		FraigDecisions:   90,
 		StructuralEqual:  6,
 		SATCalls:         5,
 		Conflicts:        777,
@@ -80,7 +83,7 @@ func TestStatsStringGolden(t *testing.T) {
 	want := `engine:      hybrid (4 workers)
 outputs:     9 (6 structural)
 simulation:  8 rounds x 4 words (2048 patterns), 1 cex hits
-fraig:       120 -> 30 AND nodes, 45 merges (12 proofs)
+fraig:       120 -> 30 AND nodes, 45 merges (12 proofs, 7 refuted; 33 conflicts, 90 decisions)
 sat:         5 calls, 777 conflicts, 1234 decisions
 sat reuse:   321 clauses reused, 654 vars encoded, 2 reductions
 budget:      2s wall clock

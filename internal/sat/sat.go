@@ -18,10 +18,10 @@
 //   - MaxConflicts (a per-call conflict count; 0 or negative means
 //     unlimited) returns Unknown when exhausted. The formula's status is
 //     simply undetermined; the solver stays usable.
-//   - A context passed to SolveCtx/SolveModelCtx is polled at conflict
-//     and decision boundaries (every few hundred steps, so cancellation
-//     latency is microseconds-to-milliseconds, never a whole proof).
-//     Cancellation or deadline expiry returns Canceled.
+//   - A context passed to SolveCtx/SolveMaskCtx/SolveModelCtx is polled
+//     at conflict and decision boundaries (every few hundred steps, so
+//     cancellation latency is microseconds-to-milliseconds, never a
+//     whole proof). Cancellation or deadline expiry returns Canceled.
 //
 // Unknown and Canceled are both sound "no answer" verdicts: callers such
 // as internal/cec map them to an undecided miter, never to a wrong
@@ -125,6 +125,7 @@ type Solver struct {
 	order    *varHeap
 
 	seen      []bool
+	skipped   []int  // unassigned vars popped outside the call's decision mask
 	unsatisf  bool   // top-level conflict found during AddClause
 	lastModel []bool // snapshot of the most recent Sat assignment
 	core      []Lit  // failed-assumption core of the last Unsat call
@@ -699,16 +700,33 @@ func (s *Solver) learnedCap() float64 {
 	return s.maxLearned
 }
 
-func (s *Solver) pickBranch() Lit {
+// pickBranch pops the most active unassigned variable the decision
+// mask allows (nil allows every variable). Masked-out variables leave
+// the order heap for the rest of the call; restoreSkipped puts them back.
+func (s *Solver) pickBranch(decide []bool) Lit {
 	for {
 		v, ok := s.order.pop()
 		if !ok {
 			return -1
 		}
-		if s.assign[v] == lUndef {
-			return MkLit(v, !s.phase[v])
+		if s.assign[v] != lUndef {
+			continue
 		}
+		if decide != nil && (v >= len(decide) || !decide[v]) {
+			s.skipped = append(s.skipped, v)
+			continue
+		}
+		return MkLit(v, !s.phase[v])
 	}
+}
+
+// restoreSkipped returns the variables a masked call passed over to the
+// order heap, so no later call starts with a shrunken branching order.
+func (s *Solver) restoreSkipped() {
+	for _, v := range s.skipped {
+		s.order.push(v)
+	}
+	s.skipped = s.skipped[:0]
 }
 
 // luby computes the reluctant-doubling restart sequence.
@@ -729,10 +747,11 @@ func luby(i int64) int64 {
 // the ctx.Err mutex never shows up in profiles.
 const ctxPollInterval = 128
 
-// solve decides satisfiability under the given assumption literals.
-// On Sat, Model reports variable values. On Unknown the conflict budget
+// solve decides satisfiability under the given assumption literals,
+// branching only on the variables decide allows (nil allows all). On
+// Sat, Model reports variable values. On Unknown the conflict budget
 // was exhausted; on Canceled the context fired first.
-func (s *Solver) solve(ctx context.Context, assumptions ...Lit) Status {
+func (s *Solver) solve(ctx context.Context, decide []bool, assumptions ...Lit) Status {
 	s.core = nil
 	s.Stats.SolveCalls++
 	if s.unsatisf {
@@ -747,6 +766,7 @@ func (s *Solver) solve(ctx context.Context, assumptions ...Lit) Status {
 	restartLimit := luby(restartNum) * 64
 	tick := 0
 
+	defer s.restoreSkipped()
 	defer s.cancelUntil(0)
 	for {
 		confl := s.propagate()
@@ -829,7 +849,7 @@ func (s *Solver) solve(ctx context.Context, assumptions ...Lit) Status {
 				return Canceled
 			}
 		}
-		l := s.pickBranch()
+		l := s.pickBranch(decide)
 		if l == -1 {
 			// Capture the model before the deferred backtrack erases it.
 			s.lastModel = make([]bool, len(s.assign))
@@ -847,7 +867,7 @@ func (s *Solver) solve(ctx context.Context, assumptions ...Lit) Status {
 
 // Solve decides satisfiability under the given assumptions.
 func (s *Solver) Solve(assumptions ...Lit) Status {
-	return s.solve(nil, assumptions...)
+	return s.solve(nil, nil, assumptions...)
 }
 
 // SolveCtx is Solve with cooperative cancellation: the context is polled
@@ -855,7 +875,20 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 // expiry returns Canceled. Learned clauses are kept, so a later call can
 // resume from the accumulated knowledge.
 func (s *Solver) SolveCtx(ctx context.Context, assumptions ...Lit) Status {
-	return s.solve(ctx, assumptions...)
+	return s.solve(ctx, nil, assumptions...)
+}
+
+// SolveMaskCtx is SolveCtx that branches only on the variables v with
+// decide[v] set; nil allows every variable. Masked-out variables are
+// assigned only by propagation, so a Sat answer is complete once every
+// allowed variable is assigned, and its model is meaningful only on the
+// allowed variables and on those propagation assigned. That answer is
+// sound when every variable outside the mask is functionally defined
+// by the others (a Tseitin encoding restricted to a fanin-closed cone):
+// any assignment consistent on the cone then extends to a full model.
+// The mask applies to this call only.
+func (s *Solver) SolveMaskCtx(ctx context.Context, decide []bool, assumptions ...Lit) Status {
+	return s.solve(ctx, decide, assumptions...)
 }
 
 // SolveModel runs Solve and, on Sat, also returns the model, indexed by
@@ -867,7 +900,7 @@ func (s *Solver) SolveModel(assumptions ...Lit) (Status, []bool) {
 // SolveModelCtx is SolveModel with cooperative cancellation (see
 // SolveCtx).
 func (s *Solver) SolveModelCtx(ctx context.Context, assumptions ...Lit) (Status, []bool) {
-	st := s.solve(ctx, assumptions...)
+	st := s.solve(ctx, nil, assumptions...)
 	if st != Sat {
 		return st, nil
 	}
