@@ -2,9 +2,9 @@
 // and internal/benchfmt) and gates on performance regressions: worker
 // rows compare min ns/op, budget rungs compare mean ns/op, and any row
 // slowing down by more than the noise threshold fails the diff. Worker
-// rows carrying allocation numbers additionally compare bytes/op under
-// -alloc-threshold — a separate, tighter gate, because allocation
-// volume is nearly deterministic where wall clock is noisy. It refuses
+// rows carrying allocation numbers additionally compare bytes/op and
+// allocs/op under -alloc-threshold — separate, tighter gates, because
+// allocation is nearly deterministic where wall clock is noisy. It refuses
 // to compare files recorded under different GOMAXPROCS — those numbers
 // measure different machines, not different code.
 //
@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	threshold := fs.Float64("threshold", benchfmt.DefaultThreshold,
 		"new/old ratio above which a slowdown is a regression")
 	allocThreshold := fs.Float64("alloc-threshold", benchfmt.DefaultAllocThreshold,
-		"new/old bytes-per-op ratio above which allocation growth is a regression")
+		"new/old bytes-per-op or allocs-per-op ratio above which allocation growth is a regression")
 	allowProcs := fs.Bool("allow-procs-mismatch", false,
 		"compare files recorded under different GOMAXPROCS anyway")
 	jsonOut := fs.Bool("json", false, "emit the diff as JSON instead of a table")
@@ -106,11 +106,18 @@ func printTable(w io.Writer, d *benchfmt.Diff) {
 		} else if delta.Ratio > 0 && delta.Ratio < 1/d.Threshold {
 			verdict = "improved"
 		}
-		if delta.AllocRegression {
-			verdict += fmt.Sprintf("  ALLOC REGRESSION %dB -> %dB (%.2fx)",
-				delta.OldBytesOp, delta.NewBytesOp, delta.AllocRatio)
-		} else if delta.AllocRatio > 0 {
-			verdict += fmt.Sprintf("  alloc %.2fx", delta.AllocRatio)
+		if delta.AllocRatio > 0 || delta.AllocsRatio > 0 {
+			if delta.AllocRegression {
+				verdict += "  ALLOC REGRESSION"
+			} else {
+				verdict += "  alloc"
+			}
+			if delta.AllocRatio > 0 {
+				verdict += fmt.Sprintf(" %dB -> %dB (%.2fx)", delta.OldBytesOp, delta.NewBytesOp, delta.AllocRatio)
+			}
+			if delta.AllocsRatio > 0 {
+				verdict += fmt.Sprintf(" %d -> %d allocs (%.2fx)", delta.OldAllocsOp, delta.NewAllocsOp, delta.AllocsRatio)
+			}
 		}
 		if delta.Note != "" {
 			verdict += "  (" + delta.Note + ")"

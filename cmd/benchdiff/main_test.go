@@ -136,6 +136,32 @@ func TestRunExitCodes(t *testing.T) {
 		}
 	})
 
+	t.Run("alloc-count-regression", func(t *testing.T) {
+		// 1.5x allocations per op at equal bytes per op fails the diff.
+		withAlloc := testReport()
+		withAlloc.Results[0].AllocsPerOp = 10_000
+		withAlloc.Results[0].BytesPerOp = 1 << 20
+		allocBase := writeReport(t, dir, "count-base.json", withAlloc)
+
+		grown := testReport()
+		grown.Results[0].AllocsPerOp = 15_000 // 1.5x allocs/op
+		grown.Results[0].BytesPerOp = 1 << 20
+		head := writeReport(t, dir, "count-grown.json", grown)
+
+		var out, errb bytes.Buffer
+		if code := run([]string{allocBase, head}, &out, &errb); code != 1 {
+			t.Fatalf("1.5x allocs/op growth: exit %d, want 1\nstderr: %s", code, errb.String())
+		}
+		if !strings.Contains(out.String(), "10000 -> 15000 allocs (1.50x)") {
+			t.Errorf("table does not report the count ratio:\n%s", out.String())
+		}
+
+		// A legacy baseline without alloc fields skips both gates.
+		if code := run([]string{base, head}, &out, &errb); code != 0 {
+			t.Fatalf("legacy baseline vs count-grown head: exit %d, want 0 (gate skipped)", code)
+		}
+	})
+
 	t.Run("threshold-flag", func(t *testing.T) {
 		slow := testReport()
 		slow.Results[0].MinNSOp = 1_500_000 // 1.5x

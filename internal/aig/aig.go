@@ -298,16 +298,32 @@ func LitWord(w []uint64, l Lit) uint64 {
 	return v
 }
 
-// ToCNF encodes the cone of each requested edge into the solver via
-// Tseitin transformation and returns the solver literal for each edge.
-// The mapping from AIG node to solver variable is returned for reuse.
+// CNFMap records which solver variable encodes each AIG node, so an
+// encoding can be extended cone by cone (Encode) across many calls. The
+// zero value is an empty map.
 type CNFMap struct {
-	VarOf map[uint32]int // AIG node -> solver var
+	vars  []int32       // node -> solver var + 1; 0 = not encoded
+	stack []encodeFrame // encode's work stack, kept across calls
 }
 
-// ToCNF encodes the cones of the given edges into s.
+type encodeFrame struct {
+	n    uint32
+	emit bool // children encoded; emit the Tseitin clauses
+}
+
+// Var returns the solver variable of node n, and whether n is encoded.
+func (m *CNFMap) Var(n uint32) (int, bool) {
+	if int(n) >= len(m.vars) || m.vars[n] == 0 {
+		return 0, false
+	}
+	return int(m.vars[n] - 1), true
+}
+
+// ToCNF encodes the cones of the given edges into s via Tseitin
+// transformation and returns the solver literal of each edge, with the
+// node-to-variable map for reuse.
 func (a *AIG) ToCNF(s *sat.Solver, edges []Lit) (*CNFMap, []sat.Lit) {
-	m := &CNFMap{VarOf: make(map[uint32]int)}
+	m := &CNFMap{}
 	out := make([]sat.Lit, len(edges))
 	for i, e := range edges {
 		out[i] = a.encode(s, m, e)
@@ -325,32 +341,33 @@ func (a *AIG) Encode(s *sat.Solver, m *CNFMap, e Lit) sat.Lit {
 // goroutine stack, but visits nodes in the same pre-order as the
 // natural recursion so solver variable numbering is identical.
 func (a *AIG) encode(s *sat.Solver, m *CNFMap, e Lit) sat.Lit {
-	if v, ok := m.VarOf[e.Node()]; ok {
+	if v, ok := m.Var(e.Node()); ok {
 		return sat.MkLit(v, e.Compl())
 	}
-	type frame struct {
-		n    uint32
-		emit bool // children encoded; emit the Tseitin clauses
+	if n := a.NumNodes(); len(m.vars) < n {
+		m.vars = append(m.vars, make([]int32, n-len(m.vars))...)
 	}
-	stack := []frame{{n: e.Node()}}
+	vars := m.vars
+	lit := func(e Lit) sat.Lit { return sat.MkLit(int(vars[e.Node()]-1), e.Compl()) }
+	stack := append(m.stack[:0], encodeFrame{n: e.Node()})
 	for len(stack) > 0 {
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if fr.emit {
-			nv := sat.MkLit(m.VarOf[fr.n], false)
-			f0 := sat.MkLit(m.VarOf[a.fanin0[fr.n].Node()], a.fanin0[fr.n].Compl())
-			f1 := sat.MkLit(m.VarOf[a.fanin1[fr.n].Node()], a.fanin1[fr.n].Compl())
+			nv := lit(MkLit(fr.n, false))
+			f0 := lit(a.fanin0[fr.n])
+			f1 := lit(a.fanin1[fr.n])
 			// v <-> f0 & f1
 			s.AddClause(nv.Not(), f0)
 			s.AddClause(nv.Not(), f1)
 			s.AddClause(nv, f0.Not(), f1.Not())
 			continue
 		}
-		if _, ok := m.VarOf[fr.n]; ok {
+		if vars[fr.n] != 0 {
 			continue // reached via an earlier sibling
 		}
 		v := s.NewVar()
-		m.VarOf[fr.n] = v
+		vars[fr.n] = int32(v) + 1
 		switch {
 		case a.IsConst(fr.n):
 			s.AddClause(sat.MkLit(v, true)) // constant false
@@ -360,12 +377,13 @@ func (a *AIG) encode(s *sat.Solver, m *CNFMap, e Lit) sat.Lit {
 			// Emit after both fanin cones; expand fanin0 first to match
 			// the recursive variable order.
 			stack = append(stack,
-				frame{n: fr.n, emit: true},
-				frame{n: a.fanin1[fr.n].Node()},
-				frame{n: a.fanin0[fr.n].Node()})
+				encodeFrame{n: fr.n, emit: true},
+				encodeFrame{n: a.fanin1[fr.n].Node()},
+				encodeFrame{n: a.fanin0[fr.n].Node()})
 		}
 	}
-	return sat.MkLit(m.VarOf[e.Node()], e.Compl())
+	m.stack = stack
+	return lit(e)
 }
 
 // FromCircuit converts a purely combinational netlist into an AIG.

@@ -143,7 +143,7 @@ func TestToCNFEquivalence(t *testing.T) {
 	}
 	in := make([]bool, 2)
 	for i := 0; i < 2; i++ {
-		if v, ok := m.VarOf[a.PI(i).Node()]; ok {
+		if v, ok := m.Var(a.PI(i).Node()); ok {
 			in[i] = model[v]
 		}
 	}

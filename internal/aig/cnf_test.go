@@ -1,6 +1,7 @@
 package aig
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,10 +12,13 @@ import (
 // encode replaced; it pins the expected solver-variable numbering.
 func refEncode(a *AIG, s *sat.Solver, m *CNFMap, e Lit) sat.Lit {
 	n := e.Node()
-	v, ok := m.VarOf[n]
+	v, ok := m.Var(n)
 	if !ok {
 		v = s.NewVar()
-		m.VarOf[n] = v
+		for int(n) >= len(m.vars) {
+			m.vars = append(m.vars, 0)
+		}
+		m.vars[n] = int32(v) + 1
 		switch {
 		case a.IsConst(n):
 			s.AddClause(sat.MkLit(v, true))
@@ -37,8 +41,7 @@ func TestEncodeMatchesRecursiveVarOrder(t *testing.T) {
 		nv := 3 + rng.Intn(5)
 		a := randomAIG(rng, nv, 60)
 		sIter, sRef := sat.New(0), sat.New(0)
-		mIter := &CNFMap{VarOf: map[uint32]int{}}
-		mRef := &CNFMap{VarOf: map[uint32]int{}}
+		mIter, mRef := &CNFMap{}, &CNFMap{}
 		for i := 0; i < a.NumPOs(); i++ {
 			li := a.Encode(sIter, mIter, a.PO(i))
 			lr := refEncode(a, sRef, mRef, a.PO(i))
@@ -46,12 +49,12 @@ func TestEncodeMatchesRecursiveVarOrder(t *testing.T) {
 				t.Fatalf("trial %d: PO %d literal %v != reference %v", trial, i, li, lr)
 			}
 		}
-		if len(mIter.VarOf) != len(mRef.VarOf) {
-			t.Fatalf("trial %d: map sizes %d != %d", trial, len(mIter.VarOf), len(mRef.VarOf))
-		}
-		for n, v := range mRef.VarOf {
-			if mIter.VarOf[n] != v {
-				t.Fatalf("trial %d: node %d var %d, reference %d", trial, n, mIter.VarOf[n], v)
+		for n := uint32(0); n < uint32(a.NumNodes()); n++ {
+			vi, oki := mIter.Var(n)
+			vr, okr := mRef.Var(n)
+			if vi != vr || oki != okr {
+				t.Fatalf("trial %d: node %d var %d (encoded %v), reference %d (encoded %v)",
+					trial, n, vi, oki, vr, okr)
 			}
 		}
 	}
@@ -69,7 +72,7 @@ func TestEncodeDeepConeNoOverflow(t *testing.T) {
 	}
 	a.AddPO("o", e)
 	s := sat.New(0)
-	m := &CNFMap{VarOf: map[uint32]int{}}
+	m := &CNFMap{}
 	l := a.Encode(s, m, a.PO(0))
 	// The chain collapses to a&b&¬b = false ... except alternating
 	// polarities make it a&b&¬b only when both polarities occur, which
@@ -87,7 +90,7 @@ func TestEncodeSemanticsAgainstEval(t *testing.T) {
 		nv := 3 + rng.Intn(3)
 		a := randomAIG(rng, nv, 30)
 		s := sat.New(0)
-		m := &CNFMap{VarOf: map[uint32]int{}}
+		m := &CNFMap{}
 		lits := make([]sat.Lit, a.NumPOs())
 		for i := range lits {
 			lits[i] = a.Encode(s, m, a.PO(i))
@@ -99,7 +102,7 @@ func TestEncodeSemanticsAgainstEval(t *testing.T) {
 			var assumps []sat.Lit
 			for i := range in {
 				in[i] = pat&(1<<uint(i)) != 0
-				if v, ok := m.VarOf[a.PI(i).Node()]; ok {
+				if v, ok := m.Var(a.PI(i).Node()); ok {
 					assumps = append(assumps, sat.MkLit(v, !in[i]))
 				}
 			}
@@ -115,5 +118,49 @@ func TestEncodeSemanticsAgainstEval(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEncodeAllocsPerClause guards the solver's clause store: encoding
+// a fixed 2,000-AND AIG into a fresh solver averages at most 0.1
+// allocations per Tseitin clause (the arenas allocate per chunk, not per
+// clause). A store that copies each clause costs several per clause.
+func TestEncodeAllocsPerClause(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	names := make([]string, 32)
+	for i := range names {
+		names[i] = fmt.Sprintf("i%d", i)
+	}
+	a := New(names)
+	for a.NumAnds() < 2000 {
+		n := uint32(a.NumNodes())
+		pick := func() Lit {
+			// Mostly recent nodes, so cones are deep and fanouts vary.
+			lo := uint32(1)
+			if n > 64 && rng.Intn(4) != 0 {
+				lo = n - 64
+			}
+			return MkLit(lo+uint32(rng.Intn(int(n-lo))), rng.Intn(2) == 0)
+		}
+		a.And(pick(), pick())
+	}
+	a.AddPO("o", MkLit(uint32(a.NumNodes()-1), false))
+	encodeAll := func() *sat.Solver {
+		s := sat.New(0)
+		m := &CNFMap{}
+		for n := uint32(a.numPIs + 1); n < uint32(a.NumNodes()); n++ {
+			a.Encode(s, m, MkLit(n, false))
+		}
+		return s
+	}
+	clauses := encodeAll().NumClauses()
+	if clauses != 3*a.NumAnds() {
+		t.Fatalf("%d clauses for %d ANDs, want 3 per AND", clauses, a.NumAnds())
+	}
+	allocs := testing.AllocsPerRun(5, func() { encodeAll() })
+	if per := allocs / float64(clauses); per > 0.1 {
+		t.Fatalf("%.0f allocations for %d clauses: %.3f per clause, want at most 0.1", allocs, clauses, per)
+	} else {
+		t.Logf("%.0f allocations for %d clauses (%.3f per clause)", allocs, clauses, per)
 	}
 }

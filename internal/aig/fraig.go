@@ -102,29 +102,30 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 
 	solver := sat.New(0)
 	solver.MaxConflicts = opt.MaxConflicts
-	cnf := &CNFMap{VarOf: make(map[uint32]int)}
-	// expired flips once the context fires; from then on no further merge
-	// proofs are attempted and the loop below is a pure structural copy.
+	cnf := &CNFMap{}
+	// expired flips once the context fires (or a proof comes back
+	// Canceled); from then on no further merge proofs are attempted and
+	// the loop below is a pure structural copy. The first poll reads the
+	// context at once, so an already-expired budget proves nothing.
 	expired := false
-	ctxTick := 0
+	ctxTick := 511
 	pollCtx := func() bool {
 		if expired || ctx == nil {
 			return expired
 		}
 		if ctxTick++; ctxTick >= 512 {
 			ctxTick = 0
-			expired = ctx.Err() != nil
+			expired = sat.Expired(ctx)
 		}
 		return expired
 	}
 
-	// Cone-limited proofs: decide masks the solver variables of the DFS
-	// cone of the two nodes under proof. Every other encoded variable is
-	// a free PI or a Tseitin function of its fanins, so a cone-consistent
-	// assignment extends to a full model and the solver need not decide
-	// it. varOf caches cnf.VarOf per new-AIG node (var+1; 0 = not
-	// cached).
-	var varOf []int32
+	// Cone-limited proofs: coneVars lists the solver variables of the
+	// DFS cone of the two nodes under proof, and the solver branches on
+	// those alone. Every other encoded variable is a free PI or a
+	// Tseitin function of its fanins, so a cone-consistent assignment
+	// extends to a full model and the solver need not decide it. decide
+	// marks the cone's variables for the DFS and for refine.
 	var decide []bool
 	var coneVars []int
 	var stack []uint32
@@ -132,17 +133,11 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 		if n := solver.NumVars(); len(decide) < n {
 			decide = append(decide, make([]bool, n-len(decide))...)
 		}
-		if n := out.NumNodes(); len(varOf) < n {
-			varOf = append(varOf, make([]int32, n-len(varOf))...)
-		}
 		stack = append(stack[:0], x.Node(), y.Node())
 		for len(stack) > 0 {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if varOf[n] == 0 {
-				varOf[n] = int32(cnf.VarOf[n]) + 1
-			}
-			v := int(varOf[n] - 1)
+			v, _ := cnf.Var(n)
 			if decide[v] {
 				continue
 			}
@@ -171,8 +166,8 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 		}
 		bit := uint64(1) << uint(fill)
 		for i := range pend {
-			if v := varOf[i+1]; v != 0 && decide[v-1] {
-				if solver.Model(int(v - 1)) {
+			if v, ok := cnf.Var(uint32(i + 1)); ok && decide[v] {
+				if solver.Model(v) {
 					pend[i] |= bit
 				} else {
 					pend[i] &^= bit
@@ -188,13 +183,16 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 		lx := out.Encode(solver, cnf, x)
 		ly := out.Encode(solver, cnf, y)
 		markCone(x, y)
-		st := solver.SolveMaskCtx(ctx, decide, lx, ly.Not())
+		st := solver.SolveMaskCtx(ctx, coneVars, lx, ly.Not())
 		if st == sat.Unsat {
-			st = solver.SolveMaskCtx(ctx, decide, lx.Not(), ly)
+			st = solver.SolveMaskCtx(ctx, coneVars, lx.Not(), ly)
 		}
-		if st == sat.Sat {
+		switch st {
+		case sat.Sat:
 			stats.Refuted++
 			refine()
+		case sat.Canceled:
+			expired = true
 		}
 		for _, v := range coneVars {
 			decide[v] = false
@@ -212,7 +210,16 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 	normEdge := func(nd uint32) Lit {
 		return MkLit(nd, cols[0][src[nd]]&1 == 1)
 	}
-	classes := make(map[[2]uint64][]Lit)
+	// Candidate classes: each class's members form a linked list, in
+	// enrollment order, over one flat slice, so enrolling a node costs
+	// no allocation of its own. classes maps a key to its first and
+	// last member.
+	type member struct {
+		lit  Lit
+		next int32 // -1 ends the class
+	}
+	var members []member
+	classes := make(map[[2]uint64][2]int32)
 	classKey := func(nd uint32) [2]uint64 {
 		var key [2]uint64
 		n := src[nd]
@@ -226,10 +233,17 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 		}
 		return key
 	}
-	enroll := func(nd uint32) {
-		key := classKey(nd)
-		classes[key] = append(classes[key], normEdge(nd))
+	join := func(key [2]uint64, e Lit) {
+		i := int32(len(members))
+		members = append(members, member{e, -1})
+		if c, ok := classes[key]; ok {
+			members[c[1]].next = i
+			classes[key] = [2]int32{c[0], i}
+		} else {
+			classes[key] = [2]int32{i, i}
+		}
 	}
+	enroll := func(nd uint32) { join(classKey(nd), normEdge(nd)) }
 	for nd := uint32(0); nd <= uint32(out.numPIs); nd++ {
 		enroll(nd)
 	}
@@ -263,7 +277,9 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 			key := classKey(nd)
 			merged := false
 			tried := 0
-			for _, cand := range classes[key] {
+			c, ok := classes[key]
+			for m := c[0]; ok && m >= 0; m = members[m].next {
+				cand := members[m].lit
 				if tried >= opt.MaxClassSize || pollCtx() {
 					break
 				}
@@ -281,7 +297,7 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 				}
 			}
 			if !merged {
-				classes[key] = append(classes[key], me)
+				join(key, me)
 			}
 		}
 		repr[i] = e

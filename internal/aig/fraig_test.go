@@ -1,9 +1,11 @@
 package aig
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // randomAIG builds a random AIG over nv PIs with extra redundancy:
@@ -208,6 +210,33 @@ func TestFraigExDeterministic(t *testing.T) {
 			t.Fatalf("trial %d: function changed", trial)
 		}
 		checkFraigStats(t, a, f1, st1)
+	}
+}
+
+// lateCtx has a passed deadline but a nil Err: the state a deadline
+// context is in until the runtime runs its timer.
+type lateCtx struct{ context.Context }
+
+func (lateCtx) Deadline() (time.Time, bool) { return time.Unix(1, 0), true }
+
+// TestFraigPassedDeadlineIsStructuralCopy pins that fraig's budget poll
+// reads the deadline itself: under a context whose deadline has passed
+// but whose Err is still nil, the sweep attempts no proof and returns
+// the plain structural copy.
+func TestFraigPassedDeadlineIsStructuralCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 8; trial++ {
+		a := randomAIG(rng, 4+rng.Intn(4), 60)
+		f, st := FraigExCtx(lateCtx{context.Background()}, a, FraigOptions{Seed: int64(trial)})
+		if st.ProveCalls != 0 || st.Merges != 0 {
+			t.Fatalf("trial %d: %d proofs, %d merges past the deadline", trial, st.ProveCalls, st.Merges)
+		}
+		if f.StructuralHash() != Compact(a).StructuralHash() {
+			t.Fatalf("trial %d: result is not the structural copy", trial)
+		}
+		if !exhaustiveEqual(a, f) {
+			t.Fatalf("trial %d: function changed", trial)
+		}
 	}
 }
 

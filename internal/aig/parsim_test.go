@@ -19,7 +19,16 @@ func TestSimWordsKMatchesSimWords(t *testing.T) {
 			}
 			piWords[i] = ws
 		}
-		got := a.SimWordsK(piWords, k)
+		// A too-small buffer is replaced; a reused one must be fully
+		// overwritten, so seed it with garbage.
+		got := a.SimWordsK(make([]uint64, 3), piWords, k)
+		if trial%2 == 1 {
+			buf := make([]uint64, a.NumNodes()*k+7)
+			for i := range buf {
+				buf[i] = rng.Uint64()
+			}
+			got = a.SimWordsK(buf, piWords, k)
+		}
 		for j := 0; j < k; j++ {
 			col := make([]uint64, a.NumPIs())
 			for i := range col {
@@ -27,9 +36,9 @@ func TestSimWordsKMatchesSimWords(t *testing.T) {
 			}
 			want := a.SimWords(col)
 			for n := range want {
-				if got[n][j] != want[n] {
+				if got[n*k+j] != want[n] {
 					t.Fatalf("trial %d word %d node %d: %x != %x",
-						trial, j, n, got[n][j], want[n])
+						trial, j, n, got[n*k+j], want[n])
 				}
 			}
 		}

@@ -17,12 +17,14 @@ type DiffOptions struct {
 	// comparable, and the committed BENCH_cec.json itself proves it (a
 	// 1-CPU box makes workers=2 look like a slowdown).
 	AllowProcsMismatch bool
-	// AllocThreshold is the new/old bytes_per_op ratio above which
-	// allocation growth counts as a regression; it has its own (tighter)
-	// default because allocation volume is nearly deterministic where
-	// wall clock is noisy. Values <= 1 select DefaultAllocThreshold.
-	// Rows missing alloc fields on either side (files predating the
-	// alloc schema) skip the gate.
+	// AllocThreshold is the new/old ratio above which allocation growth
+	// counts as a regression. It applies to bytes_per_op and to
+	// allocs_per_op alike, so a change that trades a few large
+	// allocations for many small ones trips it as surely as one that
+	// allocates more bytes. It has its own (tighter) default because
+	// allocation is nearly deterministic where wall clock is noisy.
+	// Values <= 1 select DefaultAllocThreshold. A field missing on
+	// either side (files predating the alloc schema) skips its gate.
 	AllocThreshold float64
 }
 
@@ -31,9 +33,9 @@ type DiffOptions struct {
 // EXPERIMENTS.md, "benchdiff noise threshold").
 const DefaultThreshold = 1.25
 
-// DefaultAllocThreshold tolerates 10% bytes/op growth. Allocation
-// volume barely varies run to run (the work is deterministic; only GC
-// timing is not), so the alloc gate can be much tighter than the
+// DefaultAllocThreshold tolerates 10% bytes/op or allocs/op growth.
+// Allocation barely varies run to run (the work is deterministic; only
+// GC timing is not), so the alloc gates can be much tighter than the
 // wall-clock gate.
 const DefaultAllocThreshold = 1.10
 
@@ -45,13 +47,16 @@ type Delta struct {
 	Ratio   float64 `json:"ratio"` // new/old; >1 is slower
 	// Regression is true when Ratio exceeds the threshold.
 	Regression bool `json:"regression"`
-	// Allocation comparison (worker rows only; zero when either side
-	// predates the alloc schema).
-	OldBytesOp int64   `json:"old_bytes_op,omitempty"`
-	NewBytesOp int64   `json:"new_bytes_op,omitempty"`
-	AllocRatio float64 `json:"alloc_ratio,omitempty"` // new/old bytes per op
-	// AllocRegression is true when AllocRatio exceeds the alloc
-	// threshold.
+	// Allocation comparison (worker rows only; each pair is zero when
+	// either side predates the alloc schema).
+	OldBytesOp  int64   `json:"old_bytes_op,omitempty"`
+	NewBytesOp  int64   `json:"new_bytes_op,omitempty"`
+	AllocRatio  float64 `json:"alloc_ratio,omitempty"` // new/old bytes per op
+	OldAllocsOp int64   `json:"old_allocs_op,omitempty"`
+	NewAllocsOp int64   `json:"new_allocs_op,omitempty"`
+	AllocsRatio float64 `json:"allocs_ratio,omitempty"` // new/old allocations per op
+	// AllocRegression is true when AllocRatio or AllocsRatio exceeds
+	// the alloc threshold.
 	AllocRegression bool `json:"alloc_regression,omitempty"`
 	// Note carries row-level caveats (oversubscription warnings from
 	// either file, undecided-output count changes on budget rungs).
@@ -67,7 +72,7 @@ type Diff struct {
 	Missing     []string `json:"missing,omitempty"` // rows present in only one file
 	Regressions int      `json:"regressions"`
 	// AllocThreshold / AllocRegressions mirror Threshold / Regressions
-	// for the bytes-per-op gate.
+	// for the allocation gates (bytes and count per op).
 	AllocThreshold   float64 `json:"alloc_threshold,omitempty"`
 	AllocRegressions int     `json:"alloc_regressions,omitempty"`
 }
@@ -121,8 +126,12 @@ func Compare(base, head *Report, opt DiffOptions) (*Diff, error) {
 		if or.BytesPerOp > 0 && nr.BytesPerOp > 0 {
 			delta.OldBytesOp, delta.NewBytesOp = or.BytesPerOp, nr.BytesPerOp
 			delta.AllocRatio = float64(nr.BytesPerOp) / float64(or.BytesPerOp)
-			delta.AllocRegression = delta.AllocRatio > athr
 		}
+		if or.AllocsPerOp > 0 && nr.AllocsPerOp > 0 {
+			delta.OldAllocsOp, delta.NewAllocsOp = or.AllocsPerOp, nr.AllocsPerOp
+			delta.AllocsRatio = float64(nr.AllocsPerOp) / float64(or.AllocsPerOp)
+		}
+		delta.AllocRegression = delta.AllocRatio > athr || delta.AllocsRatio > athr
 		d.add(delta)
 	}
 	for _, or := range base.Results {

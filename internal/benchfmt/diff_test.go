@@ -216,8 +216,8 @@ func TestCompareAllocIdentical(t *testing.T) {
 		t.Fatalf("alloc threshold = %v, want default %v", d.AllocThreshold, DefaultAllocThreshold)
 	}
 	for _, delta := range d.Deltas {
-		if strings.HasPrefix(delta.Key, "workers=") && delta.AllocRatio != 1 {
-			t.Errorf("%s: alloc ratio %v, want 1", delta.Key, delta.AllocRatio)
+		if strings.HasPrefix(delta.Key, "workers=") && (delta.AllocRatio != 1 || delta.AllocsRatio != 1) {
+			t.Errorf("%s: alloc ratios %v, %v, want 1", delta.Key, delta.AllocRatio, delta.AllocsRatio)
 		}
 	}
 }
@@ -249,6 +249,38 @@ func TestCompareAllocRegression(t *testing.T) {
 	}
 }
 
+func TestCompareAllocCountRegression(t *testing.T) {
+	// 1.5x more allocations at equal bytes: many small objects replace
+	// a few large ones. The bytes gate alone would pass it.
+	head := allocReport()
+	head.Results[0].AllocsPerOp = head.Results[0].AllocsPerOp * 3 / 2
+	d, err := Compare(allocReport(), head, DiffOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.AllocRegressions != 1 || d.Regressions != 0 {
+		t.Fatalf("1.5x allocs/op growth: %d alloc and %d time regressions, want 1 and 0",
+			d.AllocRegressions, d.Regressions)
+	}
+	for _, delta := range d.Deltas {
+		if delta.Key != "workers=1" {
+			continue
+		}
+		if !delta.AllocRegression || delta.AllocsRatio != 1.5 || delta.AllocRatio != 1 {
+			t.Fatalf("workers=1 delta = %+v, want count ratio 1.5 and bytes ratio 1, flagged", delta)
+		}
+		if delta.OldAllocsOp != 10_000 || delta.NewAllocsOp != 15_000 {
+			t.Fatalf("workers=1 allocs %d -> %d, want 10000 -> 15000", delta.OldAllocsOp, delta.NewAllocsOp)
+		}
+	}
+	// A count-only baseline (no bytes) still gates on the count.
+	base := allocReport()
+	base.Results[0].BytesPerOp = 0
+	if d, _ := Compare(base, head, DiffOptions{}); d.AllocRegressions != 1 {
+		t.Fatalf("count gate skipped when bytes are missing: %d alloc regressions", d.AllocRegressions)
+	}
+}
+
 func TestCompareAllocThresholdOption(t *testing.T) {
 	head := allocReport()
 	head.Results[0].BytesPerOp = allocReport().Results[0].BytesPerOp * 115 / 100 // 1.15x
@@ -275,8 +307,8 @@ func TestCompareAllocSkipsLegacyRows(t *testing.T) {
 		t.Fatalf("legacy baseline vs alloc head: %d alloc regressions, want 0 (gate skipped)", d.AllocRegressions)
 	}
 	for _, delta := range d.Deltas {
-		if delta.AllocRatio != 0 {
-			t.Errorf("%s: alloc ratio %v on a legacy comparison, want 0", delta.Key, delta.AllocRatio)
+		if delta.AllocRatio != 0 || delta.AllocsRatio != 0 {
+			t.Errorf("%s: alloc ratios %v, %v on a legacy comparison, want 0", delta.Key, delta.AllocRatio, delta.AllocsRatio)
 		}
 	}
 	// And the mirror: alloc baseline vs legacy head.

@@ -225,14 +225,15 @@ func jointAIG(c1, c2 *netlist.Circuit) ([]string, *aig.AIG, []aig.Lit, []aig.Lit
 		for _, id := range c.Inputs {
 			lit[id] = a.PI(seen[c.Nodes[id].Name])
 		}
+		var fins []aig.Lit // reused: gateToAIG does not keep it
 		for _, id := range order {
 			n := c.Nodes[id]
 			if n.Kind != netlist.KindGate {
 				continue
 			}
-			fins := make([]aig.Lit, len(n.Fanins))
-			for j, f := range n.Fanins {
-				fins[j] = lit[f]
+			fins = fins[:0]
+			for _, f := range n.Fanins {
+				fins = append(fins, lit[f])
 			}
 			lit[id] = gateToAIG(a, n, fins)
 		}

@@ -174,25 +174,28 @@ func simStage(ctx context.Context, a *aig.AIG, pos1, pos2 []aig.Lit, opt Options
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var w []uint64 // node words, reused across this worker's rounds
 			for {
 				r := int(atomic.AddInt32(&next, 1))
-				if r >= rounds || ctx.Err() != nil {
+				if r >= rounds || sat.Expired(ctx) {
 					return
 				}
 				// Seed per round, not per worker: the simulated
 				// patterns are identical for every worker count.
 				rng := rand.New(rand.NewSource(opt.Seed*1_000_003 + int64(r)*7919 + 5))
 				piWords := make([][]uint64, a.NumPIs())
+				flat := make([]uint64, a.NumPIs()*wpr)
 				for i := range piWords {
-					ws := make([]uint64, wpr)
+					ws := flat[i*wpr : (i+1)*wpr : (i+1)*wpr]
 					for j := range ws {
 						ws[j] = rng.Uint64()
 					}
 					piWords[i] = ws
 				}
-				w := a.SimWordsK(piWords, wpr)
+				w = a.SimWordsK(w, piWords, wpr)
 				for i := range pos1 {
-					w1, w2 := w[pos1[i].Node()], w[pos2[i].Node()]
+					n1, n2 := int(pos1[i].Node()), int(pos2[i].Node())
+					w1, w2 := w[n1*wpr:(n1+1)*wpr], w[n2*wpr:(n2+1)*wpr]
 					x1, x2 := flipMask(pos1[i]), flipMask(pos2[i])
 					for j := 0; j < wpr; j++ {
 						diff := (w1[j] ^ x1) ^ (w2[j] ^ x2)
@@ -309,14 +312,14 @@ func proveMiters(ctx context.Context, e *proveEnv, workers int, res *Result, st 
 			defer wg.Done()
 			ws := &workerState{
 				solver: sat.New(0),
-				cnf:    &aig.CNFMap{VarOf: map[uint32]int{}},
+				cnf:    &aig.CNFMap{},
 			}
 			for i := range jobs {
 				if stop.Load() {
 					continue // drain: leave the miter marked skipped
 				}
 				o := &perOut[i]
-				if ctx.Err() != nil {
+				if sat.Expired(ctx) {
 					// Budget exhausted: everything still queued is
 					// structurally unresolved, never silently dropped.
 					o.Status = "timeout"
@@ -534,7 +537,7 @@ func cexAssign(piNames []string, val func(i int) bool) map[string]bool {
 func cexFromModel(a *aig.AIG, piNames []string, cnf *aig.CNFMap, model []bool) map[string]bool {
 	return cexAssign(piNames, func(i int) bool {
 		node := a.PI(i).Node()
-		if v, ok := cnf.VarOf[node]; ok && v < len(model) {
+		if v, ok := cnf.Var(node); ok && v < len(model) {
 			return model[v]
 		}
 		return false

@@ -50,3 +50,30 @@ func TestSolveCtxBackgroundMatchesSolve(t *testing.T) {
 		t.Fatalf("Canceled.String() = %q", got)
 	}
 }
+
+// lateCtx is a context whose deadline has passed but whose Err is still
+// nil: the state a deadline context is in between its deadline and the
+// runtime running its timer, which a CPU-bound goroutine at
+// GOMAXPROCS=1 can stretch over many milliseconds.
+type lateCtx struct{ context.Context }
+
+func (lateCtx) Deadline() (time.Time, bool) { return time.Unix(1, 0), true }
+
+// TestSolveCtxSeesPassedDeadline pins that the budget poll reads the
+// clock against the deadline instead of waiting for Err to flip.
+func TestSolveCtxSeesPassedDeadline(t *testing.T) {
+	ctx := lateCtx{context.Background()}
+	if ctx.Err() != nil || !Expired(ctx) {
+		t.Fatalf("lateCtx: Err %v, Expired %v; want nil, true", ctx.Err(), Expired(ctx))
+	}
+	s := pigeonhole(6)
+	if st := s.SolveCtx(ctx); st != Canceled {
+		t.Fatalf("SolveCtx past the deadline = %v, want Canceled", st)
+	}
+	if st := s.SolveMaskCtx(ctx, []int{0, 1}); st != Canceled {
+		t.Fatalf("SolveMaskCtx past the deadline = %v, want Canceled", st)
+	}
+	if Expired(nil) || Expired(context.Background()) {
+		t.Fatal("a context without a deadline expired")
+	}
+}

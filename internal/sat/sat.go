@@ -21,7 +21,8 @@
 //   - A context passed to SolveCtx/SolveMaskCtx/SolveModelCtx is polled
 //     at conflict and decision boundaries (every few hundred steps, so
 //     cancellation latency is microseconds-to-milliseconds, never a
-//     whole proof). Cancellation or deadline expiry returns Canceled.
+//     whole proof). Cancellation or deadline expiry returns Canceled;
+//     a passed deadline counts before the context's Err flips (Expired).
 //
 // Unknown and Canceled are both sound "no answer" verdicts: callers such
 // as internal/cec map them to an undecided miter, never to a wrong
@@ -32,8 +33,10 @@
 package sat
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
+	"time"
 )
 
 // Lit is a literal: variable index shifted left once, LSB = negation.
@@ -102,9 +105,20 @@ type clause struct {
 }
 
 type watch struct {
-	cref    int // index into clauses
+	cref    int32 // index into clauses
 	blocker Lit
 }
+
+// Arena chunk sizes. Original clauses are never freed one by one, so
+// AddClause carves their literals and headers out of chunked backing
+// arrays instead of allocating per clause; each new literal's watch
+// list starts with watchInit slots carved out of a watch chunk.
+const (
+	litChunk    = 4096
+	clauseChunk = 512
+	watchChunk  = 4096
+	watchInit   = 8
+)
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
@@ -125,10 +139,24 @@ type Solver struct {
 	order    *varHeap
 
 	seen      []bool
-	skipped   []int  // unassigned vars popped outside the call's decision mask
 	unsatisf  bool   // top-level conflict found during AddClause
 	lastModel []bool // snapshot of the most recent Sat assignment
 	core      []Lit  // failed-assumption core of the last Unsat call
+
+	// Arenas for original clauses and initial watch lists (see
+	// litChunk). A clause's literals are a full-slice-expression view
+	// a[i:j:j] of litArena, so nothing can append through it into a
+	// neighbour; a watch list that outgrows its watchInit slots moves
+	// to an allocation of its own. Learned clauses are allocated one by
+	// one so reduceDB can free them.
+	litArena    []Lit
+	clauseArena []clause
+	watchArena  []watch
+
+	// Scratch buffers reused across calls: AddClause's normalization,
+	// analyze's learned clause and seen-list, redundant's DFS stack.
+	addBuf, learnBuf, minStack []Lit
+	toClear                    []int
 
 	numLearned int // live learned clauses (attached, not deleted)
 	numOrig    int // live original clauses
@@ -197,8 +225,49 @@ func (s *Solver) ensure(nvars int) {
 		s.phase = append(s.phase, false)
 		s.activity = append(s.activity, 0)
 		s.seen = append(s.seen, false)
-		s.watches = append(s.watches, nil, nil)
+		s.watches = append(s.watches, s.newWatchList(), s.newWatchList())
 		s.order.push(len(s.assign) - 1)
+	}
+}
+
+// newWatchList returns an empty watch list with watchInit slots of
+// capacity from the watch arena.
+func (s *Solver) newWatchList() []watch {
+	if cap(s.watchArena)-len(s.watchArena) < watchInit {
+		s.watchArena = make([]watch, 0, watchChunk)
+	}
+	i := len(s.watchArena)
+	s.watchArena = s.watchArena[:i+watchInit]
+	return s.watchArena[i : i : i+watchInit]
+}
+
+// newOriginal stores an original clause's literals and header in the
+// arenas and returns the header.
+func (s *Solver) newOriginal(lits []Lit) *clause {
+	n := len(lits)
+	if cap(s.litArena)-len(s.litArena) < n {
+		s.litArena = make([]Lit, 0, max(litChunk, n))
+	}
+	i := len(s.litArena)
+	s.litArena = append(s.litArena, lits...)
+	if len(s.clauseArena) == cap(s.clauseArena) {
+		s.clauseArena = make([]clause, 0, clauseChunk)
+	}
+	s.clauseArena = append(s.clauseArena, clause{lits: s.litArena[i : i+n : i+n]})
+	return &s.clauseArena[len(s.clauseArena)-1]
+}
+
+// sortLits sorts a clause's literals: insertion sort for the short
+// clauses Tseitin encoding produces, slices.Sort otherwise.
+func sortLits(ls []Lit) {
+	if len(ls) > 12 {
+		slices.Sort(ls)
+		return
+	}
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && ls[j] < ls[j-1]; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
 	}
 }
 
@@ -230,11 +299,12 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	s.ensure(maxVar + 1)
 
-	// Normalize: sort, drop duplicates and false literals, detect
-	// tautologies and satisfied clauses (only top-level assignments
-	// exist during clause loading).
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	// Normalize in the scratch buffer: sort, drop duplicates and false
+	// literals, detect tautologies and satisfied clauses (only
+	// top-level assignments exist during clause loading).
+	s.addBuf = append(s.addBuf[:0], lits...)
+	ls := s.addBuf
+	sortLits(ls)
 	out := ls[:0]
 	var prev Lit = -1
 	for _, l := range ls {
@@ -268,21 +338,26 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	s.attach(&clause{lits: append([]Lit(nil), out...)})
+	s.attach(s.newOriginal(out))
 	return true
 }
 
 func (s *Solver) attach(c *clause) int {
 	cref := len(s.clauses)
 	s.clauses = append(s.clauses, c)
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watch{cref, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watch{cref, c.lits[0]})
+	s.watchClause(int32(cref), c)
 	if c.learned {
 		s.numLearned++
 	} else {
 		s.numOrig++
 	}
 	return cref
+}
+
+// watchClause watches the clause's first two literals.
+func (s *Solver) watchClause(cref int32, c *clause) {
+	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watch{cref, c.lits[1]})
+	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watch{cref, c.lits[0]})
 }
 
 // NumLearned returns the number of live learned clauses — the knowledge
@@ -363,11 +438,11 @@ func (s *Solver) propagate() int {
 				}
 				s.watches[p] = ws[:j]
 				s.qhead = len(s.trail)
-				return w.cref
+				return int(w.cref)
 			}
 			ws[j] = w
 			j++
-			s.enqueue(first, w.cref)
+			s.enqueue(first, int(w.cref))
 		}
 		s.watches[p] = ws[:j]
 	}
@@ -402,13 +477,16 @@ func (s *Solver) bumpClause(c *clause) {
 
 // analyze performs first-UIP conflict analysis, returning the learned
 // clause (asserting literal first) and the backjump level.
+//
+// The returned clause lives in a scratch buffer that the next analyze
+// overwrites; solve copies it before storing it.
 func (s *Solver) analyze(confl int) ([]Lit, int32) {
-	learned := []Lit{0} // slot for the asserting literal
+	learned := append(s.learnBuf[:0], 0) // slot for the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 	cref := confl
-	var toClear []int
+	toClear := s.toClear[:0]
 
 	for {
 		c := s.clauses[cref]
@@ -465,6 +543,7 @@ func (s *Solver) analyze(confl int) ([]Lit, int32) {
 	for _, v := range toClear {
 		s.seen[v] = false
 	}
+	s.learnBuf, s.toClear = learned, toClear
 
 	// Backjump level = max level among learned[1:].
 	bt := int32(0)
@@ -484,7 +563,7 @@ func (s *Solver) analyze(confl int) ([]Lit, int32) {
 // redundant checks whether literal l is implied by the remaining learned
 // literals (MiniSat's litRedundant).
 func (s *Solver) redundant(l Lit, abstract uint32, toClear *[]int) bool {
-	stack := []Lit{l}
+	stack := append(s.minStack[:0], l)
 	top := len(*toClear)
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
@@ -501,6 +580,7 @@ func (s *Solver) redundant(l Lit, abstract uint32, toClear *[]int) bool {
 					s.seen[u] = false
 				}
 				*toClear = (*toClear)[:top]
+				s.minStack = stack
 				return false
 			}
 			s.seen[v] = true
@@ -508,6 +588,7 @@ func (s *Solver) redundant(l Lit, abstract uint32, toClear *[]int) bool {
 			stack = append(stack, q)
 		}
 	}
+	s.minStack = stack
 	return true
 }
 
@@ -630,8 +711,8 @@ func (s *Solver) reduceDB() {
 	}
 	// Stable sort with the cref order as tie-break keeps the reduction
 	// deterministic for identical call sequences.
-	sort.SliceStable(cand, func(i, j int) bool {
-		return s.clauses[cand[i]].act < s.clauses[cand[j]].act
+	slices.SortStableFunc(cand, func(a, b int) int {
+		return cmp.Compare(s.clauses[a].act, s.clauses[b].act)
 	})
 	for _, cref := range cand[:len(cand)/2] {
 		s.clauses[cref].deleted = true
@@ -676,8 +757,7 @@ func (s *Solver) compact() {
 		s.watches[i] = s.watches[i][:0]
 	}
 	for cref, c := range s.clauses {
-		s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watch{cref, c.lits[1]})
-		s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watch{cref, c.lits[0]})
+		s.watchClause(int32(cref), c)
 	}
 }
 
@@ -700,33 +780,34 @@ func (s *Solver) learnedCap() float64 {
 	return s.maxLearned
 }
 
-// pickBranch pops the most active unassigned variable the decision
-// mask allows (nil allows every variable). Masked-out variables leave
-// the order heap for the rest of the call; restoreSkipped puts them back.
-func (s *Solver) pickBranch(decide []bool) Lit {
+// pickBranch returns the next decision literal, or -1 once every
+// eligible variable is assigned. Unrestricted (cone == nil) it pops the
+// most active unassigned variable off the order heap. Restricted to a
+// cone it scans the cone's list for its most active unassigned variable
+// and leaves the heap alone, so a cone-limited call costs O(cone) per
+// decision whatever the solver's size.
+func (s *Solver) pickBranch(cone []int) Lit {
+	if cone != nil {
+		best := -1
+		for _, v := range cone {
+			if s.assign[v] == lUndef && (best < 0 || s.activity[v] > s.activity[best]) {
+				best = v
+			}
+		}
+		if best < 0 {
+			return -1
+		}
+		return MkLit(best, !s.phase[best])
+	}
 	for {
 		v, ok := s.order.pop()
 		if !ok {
 			return -1
 		}
-		if s.assign[v] != lUndef {
-			continue
+		if s.assign[v] == lUndef {
+			return MkLit(v, !s.phase[v])
 		}
-		if decide != nil && (v >= len(decide) || !decide[v]) {
-			s.skipped = append(s.skipped, v)
-			continue
-		}
-		return MkLit(v, !s.phase[v])
 	}
-}
-
-// restoreSkipped returns the variables a masked call passed over to the
-// order heap, so no later call starts with a shrunken branching order.
-func (s *Solver) restoreSkipped() {
-	for _, v := range s.skipped {
-		s.order.push(v)
-	}
-	s.skipped = s.skipped[:0]
 }
 
 // luby computes the reluctant-doubling restart sequence.
@@ -744,20 +825,37 @@ func luby(i int64) int64 {
 // ctxPollInterval is the number of search steps (conflicts plus
 // decisions) between context polls: frequent enough that cancellation
 // latency stays far below any realistic miter budget, rare enough that
-// the ctx.Err mutex never shows up in profiles.
+// the ctx.Err mutex and the clock read never show up in profiles.
 const ctxPollInterval = 128
 
+// Expired reports whether ctx is canceled or past its deadline; a nil
+// ctx never expires. It reads the clock against ctx.Deadline() rather
+// than trusting ctx.Err alone: Err flips only when the runtime runs the
+// deadline's timer, which a CPU-bound loop at GOMAXPROCS=1 can hold off
+// for many milliseconds. Every budget poll in the solver, fraig and the
+// CEC stages uses it.
+func Expired(ctx context.Context) bool {
+	if ctx == nil {
+		return false
+	}
+	if ctx.Err() != nil {
+		return true
+	}
+	d, ok := ctx.Deadline()
+	return ok && !time.Now().Before(d)
+}
+
 // solve decides satisfiability under the given assumption literals,
-// branching only on the variables decide allows (nil allows all). On
+// branching only on the variables listed in cone (nil allows all). On
 // Sat, Model reports variable values. On Unknown the conflict budget
 // was exhausted; on Canceled the context fired first.
-func (s *Solver) solve(ctx context.Context, decide []bool, assumptions ...Lit) Status {
+func (s *Solver) solve(ctx context.Context, cone []int, assumptions ...Lit) Status {
 	s.core = nil
 	s.Stats.SolveCalls++
 	if s.unsatisf {
 		return Unsat
 	}
-	if ctx != nil && ctx.Err() != nil {
+	if Expired(ctx) {
 		return Canceled
 	}
 	s.conflicts = 0
@@ -766,7 +864,6 @@ func (s *Solver) solve(ctx context.Context, decide []bool, assumptions ...Lit) S
 	restartLimit := luby(restartNum) * 64
 	tick := 0
 
-	defer s.restoreSkipped()
 	defer s.cancelUntil(0)
 	for {
 		confl := s.propagate()
@@ -778,7 +875,7 @@ func (s *Solver) solve(ctx context.Context, decide []bool, assumptions ...Lit) S
 				if s.Progress != nil {
 					s.Progress(s.conflicts, s.decisions)
 				}
-				if ctx != nil && ctx.Err() != nil {
+				if Expired(ctx) {
 					return Canceled
 				}
 			}
@@ -795,7 +892,7 @@ func (s *Solver) solve(ctx context.Context, decide []bool, assumptions ...Lit) S
 			if len(learned) == 1 {
 				s.enqueue(learned[0], -1)
 			} else {
-				c := &clause{lits: learned, learned: true}
+				c := &clause{lits: slices.Clone(learned), learned: true}
 				cref := s.attach(c)
 				s.Stats.Learned++
 				s.enqueue(learned[0], cref)
@@ -845,16 +942,16 @@ func (s *Solver) solve(ctx context.Context, decide []bool, assumptions ...Lit) S
 			if s.Progress != nil {
 				s.Progress(s.conflicts, s.decisions)
 			}
-			if ctx != nil && ctx.Err() != nil {
+			if Expired(ctx) {
 				return Canceled
 			}
 		}
-		l := s.pickBranch(decide)
+		l := s.pickBranch(cone)
 		if l == -1 {
 			// Capture the model before the deferred backtrack erases it.
-			s.lastModel = make([]bool, len(s.assign))
-			for v := range s.assign {
-				s.lastModel[v] = s.assign[v] == lTrue
+			s.lastModel = s.lastModel[:0]
+			for _, a := range s.assign {
+				s.lastModel = append(s.lastModel, a == lTrue)
 			}
 			return Sat
 		}
@@ -878,17 +975,19 @@ func (s *Solver) SolveCtx(ctx context.Context, assumptions ...Lit) Status {
 	return s.solve(ctx, nil, assumptions...)
 }
 
-// SolveMaskCtx is SolveCtx that branches only on the variables v with
-// decide[v] set; nil allows every variable. Masked-out variables are
-// assigned only by propagation, so a Sat answer is complete once every
-// allowed variable is assigned, and its model is meaningful only on the
-// allowed variables and on those propagation assigned. That answer is
-// sound when every variable outside the mask is functionally defined
-// by the others (a Tseitin encoding restricted to a fanin-closed cone):
-// any assignment consistent on the cone then extends to a full model.
-// The mask applies to this call only.
-func (s *Solver) SolveMaskCtx(ctx context.Context, decide []bool, assumptions ...Lit) Status {
-	return s.solve(ctx, decide, assumptions...)
+// SolveMaskCtx is SolveCtx that branches only on the variables listed
+// in cone; nil allows every variable, an empty non-nil list none. Other
+// variables are assigned only by propagation, so a Sat answer is
+// complete once every cone variable is assigned, and its model is
+// meaningful only on the cone and on the variables propagation
+// assigned. That answer is sound when every variable outside the cone
+// is functionally defined by the others (a Tseitin encoding restricted
+// to a fanin-closed cone): any assignment consistent on the cone then
+// extends to a full model. The cone applies to this call only; the
+// call never pops the solver's global branching order, so its cost per
+// decision is O(len(cone)) however many variables the solver holds.
+func (s *Solver) SolveMaskCtx(ctx context.Context, cone []int, assumptions ...Lit) Status {
+	return s.solve(ctx, cone, assumptions...)
 }
 
 // SolveModel runs Solve and, on Sat, also returns the model, indexed by
@@ -904,7 +1003,7 @@ func (s *Solver) SolveModelCtx(ctx context.Context, assumptions ...Lit) (Status,
 	if st != Sat {
 		return st, nil
 	}
-	return st, s.lastModel
+	return st, slices.Clone(s.lastModel)
 }
 
 // LastConflicts returns the conflict count of the most recent Solve
