@@ -44,3 +44,21 @@ func TestMiterHashGoldenS3384(t *testing.T) {
 		t.Errorf("s3384 miter hash = %s, want %s (cache keys of deployed daemons change!)", got, want)
 	}
 }
+
+// TestMiterHashGoldenEx5 pins the cache key of an EDBF problem: the
+// ex5-0 corpus circuit against its synthesized version, prepared and
+// unrolled through one shared event context. Event ids are part of the
+// unrolled input names, so this constant also pins event interning
+// order. The same rule as for the s3384 constant applies.
+func TestMiterHashGoldenEx5(t *testing.T) {
+	const want = "84c25b5aa7959072454b39d0d33f8f61"
+
+	u1, u2, _ := ex5Unrolled(t)
+	got, err := seqver.MiterHash(u1, u2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("ex5 miter hash = %s, want %s (cache keys of deployed daemons change!)", got, want)
+	}
+}

@@ -8,7 +8,9 @@ package aig
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"seqver/internal/netlist"
 	"seqver/internal/sat"
@@ -59,6 +61,7 @@ type AIG struct {
 	pos            []Lit
 	poNames        []string
 	strash         map[[2]Lit]uint32
+	gateBuf        []Lit // Gate's scratch
 }
 
 // New returns an empty AIG with the given primary inputs.
@@ -79,6 +82,19 @@ func (a *AIG) addNode(f0, f1 Lit) uint32 {
 	a.fanin0 = append(a.fanin0, f0)
 	a.fanin1 = append(a.fanin1, f1)
 	return idx
+}
+
+// Grow reserves room for n more AND nodes, so that adding them
+// reallocates neither the node arrays nor the structural hash table.
+func (a *AIG) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	a.fanin0 = slices.Grow(a.fanin0, n)
+	a.fanin1 = slices.Grow(a.fanin1, n)
+	m := make(map[[2]Lit]uint32, len(a.strash)+n)
+	maps.Copy(m, a.strash)
+	a.strash = m
 }
 
 // NumPIs returns the primary input count.
@@ -401,16 +417,17 @@ func FromCircuit(c *netlist.Circuit) (*AIG, error) {
 	for i, id := range c.Inputs {
 		lit[id] = a.PI(i)
 	}
+	var fins []Lit // reused: Gate does not keep it
 	for _, id := range order {
 		n := c.Nodes[id]
 		if n.Kind != netlist.KindGate {
 			continue
 		}
-		fins := make([]Lit, len(n.Fanins))
-		for j, f := range n.Fanins {
-			fins[j] = lit[f]
+		fins = fins[:0]
+		for _, f := range n.Fanins {
+			fins = append(fins, lit[f])
 		}
-		lit[id] = a.gateToAIG(n, fins)
+		lit[id] = a.Gate(n, fins)
 	}
 	for _, o := range c.Outputs {
 		a.AddPO(o.Name, lit[o.Node])
@@ -418,7 +435,10 @@ func FromCircuit(c *netlist.Circuit) (*AIG, error) {
 	return a, nil
 }
 
-func (a *AIG) gateToAIG(n *netlist.Node, in []Lit) Lit {
+// Gate adds netlist gate n over the fanin edges in and returns its
+// output edge. It neither modifies nor keeps in, and it allocates
+// nothing per gate: covers are built in a scratch buffer the AIG keeps.
+func (a *AIG) Gate(n *netlist.Node, in []Lit) Lit {
 	switch n.Op {
 	case netlist.OpConst0:
 		return False
@@ -432,10 +452,18 @@ func (a *AIG) gateToAIG(n *netlist.Node, in []Lit) Lit {
 		return a.AndN(in)
 	case netlist.OpNand:
 		return a.AndN(in).Not()
-	case netlist.OpOr:
-		return a.OrN(in)
-	case netlist.OpNor:
-		return a.OrN(in).Not()
+	case netlist.OpOr, netlist.OpNor:
+		// OrN, without its copy: AND the complemented fanins.
+		buf := a.gateBuf[:0]
+		for _, l := range in {
+			buf = append(buf, l.Not())
+		}
+		r := a.AndN(buf)
+		a.gateBuf = buf
+		if n.Op == netlist.OpOr {
+			return r.Not()
+		}
+		return r
 	case netlist.OpXor, netlist.OpXnor:
 		r := False
 		for _, l := range in {
@@ -448,20 +476,25 @@ func (a *AIG) gateToAIG(n *netlist.Node, in []Lit) Lit {
 	case netlist.OpMux:
 		return a.Mux(in[0], in[1], in[2])
 	case netlist.OpTable:
-		cubes := make([]Lit, 0, len(n.Cover))
-		for _, cu := range n.Cover {
-			lits := make([]Lit, 0, len(cu))
+		// buf[:k] holds the complements of the first k cubes' edges;
+		// each cube's literals are gathered after them and replaced by
+		// the cube's complemented edge. The AND calls are OrN(cubes)'s.
+		buf := a.gateBuf[:0]
+		for k, cu := range n.Cover {
 			for i := 0; i < len(cu); i++ {
 				switch cu[i] {
 				case '1':
-					lits = append(lits, in[i])
+					buf = append(buf, in[i])
 				case '0':
-					lits = append(lits, in[i].Not())
+					buf = append(buf, in[i].Not())
 				}
 			}
-			cubes = append(cubes, a.AndN(lits))
+			c := a.AndN(buf[k:])
+			buf = append(buf[:k], c.Not())
 		}
-		return a.OrN(cubes)
+		r := a.AndN(buf).Not()
+		a.gateBuf = buf
+		return r
 	}
 	panic("aig: unknown op " + n.Op.String())
 }

@@ -101,6 +101,8 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 	}
 
 	solver := sat.New(0)
+	// Proofs encode nodes of out, which never outgrows a.
+	solver.Reserve(a.NumNodes())
 	solver.MaxConflicts = opt.MaxConflicts
 	cnf := &CNFMap{}
 	// expired flips once the context fires (or a proof comes back

@@ -64,11 +64,16 @@ func CheckAcyclic(c *netlist.Circuit) error {
 		id   int
 		next int
 	}
-	edges := func(n *netlist.Node) []int {
-		if n.Kind == netlist.KindLatch && n.Enable != netlist.NoEnable {
-			return append(append([]int(nil), n.Fanins...), n.Enable)
+	// edge returns node n's i-th dependency: its fanins, then a latch's
+	// enable.
+	edge := func(n *netlist.Node, i int) (int, bool) {
+		if i < len(n.Fanins) {
+			return n.Fanins[i], true
 		}
-		return n.Fanins
+		if i == len(n.Fanins) && n.Kind == netlist.KindLatch && n.Enable != netlist.NoEnable {
+			return n.Enable, true
+		}
+		return 0, false
 	}
 	var stack []frame
 	for root := range c.Nodes {
@@ -79,9 +84,7 @@ func CheckAcyclic(c *netlist.Circuit) error {
 		stack = append(stack[:0], frame{root, 0})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			es := edges(c.Nodes[f.id])
-			if f.next < len(es) {
-				ch := es[f.next]
+			if ch, ok := edge(c.Nodes[f.id], f.next); ok {
 				f.next++
 				switch color[ch] {
 				case white:
@@ -165,53 +168,55 @@ func Unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 		return nil, err
 	}
 	out := netlist.New(c.Name + "_cbf")
+	out.Grow(len(c.Nodes))
 
-	type key struct {
-		id, d int
+	// memo[d][id] is the unrolled node of node id at delay d, plus one
+	// (0: not built yet); a delay's row is allocated on first use. An
+	// input's entry is its timed input a@d.
+	var memo [][]int32
+	row := func(d int) []int32 {
+		for len(memo) <= d {
+			memo = append(memo, nil)
+		}
+		if memo[d] == nil {
+			memo[d] = make([]int32, len(c.Nodes))
+		}
+		return memo[d]
 	}
-	memo := make(map[key]int)
-	type timedPI struct {
-		inputPos, delay int
-	}
-	piNodes := make(map[timedPI]int)
-	inputPos := make(map[int]int) // node id -> position in c.Inputs
-	for i, id := range c.Inputs {
-		inputPos[id] = i
-	}
+	// fins holds the fanins of the gates being built, one frame per
+	// open recursion level; frames index it by offset because deeper
+	// levels may reallocate it.
+	var fins []int
 
 	var rec func(id, d int) int
 	rec = func(id, d int) int {
-		k := key{id, d}
-		if nid, ok := memo[k]; ok {
-			return nid
+		if nid := row(d)[id]; nid != 0 {
+			return int(nid) - 1
 		}
 		n := c.Nodes[id]
 		var nid int
 		switch n.Kind {
 		case netlist.KindInput:
-			tp := timedPI{inputPos[id], d}
-			pid, ok := piNodes[tp]
-			if !ok {
-				pid = out.AddInput(TimedName(n.Name, d))
-				piNodes[tp] = pid
-			}
-			nid = pid
+			nid = out.AddInput(TimedName(n.Name, d))
 		case netlist.KindLatch:
 			// s(t-d) = y(t-d-1): the latch dissolves into a delay.
 			nid = rec(n.Data(), d+1)
 		case netlist.KindGate:
-			fins := make([]int, len(n.Fanins))
+			base := len(fins)
+			fins = append(fins, n.Fanins...)
 			for j, f := range n.Fanins {
-				fins[j] = rec(f, d)
+				fj := rec(f, d)
+				fins[base+j] = fj
 			}
 			name := unrolledName(n.Name, d)
 			if n.Op == netlist.OpTable {
-				nid = out.AddTable(name, fins, n.Cover)
+				nid = out.AddTable(name, fins[base:], n.Cover)
 			} else {
-				nid = out.AddGate(name, n.Op, fins...)
+				nid = out.AddGate(name, n.Op, fins[base:]...)
 			}
+			fins = fins[:base]
 		}
-		memo[k] = nid
+		memo[d][id] = int32(nid + 1)
 		return nid
 	}
 
@@ -221,22 +226,12 @@ func Unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 
 	// Deterministic input order: by (declaration position, delay).
 	ordered := make([]int, 0, len(out.Inputs))
-	type entry struct {
-		tp  timedPI
-		nid int
-	}
-	entries := make([]entry, 0, len(piNodes))
-	for tp, nid := range piNodes {
-		entries = append(entries, entry{tp, nid})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].tp.inputPos != entries[j].tp.inputPos {
-			return entries[i].tp.inputPos < entries[j].tp.inputPos
+	for _, id := range c.Inputs {
+		for _, m := range memo {
+			if m != nil && m[id] != 0 {
+				ordered = append(ordered, int(m[id])-1)
+			}
 		}
-		return entries[i].tp.delay < entries[j].tp.delay
-	})
-	for _, e := range entries {
-		ordered = append(ordered, e.nid)
 	}
 	out.Inputs = ordered
 

@@ -2,6 +2,7 @@ package cbf
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"seqver/internal/netlist"
@@ -341,5 +342,35 @@ func TestDepthsMultiInput(t *testing.T) {
 	}
 	if len(d["b"]) != 1 || d["b"][0] != 0 {
 		t.Fatalf("b depths %v", d["b"])
+	}
+}
+
+// TestUnrollAllocsPerNode: the unrolling's memo is dense per delay and
+// its nodes come from the output circuit's slabs, so what is left per
+// unrolled node is its name: at most about one allocation each.
+func TestUnrollAllocsPerNode(t *testing.T) {
+	c := randomAcyclic(rand.New(rand.NewSource(11)), 12, 3000, 600)
+	for _, n := range c.Nodes {
+		if n.Kind == netlist.KindGate {
+			n.Name = "g" + strconv.Itoa(n.ID) // named, as parsed circuits are
+			if n.ID%8 == 0 {
+				c.AddOutput("o"+n.Name, n.ID)
+			}
+		}
+	}
+	u, err := Unroll(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := u.NumNodes()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Unroll(c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / float64(nodes); per > 1.25 {
+		t.Fatalf("%.0f allocations for %d unrolled nodes: %.3f per node, want at most 1.25", allocs, nodes, per)
+	} else {
+		t.Logf("%.0f allocations for %d unrolled nodes (%.3f per node)", allocs, nodes, per)
 	}
 }

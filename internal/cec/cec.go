@@ -29,6 +29,7 @@ package cec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -120,14 +121,28 @@ func Check(c1, c2 *netlist.Circuit, opt Options) (*Result, error) {
 // deadline expiry degrades unresolved miters to undecided (see
 // Result.UndecidedOutputs) rather than returning an error. Options.Budget
 // composes with the context — whichever deadline is tighter wins.
+// The joint AIG is built inside the check's "cec" span and budget; a
+// caller that also needs the miter's hash builds it once with
+// NewMiterCtx and calls Miter.CheckCtx instead.
 func CheckCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options) (*Result, error) {
 	start := time.Now()
-	if len(c1.Latches) > 0 || len(c2.Latches) > 0 {
-		return nil, fmt.Errorf("cec: circuits must be combinational (unroll first)")
-	}
-	if err := sameOutputNames(c1, c2); err != nil {
+	if err := checkContract(c1, c2); err != nil {
 		return nil, err
 	}
+	return check(ctx, start, nil, c1, c2, opt)
+}
+
+// CheckCtx decides the miter, as the package's CheckCtx decides the
+// circuits it was built from; the budget starts now, the build having
+// been paid for already.
+func (m *Miter) CheckCtx(ctx context.Context, opt Options) (*Result, error) {
+	return check(ctx, time.Now(), m, nil, nil, opt)
+}
+
+// check is the one path behind both CheckCtx functions: it validates
+// the engine, opens the "cec" span, builds the miter of c1 and c2 when
+// m is nil, and runs the engine.
+func check(ctx context.Context, start time.Time, m *Miter, c1, c2 *netlist.Circuit, opt Options) (*Result, error) {
 	engine := opt.Engine
 	if engine == "" {
 		engine = "hybrid"
@@ -137,19 +152,15 @@ func CheckCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options) (*Resul
 	}
 	ctx, sp := obs.Start(ctx, "cec", obs.S("engine", engine))
 	defer sp.End()
-	_, bsp := obs.Start(ctx, "aig.build")
-	piNames, a, pos1, pos2, err := jointAIG(c1, c2)
-	if bsp != nil && err == nil {
-		bsp.Gauge("aig.ands", int64(a.NumAnds()))
-		bsp.Gauge("aig.inputs", int64(len(piNames)))
-	}
-	bsp.End()
-	if err != nil {
-		return nil, err
+	if m == nil {
+		var err error
+		if m, err = buildMiter(ctx, c1, c2); err != nil {
+			return nil, err
+		}
 	}
 	res := &Result{
-		Outputs: len(pos1),
-		Stats:   &Stats{Engine: engine, Outputs: len(pos1), Workers: 1},
+		Outputs: len(m.names),
+		Stats:   &Stats{Engine: engine, Outputs: len(m.names), Workers: 1},
 	}
 	defer func() {
 		res.Elapsed = time.Since(start)
@@ -163,12 +174,12 @@ func CheckCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options) (*Resul
 		defer cancel()
 	}
 
-	names := c1.OutputNames()
-	sort.Strings(names)
+	// The engines overwrite the output edges; the miter stays intact.
+	pos1, pos2 := slices.Clone(m.pos1), slices.Clone(m.pos2)
 	if engine == "bdd" {
-		return checkBDD(ctx, a, piNames, pos1, pos2, names, opt, res)
+		return checkBDD(ctx, m.a, m.piNames, pos1, pos2, m.names, opt, res)
 	}
-	return checkSAT(ctx, a, piNames, pos1, pos2, names, opt, res)
+	return checkSAT(ctx, m.a, m.piNames, pos1, pos2, m.names, opt, res)
 }
 
 // EngineNames lists the values Options.Engine accepts, for error
@@ -202,21 +213,71 @@ func sameOutputNames(c1, c2 *netlist.Circuit) error {
 	return nil
 }
 
+// Miter is the joint AIG of a comparison: both circuits built into one
+// structurally hashed AIG over the union of their input names, with
+// each output's two edges. It is what MiterHash digests and what the
+// engines decide, so a caller that needs both builds it once.
+type Miter struct {
+	piNames    []string
+	a          *aig.AIG
+	names      []string  // output names, sorted
+	pos1, pos2 []aig.Lit // per names[i], each side's edge
+}
+
+// NewMiterCtx builds the joint AIG of c1 and c2 under an "aig.build"
+// span. The circuits must meet Check's contract: latch-free, with
+// identical output name sets.
+func NewMiterCtx(ctx context.Context, c1, c2 *netlist.Circuit) (*Miter, error) {
+	if err := checkContract(c1, c2); err != nil {
+		return nil, err
+	}
+	return buildMiter(ctx, c1, c2)
+}
+
+// Hash returns the miter's content address (see MiterHash).
+func (m *Miter) Hash() string { return m.a.StructuralHash() }
+
+func checkContract(c1, c2 *netlist.Circuit) error {
+	if len(c1.Latches) > 0 || len(c2.Latches) > 0 {
+		return fmt.Errorf("cec: circuits must be combinational (unroll first)")
+	}
+	return sameOutputNames(c1, c2)
+}
+
+func buildMiter(ctx context.Context, c1, c2 *netlist.Circuit) (*Miter, error) {
+	_, bsp := obs.Start(ctx, "aig.build")
+	m, err := jointAIG(c1, c2)
+	if bsp != nil && err == nil {
+		bsp.Gauge("aig.ands", int64(m.a.NumAnds()))
+		bsp.Gauge("aig.inputs", int64(len(m.piNames)))
+	}
+	bsp.End()
+	return m, err
+}
+
 // jointAIG builds both circuits into one AIG over the union of input
-// names and returns, per sorted output name, each side's edge.
-func jointAIG(c1, c2 *netlist.Circuit) ([]string, *aig.AIG, []aig.Lit, []aig.Lit, error) {
-	seen := map[string]int{}
-	var union []string
+// names and records, per sorted output name, each side's edge.
+func jointAIG(c1, c2 *netlist.Circuit) (*Miter, error) {
+	seen := make(map[string]int, len(c1.Inputs)+len(c2.Inputs))
+	union := make([]string, 0, len(c1.Inputs))
+	fanins := 0
 	for _, c := range []*netlist.Circuit{c1, c2} {
-		for _, n := range c.InputNames() {
+		for _, id := range c.Inputs {
+			n := c.Nodes[id].Name
 			if _, ok := seen[n]; !ok {
 				seen[n] = len(union)
 				union = append(union, n)
 			}
 		}
+		for _, n := range c.Nodes {
+			fanins += len(n.Fanins)
+		}
 	}
 	a := aig.New(union)
-	build := func(c *netlist.Circuit) (map[string]aig.Lit, error) {
+	// About one AND node per fanin: an n-input gate is n-1 ANDs.
+	a.Grow(fanins)
+	var fins []aig.Lit // reused: Gate does not keep it
+	build := func(c *netlist.Circuit) ([]aig.Lit, error) {
 		order, err := c.TopoOrder()
 		if err != nil {
 			return nil, err
@@ -225,7 +286,6 @@ func jointAIG(c1, c2 *netlist.Circuit) ([]string, *aig.AIG, []aig.Lit, []aig.Lit
 		for _, id := range c.Inputs {
 			lit[id] = a.PI(seen[c.Nodes[id].Name])
 		}
-		var fins []aig.Lit // reused: gateToAIG does not keep it
 		for _, id := range order {
 			n := c.Nodes[id]
 			if n.Kind != netlist.KindGate {
@@ -235,80 +295,43 @@ func jointAIG(c1, c2 *netlist.Circuit) ([]string, *aig.AIG, []aig.Lit, []aig.Lit
 			for _, f := range n.Fanins {
 				fins = append(fins, lit[f])
 			}
-			lit[id] = gateToAIG(a, n, fins)
+			lit[id] = a.Gate(n, fins)
 		}
-		out := make(map[string]aig.Lit, len(c.Outputs))
-		for _, o := range c.Outputs {
-			out[o.Name] = lit[o.Node]
-		}
-		return out, nil
+		return lit, nil
 	}
-	m1, err := build(c1)
+	lit1, err := build(c1)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
-	m2, err := build(c2)
+	lit2, err := build(c2)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
 	names := c1.OutputNames()
 	sort.Strings(names)
-	pos1 := make([]aig.Lit, len(names))
-	pos2 := make([]aig.Lit, len(names))
-	for i, n := range names {
-		pos1[i], pos2[i] = m1[n], m2[n]
-		a.AddPO("l$"+n, m1[n])
-		a.AddPO("r$"+n, m2[n])
+	m := &Miter{piNames: union, a: a, names: names}
+	m.pos1 = outputEdges(c1, lit1, m.names)
+	m.pos2 = outputEdges(c2, lit2, m.names)
+	for i, n := range m.names {
+		a.AddPO("l$"+n, m.pos1[i])
+		a.AddPO("r$"+n, m.pos2[i])
 	}
-	return union, a, pos1, pos2, nil
+	return m, nil
 }
 
-func gateToAIG(a *aig.AIG, n *netlist.Node, in []aig.Lit) aig.Lit {
-	switch n.Op {
-	case netlist.OpConst0:
-		return aig.False
-	case netlist.OpConst1:
-		return aig.True
-	case netlist.OpBuf:
-		return in[0]
-	case netlist.OpNot:
-		return in[0].Not()
-	case netlist.OpAnd:
-		return a.AndN(in)
-	case netlist.OpNand:
-		return a.AndN(in).Not()
-	case netlist.OpOr:
-		return a.OrN(in)
-	case netlist.OpNor:
-		return a.OrN(in).Not()
-	case netlist.OpXor, netlist.OpXnor:
-		r := aig.False
-		for _, l := range in {
-			r = a.Xor(r, l)
-		}
-		if n.Op == netlist.OpXnor {
-			return r.Not()
-		}
-		return r
-	case netlist.OpMux:
-		return a.Mux(in[0], in[1], in[2])
-	case netlist.OpTable:
-		var cubes []aig.Lit
-		for _, cu := range n.Cover {
-			var lits []aig.Lit
-			for i := 0; i < len(cu); i++ {
-				switch cu[i] {
-				case '1':
-					lits = append(lits, in[i])
-				case '0':
-					lits = append(lits, in[i].Not())
-				}
-			}
-			cubes = append(cubes, a.AndN(lits))
-		}
-		return a.OrN(cubes)
+// outputEdges returns the edge driving each named output of c; lit is
+// c's node-to-edge map. A name c declares twice takes its last
+// declaration.
+func outputEdges(c *netlist.Circuit, lit []aig.Lit, names []string) []aig.Lit {
+	byName := make(map[string]aig.Lit, len(c.Outputs))
+	for _, o := range c.Outputs {
+		byName[o.Name] = lit[o.Node]
 	}
-	panic("cec: unknown op " + n.Op.String())
+	edges := make([]aig.Lit, len(names))
+	for i, n := range names {
+		edges[i] = byName[n]
+	}
+	return edges
 }
 
 // checkBDD is the monolithic reference engine: one BDD per output

@@ -1,7 +1,7 @@
 package cec
 
 import (
-	"fmt"
+	"context"
 
 	"seqver/internal/netlist"
 )
@@ -21,17 +21,13 @@ import (
 //
 // The circuits must be latch-free with identical output name sets, the
 // same contract as Check; building the joint AIG costs one structural
-// traversal of both circuits (no simulation, no solving).
+// traversal of both circuits (no simulation, no solving). A caller that
+// also decides the pair builds the AIG once (NewMiterCtx) and uses
+// Miter.Hash and Miter.CheckCtx.
 func MiterHash(c1, c2 *netlist.Circuit) (string, error) {
-	if len(c1.Latches) > 0 || len(c2.Latches) > 0 {
-		return "", fmt.Errorf("cec: circuits must be combinational (unroll first)")
-	}
-	if err := sameOutputNames(c1, c2); err != nil {
-		return "", err
-	}
-	_, a, _, _, err := jointAIG(c1, c2)
+	m, err := NewMiterCtx(context.Background(), c1, c2)
 	if err != nil {
 		return "", err
 	}
-	return a.StructuralHash(), nil
+	return m.Hash(), nil
 }

@@ -1,6 +1,7 @@
 package cec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -161,5 +162,48 @@ func TestMiterHashMatchesCheck(t *testing.T) {
 	}
 	if res.Verdict != Inequivalent {
 		t.Fatalf("mutated pair: verdict %v, want inequivalent", res.Verdict)
+	}
+}
+
+// TestMiterDecidedTwiceKeepsHash: one joint AIG serves the cache key
+// and the check. Deciding it leaves it intact: its hash is unchanged,
+// it equals MiterHash of the circuits, and a second check on it gives
+// the verdict a fresh Check gives, with every engine.
+func TestMiterDecidedTwiceKeepsHash(t *testing.T) {
+	pairs := []struct {
+		name   string
+		c1, c2 *netlist.Circuit
+	}{
+		{"equal", multiplier(4, false), multiplier(4, true)},
+		{"mutated", parse(t, goldenBLIF), parse(t, goldenMutated)},
+	}
+	for _, p := range pairs {
+		want, err := MiterHash(p.c1, p.c2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, engine := range []string{"hybrid", "bdd"} {
+			m, err := NewMiterCtx(context.Background(), p.c1, p.c2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Check(p.c1, p.c2, Options{Engine: engine, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 2; round++ {
+				res, err := m.CheckCtx(context.Background(), Options{Engine: engine, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Verdict != fresh.Verdict || res.FailingOutput != fresh.FailingOutput {
+					t.Errorf("%s/%s round %d: verdict %v on %q, fresh Check %v on %q",
+						p.name, engine, round, res.Verdict, res.FailingOutput, fresh.Verdict, fresh.FailingOutput)
+				}
+				if got := m.Hash(); got != want {
+					t.Errorf("%s/%s round %d: miter hash %s after the check, want %s", p.name, engine, round, got, want)
+				}
+			}
+		}
 	}
 }

@@ -170,8 +170,9 @@ func VerifyAcyclicCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options)
 // Unrolled is the combinational reduction of a verification pair: the
 // CBF or EDBF unrollings of both circuits, ready for the equivalence
 // checker. It is the seam between "what problem is this" and "decide
-// it" — the verification daemon hashes U1/U2 (cec.MiterHash) to key its
-// result cache before spending any solver time.
+// it" — the verification daemon hashes U1/U2 (MiterHash) to key its
+// result cache before spending any solver time, and then decides the
+// very joint AIG it hashed (CheckCtx).
 type Unrolled struct {
 	// U1, U2 are the combinational unrollings, name-aligned for cec.
 	U1, U2 *netlist.Circuit
@@ -186,6 +187,8 @@ type Unrolled struct {
 	// UnrolledGates counts the gates of the two unrollings (the
 	// Figure 18 replication cost).
 	UnrolledGates [2]int
+
+	miter *cec.Miter // joint AIG of U1 and U2, once MiterHash built it
 }
 
 // report seeds a Report with the unrolling's metadata.
@@ -194,8 +197,26 @@ func (u *Unrolled) report() *Report {
 		UnrolledGates: u.UnrolledGates, Conservative: u.Conservative}
 }
 
-// CheckCtx discharges the reduction with the combinational checker.
+// MiterHash returns the reduction's content address, cec.MiterHash of
+// U1 and U2. It keeps the joint AIG it hashes, so a later CheckCtx
+// decides that AIG instead of building it again.
+func (u *Unrolled) MiterHash(ctx context.Context) (string, error) {
+	if u.miter == nil {
+		m, err := cec.NewMiterCtx(ctx, u.U1, u.U2)
+		if err != nil {
+			return "", err
+		}
+		u.miter = m
+	}
+	return u.miter.Hash(), nil
+}
+
+// CheckCtx discharges the reduction with the combinational checker: on
+// the joint AIG MiterHash built, if it ran, else as cec.CheckCtx does.
 func (u *Unrolled) CheckCtx(ctx context.Context, opt cec.Options) (*cec.Result, error) {
+	if u.miter != nil {
+		return u.miter.CheckCtx(ctx, opt)
+	}
 	return cec.CheckCtx(ctx, u.U1, u.U2, opt)
 }
 

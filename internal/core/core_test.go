@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -390,5 +391,46 @@ func TestVerifyMultiClassRetimedEDBF(t *testing.T) {
 	if rep.Result.Verdict != cec.Equivalent {
 		t.Fatalf("verdict %v (method %s, output %s)",
 			rep.Result.Verdict, rep.Method, rep.Result.FailingOutput)
+	}
+}
+
+// TestUnrolledHashesAndChecksOneMiter: MiterHash keys the reduction by
+// cec.MiterHash of its unrollings, and the check that follows decides
+// the joint AIG that was hashed, with the verdict a fresh check gives.
+func TestUnrolledHashesAndChecksOneMiter(t *testing.T) {
+	orig := pipeCircuit()
+	bug := pipeCircuit()
+	bug.Nodes[bug.MustLookup("y")].Op = netlist.OpAnd
+	ctx := context.Background()
+	for _, c2 := range []*netlist.Circuit{pipeCircuit(), bug} {
+		u, err := UnrollAcyclicCtx(ctx, orig, c2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cec.MiterHash(u.U1, u.U2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := u.MiterHash(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("Unrolled.MiterHash = %s, cec.MiterHash = %s", got, want)
+		}
+		if u.miter == nil {
+			t.Fatal("MiterHash kept no joint AIG for the check")
+		}
+		res, err := u.CheckCtx(ctx, cec.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := cec.Check(u.U1, u.U2, cec.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != fresh.Verdict {
+			t.Fatalf("check on the hashed miter: %v, fresh check: %v", res.Verdict, fresh.Verdict)
+		}
 	}
 }

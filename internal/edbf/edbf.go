@@ -23,13 +23,15 @@
 package edbf
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"seqver/internal/bdd"
+	"seqver/internal/cbf"
 	"seqver/internal/netlist"
 	"seqver/internal/obs"
 )
@@ -50,13 +52,17 @@ type Event struct {
 	Depth int
 }
 
-func (e Event) key() string {
-	var sb strings.Builder
+// appendKey appends the event's interning key to b.
+func (e Event) appendKey(b []byte) []byte {
 	for _, el := range e.Elems {
-		fmt.Fprintf(&sb, "p%dd%d;", el.Pred, el.Delta)
+		b = append(b, 'p')
+		b = strconv.AppendInt(b, int64(el.Pred), 10)
+		b = append(b, 'd')
+		b = strconv.AppendInt(b, int64(el.Delta), 10)
+		b = append(b, ';')
 	}
-	fmt.Fprintf(&sb, "|%d", e.Depth)
-	return sb.String()
+	b = append(b, '|')
+	return strconv.AppendInt(b, int64(e.Depth), 10)
 }
 
 // Ctx holds the shared predicate and event tables. Both circuits of a
@@ -69,6 +75,7 @@ type Ctx struct {
 	preds   []bdd.Ref
 	eventID map[string]int
 	events  []Event
+	keyBuf  []byte // scratch for internEvent's key
 
 	// Rewrite enables the paper's Eq. 5 event rewriting:
 	// η[p(τ-k), q(τ-k-1)] = η[q(τ-k-1)] when q implies p.
@@ -104,14 +111,17 @@ func (cx *Ctx) internPred(f bdd.Ref) int {
 	return id
 }
 
+// internEvent returns e's id, interning it on first sight. e.Elems may
+// be a scratch buffer: a new event keeps a copy of it.
 func (cx *Ctx) internEvent(e Event) int {
-	k := e.key()
-	if id, ok := cx.eventID[k]; ok {
+	cx.keyBuf = e.appendKey(cx.keyBuf[:0])
+	if id, ok := cx.eventID[string(cx.keyBuf)]; ok {
 		return id
 	}
 	id := len(cx.events)
+	e.Elems = slices.Clone(e.Elems)
 	cx.events = append(cx.events, e)
-	cx.eventID[k] = id
+	cx.eventID[string(cx.keyBuf)] = id
 	return id
 }
 
@@ -135,7 +145,7 @@ func (cx *Ctx) EventString(id int) string {
 
 // canon sorts elements by delta and applies the optional Eq. 5 rewrite.
 func (cx *Ctx) canon(e Event) Event {
-	sort.Slice(e.Elems, func(i, j int) bool { return e.Elems[i].Delta < e.Elems[j].Delta })
+	slices.SortStableFunc(e.Elems, func(a, b Element) int { return cmp.Compare(a.Delta, b.Delta) })
 	if !cx.Rewrite {
 		return e
 	}
@@ -179,11 +189,11 @@ func ParseVarName(v string) (string, int, error) {
 // BDD over primary inputs. The enable cone must be purely combinational
 // over primary inputs (no latches) — the circuit class the paper's
 // experimental setup targets; richer enables should be exposed first.
-func (cx *Ctx) predicateOf(c *netlist.Circuit, enable int, memo map[int]bdd.Ref) (bdd.Ref, error) {
+func (cx *Ctx) predicateOf(c *netlist.Circuit, enable int, memo []bdd.Ref, done []bool) (bdd.Ref, error) {
 	var rec func(id int) (bdd.Ref, error)
 	rec = func(id int) (bdd.Ref, error) {
-		if f, ok := memo[id]; ok {
-			return f, nil
+		if done[id] {
+			return memo[id], nil
 		}
 		n := c.Nodes[id]
 		var f bdd.Ref
@@ -202,7 +212,7 @@ func (cx *Ctx) predicateOf(c *netlist.Circuit, enable int, memo map[int]bdd.Ref)
 			}
 			f = cx.gateBDD(n, fins)
 		}
-		memo[id] = f
+		memo[id], done[id] = f, true
 		return f, nil
 	}
 	return rec(enable)
@@ -282,47 +292,51 @@ func (cx *Ctx) UnrollCtx(ctx context.Context, c *netlist.Circuit) (*netlist.Circ
 }
 
 func (cx *Ctx) unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
-	if err := checkAcyclic(c); err != nil {
-		return nil, err
+	if err := cbf.CheckAcyclic(c); err != nil {
+		return nil, fmt.Errorf("edbf: %w", err)
 	}
 	out := netlist.New(c.Name + "_edbf")
+	out.Grow(len(c.Nodes))
 
-	predMemo := make(map[int]bdd.Ref)
-	type key struct {
-		id, ev int
+	predMemo := make([]bdd.Ref, len(c.Nodes))
+	predDone := make([]bool, len(c.Nodes))
+	// The memo maps (node, event) to the unrolled node. A node is
+	// visited under few of the context's events, so rather than one
+	// dense row per event it keeps, per node, a chain of (event,
+	// unrolled node) entries in one arena: head[id] is the newest entry
+	// of node id, plus one (0: none). An input's entries are its event
+	// variables a#ev.
+	type memoEntry struct {
+		ev, nid, next int32
 	}
-	memo := make(map[key]int)
-	type evPI struct {
-		inputPos, ev int
+	head := make([]int32, len(c.Nodes))
+	entries := make([]memoEntry, 0, len(c.Nodes))
+	store := func(id, ev, nid int) {
+		entries = append(entries, memoEntry{int32(ev), int32(nid), head[id]})
+		head[id] = int32(len(entries))
 	}
-	piNodes := make(map[evPI]int)
-	inputPos := make(map[int]int)
-	for i, id := range c.Inputs {
-		inputPos[id] = i
-	}
+	// fins holds the fanins of the gates being built (see cbf.Unroll);
+	// elems is the scratch event a latch crossing builds.
+	var fins []int
+	var elems []Element
 
 	var rec func(id int, ev int) (int, error)
 	rec = func(id int, ev int) (int, error) {
-		k := key{id, ev}
-		if nid, ok := memo[k]; ok {
-			return nid, nil
+		for e := head[id]; e != 0; e = entries[e-1].next {
+			if int(entries[e-1].ev) == ev {
+				return int(entries[e-1].nid), nil
+			}
 		}
 		n := c.Nodes[id]
 		var nid int
 		switch n.Kind {
 		case netlist.KindInput:
-			tp := evPI{inputPos[id], ev}
-			pid, ok := piNodes[tp]
-			if !ok {
-				pid = out.AddInput(VarName(n.Name, ev))
-				piNodes[tp] = pid
-			}
-			nid = pid
+			nid = out.AddInput(VarName(n.Name, ev))
 		case netlist.KindLatch:
 			e := cx.events[ev]
-			next := Event{Elems: append([]Element(nil), e.Elems...), Depth: e.Depth + 1}
+			elems = append(elems[:0], e.Elems...)
 			if n.Enable != netlist.NoEnable {
-				pred, err := cx.predicateOf(c, n.Enable, predMemo)
+				pred, err := cx.predicateOf(c, n.Enable, predMemo, predDone)
 				if err != nil {
 					return 0, err
 				}
@@ -332,38 +346,41 @@ func (cx *Ctx) unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 				case bdd.False:
 					// The latch never loads: its value is the power-up
 					// nondeterminate, a fresh free variable.
-					nid = out.AddInput(fmt.Sprintf("undef:%s#%d", nodeName(c, id), ev))
-					memo[k] = nid
+					nid = out.AddInput("undef:" + nodeName(c, id) + "#" + strconv.Itoa(ev))
+					store(id, ev, nid)
 					return nid, nil
 				default:
-					next.Elems = append(next.Elems, Element{Pred: cx.internPred(pred), Delta: e.Depth})
+					elems = append(elems, Element{Pred: cx.internPred(pred), Delta: e.Depth})
 				}
 			}
-			nextID := cx.internEvent(cx.canon(next))
+			nextID := cx.internEvent(cx.canon(Event{Elems: elems, Depth: e.Depth + 1}))
 			var err error
 			nid, err = rec(n.Data(), nextID)
 			if err != nil {
 				return 0, err
 			}
 		case netlist.KindGate:
-			fins := make([]int, len(n.Fanins))
+			base := len(fins)
+			fins = append(fins, n.Fanins...)
 			for j, f := range n.Fanins {
-				var err error
-				if fins[j], err = rec(f, ev); err != nil {
+				fj, err := rec(f, ev)
+				if err != nil {
 					return 0, err
 				}
+				fins[base+j] = fj
 			}
 			name := ""
 			if n.Name != "" {
 				name = n.Name + "#" + strconv.Itoa(ev)
 			}
 			if n.Op == netlist.OpTable {
-				nid = out.AddTable(name, fins, n.Cover)
+				nid = out.AddTable(name, fins[base:], n.Cover)
 			} else {
-				nid = out.AddGate(name, n.Op, fins...)
+				nid = out.AddGate(name, n.Op, fins[base:]...)
 			}
+			fins = fins[:base]
 		}
-		memo[k] = nid
+		store(id, ev, nid)
 		return nid, nil
 	}
 
@@ -378,31 +395,22 @@ func (cx *Ctx) unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 
 	// Deterministic input order: (input position, event id); synthetic
 	// "undef" inputs keep their creation order at the end.
-	type entry struct {
-		tp  evPI
-		nid int
-	}
-	var entries []entry
-	for tp, nid := range piNodes {
-		entries = append(entries, entry{tp, nid})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].tp.inputPos != entries[j].tp.inputPos {
-			return entries[i].tp.inputPos < entries[j].tp.inputPos
-		}
-		return entries[i].tp.ev < entries[j].tp.ev
-	})
 	ordered := make([]int, 0, len(out.Inputs))
-	for _, e := range entries {
-		ordered = append(ordered, e.nid)
-	}
-	// Append non-(input,event) PIs (undef variables) in original order.
-	inOrdered := make(map[int]bool, len(ordered))
-	for _, id := range ordered {
-		inOrdered[id] = true
+	placed := make([]bool, len(out.Nodes))
+	for _, id := range c.Inputs {
+		first := len(ordered)
+		for e := head[id]; e != 0; e = entries[e-1].next {
+			ordered = append(ordered, int(e-1)) // entry index, mapped below
+		}
+		vars := ordered[first:]
+		slices.SortFunc(vars, func(a, b int) int { return cmp.Compare(entries[a].ev, entries[b].ev) })
+		for i, e := range vars {
+			vars[i] = int(entries[e].nid)
+			placed[vars[i]] = true
+		}
 	}
 	for _, id := range out.Inputs {
-		if !inOrdered[id] {
+		if !placed[id] {
 			ordered = append(ordered, id)
 		}
 	}
@@ -419,44 +427,4 @@ func nodeName(c *netlist.Circuit, id int) string {
 		return n.Name
 	}
 	return "n" + strconv.Itoa(id)
-}
-
-// checkAcyclic mirrors cbf.CheckAcyclic without importing it (identical
-// semantics: no feedback through latch data or enable edges).
-func checkAcyclic(c *netlist.Circuit) error {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]uint8, len(c.Nodes))
-	var rec func(id int) error
-	rec = func(id int) error {
-		switch color[id] {
-		case gray:
-			return fmt.Errorf("edbf: feedback path through %q; expose or decompose feedback latches first", nodeName(c, id))
-		case black:
-			return nil
-		}
-		color[id] = gray
-		n := c.Nodes[id]
-		for _, f := range n.Fanins {
-			if err := rec(f); err != nil {
-				return err
-			}
-		}
-		if n.Kind == netlist.KindLatch && n.Enable != netlist.NoEnable {
-			if err := rec(n.Enable); err != nil {
-				return err
-			}
-		}
-		color[id] = black
-		return nil
-	}
-	for id := range c.Nodes {
-		if err := rec(id); err != nil {
-			return err
-		}
-	}
-	return nil
 }

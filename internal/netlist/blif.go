@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // This file implements a reader and writer for a BLIF dialect.
@@ -27,54 +28,52 @@ import (
 // power-up state (Section 3.2).
 
 // ParseBLIF reads one .model from r.
+//
+// The whole input is read into one string; names, cubes and logical
+// lines are substrings of it, so parsing allocates per statement only
+// where a continuation line must be joined. Statements are counted
+// before any node is built, and the circuit is sized once for them.
 func ParseBLIF(r io.Reader) (*Circuit, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-
-	// Logical lines: handle '\' continuations and '#' comments.
-	var lines []string
-	var cont strings.Builder
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimRight(line, " \t\r")
-		if strings.HasSuffix(line, "\\") {
-			cont.WriteString(strings.TrimSuffix(line, "\\"))
-			cont.WriteByte(' ')
-			continue
-		}
-		cont.WriteString(line)
-		full := strings.TrimSpace(cont.String())
-		cont.Reset()
-		if full != "" {
-			lines = append(lines, full)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	var src strings.Builder
+	if _, err := io.Copy(&src, r); err != nil {
 		return nil, fmt.Errorf("blif: %w", err)
 	}
+	lines := logicalLines(src.String())
 
 	c := New("")
 	// Forward references are legal in BLIF, so we record raw statements
-	// first and resolve names afterwards.
+	// first and resolve names afterwards. A .names statement keeps the
+	// index of its line, whose fields are split again when the gate is
+	// built and resolved, and its cover rows cubes[cov0:cov1].
 	type rawNames struct {
-		signals []string // fanins + output
-		cover   []Cube
-		onset   bool // cover rows had output value 1
-		line    int
+		line       int // index into lines
+		cov0, cov1 int
+		onset      bool // cover rows had output value 1
 	}
 	type rawLatch struct {
 		in, out, typ, ctrl string
 		line               int
 	}
-	var namesStmts []rawNames
-	var latchStmts []rawLatch
+	nNames, nLatches, nRows := 0, 0, 0
+	for _, l := range lines {
+		switch {
+		case strings.HasPrefix(l, ".names"):
+			nNames++
+		case strings.HasPrefix(l, ".latch"):
+			nLatches++
+		case !strings.HasPrefix(l, "."):
+			nRows++
+		}
+	}
+	namesStmts := make([]rawNames, 0, nNames)
+	latchStmts := make([]rawLatch, 0, nLatches)
+	cubes := make([]Cube, 0, nRows)
 	var inputNames, outputNames []string
+	var fields []string // scratch, one line's fields
+	nFanins := 0
 
 	for li := 0; li < len(lines); li++ {
-		fields := strings.Fields(lines[li])
+		fields = appendFields(fields[:0], lines[li])
 		switch fields[0] {
 		case ".model":
 			if len(fields) > 1 {
@@ -85,15 +84,18 @@ func ParseBLIF(r io.Reader) (*Circuit, error) {
 		case ".outputs":
 			outputNames = append(outputNames, fields[1:]...)
 		case ".names":
-			st := rawNames{signals: fields[1:], line: li + 1, onset: true}
-			if len(st.signals) == 0 {
+			st := rawNames{line: li}
+			if len(fields) == 1 {
 				return nil, fmt.Errorf("blif line %d: .names needs at least an output", li+1)
 			}
-			nin := len(st.signals) - 1
+			nin := len(fields) - 2
+			nFanins += nin
+			out := fields[nin+1]
+			st.cov0 = len(cubes)
 			sawZero, sawOne := false, false
 			for li+1 < len(lines) && !strings.HasPrefix(lines[li+1], ".") {
 				li++
-				row := strings.Fields(lines[li])
+				row := appendFields(fields[:0], lines[li])
 				var cube string
 				var val byte
 				switch {
@@ -107,6 +109,13 @@ func ParseBLIF(r io.Reader) (*Circuit, error) {
 				if len(cube) != nin {
 					return nil, fmt.Errorf("blif line %d: cube width %d != %d fanins", li+1, len(cube), nin)
 				}
+				for i := 0; i < len(cube); i++ {
+					switch cube[i] {
+					case '0', '1', '-':
+					default:
+						return nil, fmt.Errorf("blif line %d: bad cube literal %q in %q", li+1, cube[i], cube)
+					}
+				}
 				switch val {
 				case '1':
 					sawOne = true
@@ -115,11 +124,12 @@ func ParseBLIF(r io.Reader) (*Circuit, error) {
 				default:
 					return nil, fmt.Errorf("blif line %d: bad output value %q", li+1, val)
 				}
-				st.cover = append(st.cover, Cube(cube))
+				cubes = append(cubes, Cube(cube))
 			}
 			if sawZero && sawOne {
-				return nil, fmt.Errorf("blif line %d: mixed onset/offset cover for %s", st.line, st.signals[nin])
+				return nil, fmt.Errorf("blif line %d: mixed onset/offset cover for %s", st.line+1, out)
 			}
+			st.cov1 = len(cubes)
 			st.onset = !sawZero
 			namesStmts = append(namesStmts, st)
 		case ".latch":
@@ -153,36 +163,61 @@ func ParseBLIF(r io.Reader) (*Circuit, error) {
 		}
 	}
 
+	// Size the circuit once: every statement is one node, every .names
+	// fanin and every latch is one fanin.
+	c.grow(len(inputNames)+len(latchStmts)+len(namesStmts), nFanins+len(latchStmts), len(cubes))
+	c.Inputs = make([]int, 0, len(inputNames))
+	c.Latches = make([]int, 0, len(latchStmts))
+	c.Outputs = make([]Output, 0, len(outputNames))
+
 	// Pass 1: declare inputs and latch outputs (the leaves).
 	for _, n := range inputNames {
-		if c.Lookup(n) >= 0 {
+		id, ok := c.tryAdd(Node{Name: n, Kind: KindInput, Enable: NoEnable})
+		if !ok {
 			return nil, fmt.Errorf("blif: input %q declared twice", n)
 		}
-		c.AddInput(n)
+		c.Inputs = append(c.Inputs, id)
 	}
 	for _, rl := range latchStmts {
-		if c.Lookup(rl.out) >= 0 {
+		// Data and enable resolved in pass 3; reserve the node now.
+		id, ok := c.tryAdd(Node{Name: rl.out, Kind: KindLatch, Fanins: c.allocInts(1), Enable: NoEnable})
+		if !ok {
 			return nil, fmt.Errorf("blif line %d: latch output %q already defined", rl.line, rl.out)
 		}
-		// Data and enable resolved in pass 3; reserve the node now.
-		c.AddEnabledLatch(rl.out, 0, NoEnable)
+		c.Latches = append(c.Latches, id)
 	}
-	// Pass 2: declare gate outputs in statement order, fanins resolved later.
-	gateIDs := make([]int, len(namesStmts))
-	for i, st := range namesStmts {
-		out := st.signals[len(st.signals)-1]
-		if c.Lookup(out) >= 0 {
-			return nil, fmt.Errorf("blif line %d: signal %q multiply defined", st.line, out)
-		}
-		cover := st.cover
+	// Pass 2: declare gate outputs in statement order, fanins resolved
+	// later. Gate i is node firstGate+i.
+	firstGate := len(c.Nodes)
+	for _, st := range namesStmts {
+		fields = appendFields(fields[:0], lines[st.line])
+		out := fields[len(fields)-1]
+		nin := len(fields) - 2
+		g := Node{Name: out, Kind: KindGate, Op: OpTable, Enable: NoEnable}
+		cover := cubes[st.cov0:st.cov1]
 		if !st.onset {
+			if c.Lookup(out) >= 0 {
+				return nil, fmt.Errorf("blif line %d: signal %q multiply defined", st.line+1, out)
+			}
 			var err error
 			cover, err = complementCover(cover)
 			if err != nil {
-				return nil, fmt.Errorf("blif line %d: %v", st.line, err)
+				return nil, fmt.Errorf("blif line %d: %v", st.line+1, err)
 			}
 		}
-		gateIDs[i] = c.AddTable(out, make([]int, len(st.signals)-1), cover)
+		switch {
+		// Canonicalize trivial covers to primitive constants.
+		case nin == 0 && len(cover) > 0:
+			g.Op = OpConst1
+		case nin == 0:
+			g.Op = OpConst0
+		default:
+			g.Fanins = c.allocInts(nin)
+			g.Cover = c.cubeSlice(cover)
+		}
+		if _, ok := c.tryAdd(g); !ok {
+			return nil, fmt.Errorf("blif line %d: signal %q multiply defined", st.line+1, out)
+		}
 	}
 	// Pass 3: resolve references.
 	resolve := func(name string, line int) (int, error) {
@@ -193,21 +228,14 @@ func ParseBLIF(r io.Reader) (*Circuit, error) {
 		return id, nil
 	}
 	for i, st := range namesStmts {
-		g := c.Nodes[gateIDs[i]]
-		for j, name := range st.signals[:len(st.signals)-1] {
-			id, err := resolve(name, st.line)
+		g := c.Nodes[firstGate+i]
+		fields = appendFields(fields[:0], lines[st.line])
+		for j, name := range fields[1 : len(fields)-1] {
+			id, err := resolve(name, st.line+1)
 			if err != nil {
 				return nil, err
 			}
 			g.Fanins[j] = id
-		}
-		// Canonicalize trivial covers to primitive constants.
-		if len(g.Fanins) == 0 {
-			if len(g.Cover) > 0 {
-				g.Op, g.Cover = OpConst1, nil
-			} else {
-				g.Op, g.Cover = OpConst0, nil
-			}
 		}
 	}
 	for i, rl := range latchStmts {
@@ -237,6 +265,66 @@ func ParseBLIF(r io.Reader) (*Circuit, error) {
 	}
 	return c, nil
 }
+
+// logicalLines splits BLIF source into its logical lines: '#' comments
+// stripped, '\' continuations joined, surrounding space trimmed, blank
+// lines dropped. Only joined lines are new strings; the rest are
+// substrings of src.
+func logicalLines(src string) []string {
+	lines := make([]string, 0, strings.Count(src, "\n")+1)
+	var cont []byte // pending continuation
+	for len(src) > 0 {
+		line := src
+		if i := strings.IndexByte(src, '\n'); i >= 0 {
+			line, src = src[:i], src[i+1:]
+		} else {
+			src = ""
+		}
+		if i := strings.IndexByte(line, '#'); i >= 0 {
+			line = line[:i]
+		}
+		line = strings.TrimRight(line, " \t\r")
+		if strings.HasSuffix(line, "\\") {
+			cont = append(cont, line[:len(line)-1]...)
+			cont = append(cont, ' ')
+			continue
+		}
+		if len(cont) > 0 {
+			line = string(append(cont, line...))
+			cont = cont[:0]
+		}
+		if line = strings.TrimSpace(line); line != "" {
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
+// appendFields appends the space-separated fields of s to dst, exactly
+// as strings.Fields splits them, without allocating a slice per line.
+func appendFields(dst []string, s string) []string {
+	n, start := len(dst), -1
+	for i := 0; i < len(s); i++ {
+		b := s[i]
+		switch {
+		case b >= utf8.RuneSelf:
+			return append(dst[:n], strings.Fields(s)...)
+		case asciiSpace[b]:
+			if start >= 0 {
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // complementCover turns an offset cover (rows with output 0) into an onset
 // cover by Shannon expansion. Only practical for narrow tables; BLIF
@@ -448,6 +536,7 @@ func Sweep(c *Circuit, removeLatches bool) *Circuit {
 	}
 
 	out := New(c.Name)
+	out.grow(arenaNeed(c.Nodes, live))
 	remap := make([]int, len(c.Nodes))
 	for i := range remap {
 		remap[i] = -1
@@ -457,10 +546,7 @@ func Sweep(c *Circuit, removeLatches bool) *Circuit {
 		if !live[n.ID] {
 			continue
 		}
-		cp := *n
-		cp.Fanins = append([]int(nil), n.Fanins...)
-		cp.Cover = append([]Cube(nil), n.Cover...)
-		id := out.add(&cp)
+		id := out.add(out.arenaCopy(n))
 		remap[n.ID] = id
 		switch n.Kind {
 		case KindInput:

@@ -13,6 +13,8 @@ package netlist
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -139,6 +141,97 @@ type Circuit struct {
 	Latches []int // node IDs of latch nodes, in declaration order
 
 	byName map[string]int
+
+	// Nodes, fanin lists and covers are carved from per-circuit chunks
+	// (see DESIGN.md, "Front end data layout"). Each Fanins and Cover is
+	// a capacity-capped sub-slice s[i:j:j] of its chunk, so an append
+	// on one node reallocates instead of writing into its neighbour.
+	slab  []Node
+	ints  []int
+	cubes []Cube
+}
+
+// Arena chunk sizes: a new chunk holds about as many entries as the
+// circuit already has nodes (so chunks double as a circuit grows), and
+// never fewer than minChunk or more than maxChunk, unless one request
+// needs more.
+const (
+	minChunk = 16
+	maxChunk = 1 << 12
+)
+
+func chunkSize(nodes, need int) int {
+	return max(need, min(max(nodes, minChunk), maxChunk))
+}
+
+// newNode returns a node slot from the circuit's slab, set to n.
+func (c *Circuit) newNode(n Node) *Node {
+	if len(c.slab) == cap(c.slab) {
+		c.slab = make([]Node, 0, chunkSize(len(c.Nodes), 1))
+	}
+	c.slab = append(c.slab, n)
+	return &c.slab[len(c.slab)-1]
+}
+
+// allocInts returns k zeroed ints from the fanin arena, capped at k;
+// nil when k is 0. Arena memory is handed out once and never reused,
+// so it is still zero.
+func (c *Circuit) allocInts(k int) []int {
+	if k == 0 {
+		return nil
+	}
+	if cap(c.ints)-len(c.ints) < k {
+		c.ints = make([]int, 0, chunkSize(2*len(c.Nodes), k))
+	}
+	i := len(c.ints)
+	c.ints = c.ints[:i+k]
+	return c.ints[i : i+k : i+k]
+}
+
+// intSlice returns a copy of s in the fanin arena (see allocInts).
+func (c *Circuit) intSlice(s []int) []int {
+	d := c.allocInts(len(s))
+	copy(d, s)
+	return d
+}
+
+// cubeSlice is intSlice for covers.
+func (c *Circuit) cubeSlice(s []Cube) []Cube {
+	k := len(s)
+	if k == 0 {
+		return nil
+	}
+	if cap(c.cubes)-len(c.cubes) < k {
+		c.cubes = make([]Cube, 0, chunkSize(2*len(c.Nodes), k))
+	}
+	i := len(c.cubes)
+	c.cubes = append(c.cubes, s...)
+	return c.cubes[i : i+k : i+k]
+}
+
+// Grow reserves room for n more nodes: adding them then grows neither
+// Nodes, the name index nor the node slab.
+func (c *Circuit) Grow(n int) {
+	c.grow(n, 0, 0)
+}
+
+// grow is Grow that also reserves fanin and cover arena room.
+func (c *Circuit) grow(nodes, fanins, cubes int) {
+	if nodes > 0 {
+		c.Nodes = slices.Grow(c.Nodes, nodes)
+		m := make(map[string]int, len(c.byName)+nodes)
+		maps.Copy(m, c.byName)
+		c.byName = m
+		if cap(c.slab)-len(c.slab) < nodes {
+			c.slab = make([]Node, 0, nodes)
+		}
+	}
+	if cap(c.ints)-len(c.ints) < fanins {
+		c.ints = make([]int, 0, fanins)
+	}
+	if cap(c.cubes)-len(c.cubes) < cubes {
+		c.cubes = make([]Cube, 0, cubes)
+	}
 }
 
 // New returns an empty circuit with the given model name.
@@ -181,26 +274,46 @@ func (c *Circuit) MustLookup(name string) int {
 	return id
 }
 
-func (c *Circuit) add(n *Node) int {
+// add appends n as a new node and returns its ID. It panics when the
+// name is taken.
+func (c *Circuit) add(n Node) int {
+	id, ok := c.tryAdd(n)
+	if !ok {
+		panic("netlist: duplicate signal name " + n.Name)
+	}
+	return id
+}
+
+// tryAdd is add that reports a taken name instead of panicking; the
+// circuit is then unchanged. A named node costs one name-index
+// operation: the insert itself detects the duplicate.
+func (c *Circuit) tryAdd(n Node) (int, bool) {
 	if c.byName == nil {
 		c.byName = make(map[string]int)
 	}
+	n.ID = len(c.Nodes)
 	if n.Name != "" {
-		if _, dup := c.byName[n.Name]; dup {
-			panic("netlist: duplicate signal name " + n.Name)
+		before := len(c.byName)
+		c.byName[n.Name] = n.ID
+		if len(c.byName) == before {
+			// Restore the first holder of the name (the index always
+			// maps a name to the first node that took it).
+			for _, old := range c.Nodes {
+				if old.Name == n.Name {
+					c.byName[n.Name] = old.ID
+					break
+				}
+			}
+			return -1, false
 		}
 	}
-	n.ID = len(c.Nodes)
-	c.Nodes = append(c.Nodes, n)
-	if n.Name != "" {
-		c.byName[n.Name] = n.ID
-	}
-	return n.ID
+	c.Nodes = append(c.Nodes, c.newNode(n))
+	return n.ID, true
 }
 
 // AddInput declares a primary input and returns its node ID.
 func (c *Circuit) AddInput(name string) int {
-	id := c.add(&Node{Name: name, Kind: KindInput, Enable: NoEnable})
+	id := c.add(Node{Name: name, Kind: KindInput, Enable: NoEnable})
 	c.Inputs = append(c.Inputs, id)
 	return id
 }
@@ -227,7 +340,7 @@ func (c *Circuit) AddGate(name string, op Op, fanins ...int) int {
 			panic(fmt.Sprintf("netlist: %v gate needs fanins", op))
 		}
 	}
-	return c.add(&Node{Name: name, Kind: KindGate, Op: op, Fanins: append([]int(nil), fanins...), Enable: NoEnable})
+	return c.add(Node{Name: name, Kind: KindGate, Op: op, Fanins: c.intSlice(fanins), Enable: NoEnable})
 }
 
 // AddTable adds a gate defined by a sum-of-products cover over fanins.
@@ -245,8 +358,8 @@ func (c *Circuit) AddTable(name string, fanins []int, cover []Cube) int {
 			}
 		}
 	}
-	return c.add(&Node{Name: name, Kind: KindGate, Op: OpTable,
-		Fanins: append([]int(nil), fanins...), Cover: append([]Cube(nil), cover...), Enable: NoEnable})
+	return c.add(Node{Name: name, Kind: KindGate, Op: OpTable,
+		Fanins: c.intSlice(fanins), Cover: c.cubeSlice(cover), Enable: NoEnable})
 }
 
 // AddLatch adds a regular (always-enabled) latch with the given data input
@@ -259,7 +372,7 @@ func (c *Circuit) AddLatch(name string, data int) int {
 // NoEnable the latch is regular. The latch updates to the data value on
 // clock edges where the enable is 1 and holds its value otherwise.
 func (c *Circuit) AddEnabledLatch(name string, data, enable int) int {
-	id := c.add(&Node{Name: name, Kind: KindLatch, Fanins: []int{data}, Enable: enable})
+	id := c.add(Node{Name: name, Kind: KindLatch, Fanins: c.intSlice([]int{data}), Enable: enable})
 	c.Latches = append(c.Latches, id)
 	return id
 }
@@ -470,12 +583,9 @@ func EvalGate(n *Node, in []bool) bool {
 // Clone returns a deep copy of the circuit.
 func (c *Circuit) Clone() *Circuit {
 	out := New(c.Name)
-	out.Nodes = make([]*Node, len(c.Nodes))
+	out.grow(arenaNeed(c.Nodes, nil))
 	for i, n := range c.Nodes {
-		cp := *n
-		cp.Fanins = append([]int(nil), n.Fanins...)
-		cp.Cover = append([]Cube(nil), n.Cover...)
-		out.Nodes[i] = &cp
+		out.Nodes = append(out.Nodes, out.newNode(out.arenaCopy(n)))
 		if n.Name != "" {
 			out.byName[n.Name] = i
 		}
@@ -484,6 +594,26 @@ func (c *Circuit) Clone() *Circuit {
 	out.Outputs = append([]Output(nil), c.Outputs...)
 	out.Latches = append([]int(nil), c.Latches...)
 	return out
+}
+
+// arenaCopy returns a copy of n whose fanins and cover live in c's
+// arenas.
+func (c *Circuit) arenaCopy(n *Node) Node {
+	cp := *n
+	cp.Fanins = c.intSlice(n.Fanins)
+	cp.Cover = c.cubeSlice(n.Cover)
+	return cp
+}
+
+// arenaNeed counts the nodes, fanins and cubes that copying the nodes
+// marked in keep (all of them when keep is nil) takes.
+func arenaNeed(nodes []*Node, keep []bool) (n, fanins, cubes int) {
+	for i, nd := range nodes {
+		if keep == nil || keep[i] {
+			n, fanins, cubes = n+1, fanins+len(nd.Fanins), cubes+len(nd.Cover)
+		}
+	}
+	return n, fanins, cubes
 }
 
 // Stats summarizes circuit size; Levels is the maximum gate depth of any

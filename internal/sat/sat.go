@@ -217,6 +217,25 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
+// Reserve makes room for n more variables, so that creating them
+// reallocates none of the per-variable arrays, the watch-list table or
+// the order heap. An encoder that knows a bound on the variables it
+// will create, such as an AIG's node count, calls it before encoding.
+func (s *Solver) Reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	s.assign = slices.Grow(s.assign, n)
+	s.level = slices.Grow(s.level, n)
+	s.reason = slices.Grow(s.reason, n)
+	s.phase = slices.Grow(s.phase, n)
+	s.activity = slices.Grow(s.activity, n)
+	s.seen = slices.Grow(s.seen, n)
+	s.watches = slices.Grow(s.watches, 2*n)
+	s.order.heap = slices.Grow(s.order.heap, n)
+	s.order.pos = slices.Grow(s.order.pos, n)
+}
+
 func (s *Solver) ensure(nvars int) {
 	for len(s.assign) < nvars {
 		s.assign = append(s.assign, lUndef)

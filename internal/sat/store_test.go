@@ -169,3 +169,25 @@ func TestArenaClausesKeepTheirLiterals(t *testing.T) {
 		t.Fatalf("%d live original clauses, numOrig %d", live, s.numOrig)
 	}
 }
+
+// TestReserveSizesVariablesOnce: after Reserve(n), creating n variables
+// regrows none of the per-variable arrays, the watch table or the heap.
+func TestReserveSizesVariablesOnce(t *testing.T) {
+	const n = 1000
+	s := New(0)
+	s.Reserve(n)
+	s.NewVar()
+	first := func() []any {
+		return []any{&s.assign[0], &s.level[0], &s.reason[0], &s.phase[0], &s.activity[0],
+			&s.seen[0], &s.watches[0], &s.order.heap[0], &s.order.pos[0]}
+	}
+	before := first()
+	for i := 1; i < n; i++ {
+		s.NewVar()
+	}
+	for i, p := range first() {
+		if p != before[i] {
+			t.Fatalf("array %d was reallocated while creating %d reserved variables", i, n)
+		}
+	}
+}

@@ -807,8 +807,8 @@ func (s *Server) execute(ctx context.Context, j *Job, attempt int) (*JobResult, 
 	var key string
 	var hit *CachedResult
 	if !req.NoCache {
-		_, csp := obs.Start(ctx, "cache.lookup")
-		key, err = cec.MiterHash(u.U1, u.U2)
+		cctx, csp := obs.Start(ctx, "cache.lookup")
+		key, err = u.MiterHash(cctx)
 		if err == nil {
 			// The miter hash is the job's idempotency key: journal it
 			// before solving so a crash mid-solve lets replay answer this

@@ -151,6 +151,29 @@ func TestSubmitVerdictAndCacheHit(t *testing.T) {
 	if !bytes.Contains(trace1, []byte(`"name":"cec"`)) {
 		t.Error("solved job's trace missing the cec span")
 	}
+	// A cache miss hashes and decides one joint AIG: it is built once,
+	// under the cache lookup, and the cec span does not rebuild it.
+	events, err := obs.DecodeJSONL(bytes.NewReader(trace1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spanName := map[uint64]string{}
+	builds := 0
+	for _, ev := range events {
+		if ev.Type != "begin" {
+			continue
+		}
+		spanName[ev.Span] = ev.Name
+		if ev.Name == "aig.build" {
+			builds++
+			if p := spanName[ev.Parent]; p != "cache.lookup" {
+				t.Errorf("aig.build opened under %q, want cache.lookup", p)
+			}
+		}
+	}
+	if builds != 1 {
+		t.Errorf("cache-miss job built the joint AIG %d times, want 1", builds)
+	}
 
 	// /metrics shows the hit.
 	resp, err := http.Get(ts.URL + "/metrics")
