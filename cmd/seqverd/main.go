@@ -13,10 +13,6 @@
 //	        [-max-attempts N] [-stall-timeout DUR] [-mem-ceiling N]
 //	        [-drain-timeout DUR] [-trace-bytes N] [-max-body N]
 //	        [-log-level LEVEL] [-log-format FMT]
-//	        [-slo-latency SPEC] [-slo-availability PCT]
-//	        [-profile-dir DIR] [-profile-interval DUR]
-//	        [-profile-cpu-duration DUR] [-profile-max-captures N]
-//	        [-profile-max-bytes N]
 //	        [-faults SPEC]
 //
 // The API lives under /api/v1 (submit POST /api/v1/jobs, poll
@@ -24,25 +20,15 @@
 // GET /api/v1/jobs/{id}/report, history GET /api/v1/stats/timeseries);
 // the same listener also serves the observability surface — the live
 // /dashboard cockpit, the /readyz readiness probe, Prometheus /metrics
-// (including seqver_cache_{hits,misses,evictions}_total and, with SLOs
-// configured, seqver_slo_*_ratio burn gauges), /healthz, /debug/vars,
-// and /debug/pprof.
+// (including seqver_cache_{hits,misses,evictions}_total and the
+// seqver_job_seconds and seqver_jobs_total{outcome} series), /healthz,
+// /debug/vars, and /debug/pprof — `go tool pprof
+// http://HOST/debug/pprof/heap` profiles a running daemon.
 //
 // Logs are structured (log/slog): -log-format json (default) or text,
 // -log-level debug|info|warn|error. Every line under a job or HTTP
 // request carries its job_id / request_id automatically, so one grep
 // follows a job across the access log and the worker lifecycle.
-//
-// -slo-latency "p99<2s" and -slo-availability "99.9" arm the SLO
-// tracker: rolling error-budget burn-rate gauges in /metrics, meters on
-// the dashboard, and status in /readyz.
-//
-// -profile-dir arms the continuous profiling ring: periodic CPU and
-// heap pprof captures into a bounded on-disk ring (oldest evicted past
-// -profile-max-captures / -profile-max-bytes), listed and downloadable
-// at /debug/profiles — a post-incident profile exists without anyone
-// having been attached. Diff two captures with
-// `go tool pprof -diff_base=OLD NEW`.
 //
 // On SIGTERM or SIGINT the daemon drains: new submissions get 503 +
 // Retry-After, jobs still queued finish as "rejected", and in-flight
@@ -77,70 +63,68 @@ import (
 	"time"
 
 	"seqver/internal/faults"
-	"seqver/internal/metrics"
 	"seqver/internal/obs"
 	"seqver/internal/serve"
 )
 
 func main() { os.Exit(run()) }
 
-func run() int {
-	addr := flag.String("addr", ":7333", "HTTP listen address")
-	pool := flag.Int("pool", 2, "verification worker pool size (jobs solved concurrently)")
-	queue := flag.Int("queue", 64, "queued-job bound; a full queue answers 503")
-	defaultBudget := flag.Duration("default-budget", 30*time.Second, "per-job wall-clock budget when the request omits budget_ms")
-	maxBudget := flag.Duration("max-budget", 5*time.Minute, "hard cap on a requested per-job budget")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "in-memory result cache budget in bytes")
-	cacheDir := flag.String("cache-dir", "", "persist cache entries to DIR (survives restarts; empty: memory only)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "time in-flight jobs get to finish after SIGTERM")
-	traceBytes := flag.Int("trace-bytes", 4<<20, "per-job buffered trace cap in bytes")
-	maxBody := flag.Int64("max-body", 8<<20, "maximum submission body size in bytes")
-	journalDir := flag.String("journal-dir", "", "durable job journal directory (crash recovery; empty: in-memory only)")
-	journalFsync := flag.Bool("journal-fsync", false, "fsync every journal append (survives power loss, not just SIGKILL)")
-	maxAttempts := flag.Int("max-attempts", 3, "running attempts per job before quarantine")
-	stallTimeout := flag.Duration("stall-timeout", 2*time.Minute, "watchdog kills a job emitting no progress events for this long (negative: off)")
-	memCeiling := flag.Int64("mem-ceiling", 0, "watchdog kills the running job when the process heap exceeds this many bytes (0: off)")
-	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
-	logFormat := flag.String("log-format", "json", "log encoding: json or text")
-	sloLatency := flag.String("slo-latency", "", "latency SLO, e.g. \"p99<2s\" (empty: no latency objective)")
-	sloAvailability := flag.String("slo-availability", "", "availability SLO as a percent of jobs that must decide, e.g. \"99.9\" (empty: off)")
-	profileDir := flag.String("profile-dir", "", "continuous profiling ring directory (empty: off); serves /debug/profiles")
-	profileInterval := flag.Duration("profile-interval", time.Minute, "spacing between periodic capture rounds")
-	profileCPUDur := flag.Duration("profile-cpu-duration", 10*time.Second, "CPU sampling window per round (clamped to half the interval)")
-	profileMaxCaptures := flag.Int("profile-max-captures", 32, "retained capture files before oldest-first eviction")
-	profileMaxBytes := flag.Int64("profile-max-bytes", 64<<20, "retained capture bytes before oldest-first eviction")
-	faultSpec := flag.String("faults", os.Getenv("SEQVERD_FAULTS"),
+// config holds seqverd's flag values. The serve.Options fields the
+// flags leave unset take the package defaults.
+type config struct {
+	addr         string
+	drainTimeout time.Duration
+	logLevel     string
+	logFormat    string
+	faultSpec    string
+	serve        serve.Options
+}
+
+// newFlagSet registers every seqverd flag on one FlagSet, writing into
+// cfg. It is the single list of the daemon's flags; docs/API.md's flag
+// table is checked against it.
+func newFlagSet(cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("seqverd", flag.ExitOnError)
+	o := &cfg.serve
+	fs.StringVar(&cfg.addr, "addr", ":7333", "HTTP listen address")
+	fs.IntVar(&o.Workers, "pool", 2, "verification worker pool size (jobs solved concurrently)")
+	fs.IntVar(&o.QueueDepth, "queue", 64, "queued-job bound; a full queue answers 503")
+	fs.DurationVar(&o.DefaultBudget, "default-budget", 30*time.Second, "per-job wall-clock budget when the request omits budget_ms")
+	fs.DurationVar(&o.MaxBudget, "max-budget", 5*time.Minute, "hard cap on a requested per-job budget")
+	fs.Int64Var(&o.CacheBytes, "cache-bytes", 64<<20, "in-memory result cache budget in bytes")
+	fs.StringVar(&o.CacheDir, "cache-dir", "", "persist cache entries to DIR (survives restarts; empty: memory only)")
+	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "time in-flight jobs get to finish after SIGTERM")
+	fs.IntVar(&o.TraceBytes, "trace-bytes", 4<<20, "per-job buffered trace cap in bytes")
+	fs.Int64Var(&o.MaxBodyBytes, "max-body", 8<<20, "maximum submission body size in bytes")
+	fs.StringVar(&o.JournalDir, "journal-dir", "", "durable job journal directory (crash recovery; empty: in-memory only)")
+	fs.BoolVar(&o.JournalFsync, "journal-fsync", false, "fsync every journal append (survives power loss, not just SIGKILL)")
+	fs.IntVar(&o.MaxAttempts, "max-attempts", 3, "running attempts per job before quarantine")
+	fs.DurationVar(&o.StallTimeout, "stall-timeout", 2*time.Minute, "watchdog kills a job emitting no progress events for this long (negative: off)")
+	fs.Int64Var(&o.MemCeilingBytes, "mem-ceiling", 0, "watchdog kills the running job when the process heap in use exceeds this many bytes (0: off)")
+	fs.StringVar(&cfg.logLevel, "log-level", "info", "log verbosity: debug, info, warn, or error")
+	fs.StringVar(&cfg.logFormat, "log-format", "json", "log encoding: json or text")
+	fs.StringVar(&cfg.faultSpec, "faults", os.Getenv("SEQVERD_FAULTS"),
 		"deterministic fault-injection spec for chaos testing, e.g. \"seed=7,worker_panic=0.2\" (default $SEQVERD_FAULTS; empty: off)")
-	flag.Parse()
-	if flag.NArg() != 0 {
+	return fs
+}
+
+func run() int {
+	var cfg config
+	fs := newFlagSet(&cfg)
+	fs.Parse(os.Args[1:])
+	if fs.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: seqverd [flags]")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 		return 3
 	}
 
-	logger, err := buildLogger(*logLevel, *logFormat)
+	logger, err := buildLogger(cfg.logLevel, cfg.logFormat)
 	if err != nil {
 		return fail(err)
 	}
 	slog.SetDefault(logger)
 
-	var objectives []metrics.Objective
-	if *sloLatency != "" {
-		o, err := metrics.ParseLatencySLO(*sloLatency)
-		if err != nil {
-			return fail(err)
-		}
-		objectives = append(objectives, o)
-	}
-	if *sloAvailability != "" {
-		o, err := metrics.ParseAvailabilitySLO(*sloAvailability)
-		if err != nil {
-			return fail(err)
-		}
-		objectives = append(objectives, o)
-	}
-
-	if plan, err := faults.Parse(*faultSpec); err != nil {
+	if plan, err := faults.Parse(cfg.faultSpec); err != nil {
 		return fail(err)
 	} else if plan != nil {
 		faults.Install(plan)
@@ -148,34 +132,13 @@ func run() int {
 			slog.String("plan", plan.String()))
 	}
 
-	s, err := serve.New(serve.Options{
-		Workers:         *pool,
-		QueueDepth:      *queue,
-		DefaultBudget:   *defaultBudget,
-		MaxBudget:       *maxBudget,
-		CacheBytes:      *cacheBytes,
-		CacheDir:        *cacheDir,
-		TraceBytes:      *traceBytes,
-		MaxBodyBytes:    *maxBody,
-		JournalDir:      *journalDir,
-		JournalFsync:    *journalFsync,
-		MaxAttempts:     *maxAttempts,
-		StallTimeout:    *stallTimeout,
-		MemCeilingBytes: *memCeiling,
-		Logger:          logger,
-		Objectives:      objectives,
-
-		ProfileDir:         *profileDir,
-		ProfileInterval:    *profileInterval,
-		ProfileCPUDuration: *profileCPUDur,
-		ProfileMaxCaptures: *profileMaxCaptures,
-		ProfileMaxBytes:    *profileMaxBytes,
-	})
+	cfg.serve.Logger = logger
+	s, err := serve.New(cfg.serve)
 	if err != nil {
 		return fail(err)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return fail(err)
 	}
@@ -184,8 +147,7 @@ func run() int {
 	go func() { errc <- httpSrv.Serve(ln) }()
 	logger.Info("listening",
 		slog.String("addr", ln.Addr().String()),
-		slog.String("dashboard", fmt.Sprintf("http://%s/dashboard", ln.Addr())),
-		slog.Int("slo_objectives", len(objectives)))
+		slog.String("dashboard", fmt.Sprintf("http://%s/dashboard", ln.Addr())))
 
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
@@ -195,7 +157,7 @@ func run() int {
 	case sig := <-sigc:
 		logger.Info("signal received, draining",
 			slog.String("signal", sig.String()),
-			slog.Duration("drain_timeout", *drainTimeout))
+			slog.Duration("drain_timeout", cfg.drainTimeout))
 	}
 	go func() {
 		<-sigc
@@ -203,7 +165,7 @@ func run() int {
 		os.Exit(1)
 	}()
 
-	s.Drain(*drainTimeout)
+	s.Drain(cfg.drainTimeout)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {

@@ -62,17 +62,23 @@ func FraigEx(a *AIG, opt FraigOptions) (*AIG, *FraigStats) {
 // canceled (or past its deadline) the sweep stops attempting SAT merge
 // proofs and degrades to a plain structural copy, so it always returns a
 // function-identical AIG promptly — possibly less reduced than an
-// unbudgeted run would produce, but never wrong. A nil ctx never fires.
+// unbudgeted run would produce, but never wrong. A ctx already expired
+// on entry returns a itself, with no simulation, copy or compaction. A
+// nil ctx never fires.
 //
 // A refuted proof is paid for once (Mishchenko et al., ICCAD'06): its
 // counterexample becomes one more simulation pattern, and every later
 // candidate pair that pattern separates is skipped without calling SAT.
 // Each proof decides only the variables of the two nodes' cones.
 func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStats) {
+	stats := &FraigStats{NodesBefore: a.NumAnds()}
+	if sat.Expired(ctx) {
+		stats.NodesAfter = stats.NodesBefore
+		return a, stats
+	}
 	opt.defaults()
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
 	k := opt.SimWords
-	stats := &FraigStats{NodesBefore: a.NumAnds()}
 
 	// Signatures are column-major over the input AIG: cols[j][n] is
 	// pattern word j of input node n. The first k columns are random and
@@ -108,7 +114,8 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 	// expired flips once the context fires (or a proof comes back
 	// Canceled); from then on no further merge proofs are attempted and
 	// the loop below is a pure structural copy. The first poll reads the
-	// context at once, so an already-expired budget proves nothing.
+	// context at once, so a budget that expires during signature
+	// simulation proves nothing.
 	expired := false
 	ctxTick := 511
 	pollCtx := func() bool {

@@ -1,12 +1,14 @@
 package cec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"seqver/internal/netlist"
+	"seqver/internal/obs"
 )
 
 // multiplier builds an n x n array multiplier (ripple-carry partial
@@ -98,6 +100,48 @@ func TestBudgetDeadline(t *testing.T) {
 		// absorbs scheduler noise on loaded CI machines.
 		if limit := 2*budget + 30*time.Millisecond; elapsed > limit {
 			t.Fatalf("engine %s: returned after %v, want <= %v", engine, elapsed, limit)
+		}
+	}
+}
+
+// beginSink collects the span begin events of a trace.
+type beginSink struct{ begins []obs.Event }
+
+func (s *beginSink) Emit(ev obs.Event) {
+	if ev.Type == obs.EvBegin {
+		s.begins = append(s.begins, ev)
+	}
+}
+
+func (s *beginSink) Close() error { return nil }
+
+// TestBudgetNoPhaseOpensLate pins the budget from the trace side: on
+// the hard multiplier pair under a 20ms budget, no span of the hybrid
+// pipeline begins later than the budget plus the slack TestBudgetDeadline
+// allows. The tracer's clock starts before the check's budget does, so
+// the bound is conservative.
+func TestBudgetNoPhaseOpensLate(t *testing.T) {
+	c1 := multiplier(8, false)
+	c2 := multiplier(8, true)
+	const budget = 20 * time.Millisecond
+	sink := &beginSink{}
+	tr := obs.New(sink)
+	ctx := obs.WithTracer(context.Background(), tr)
+	res, err := CheckCtx(ctx, c1, c2, Options{Engine: "hybrid", Budget: budget, Workers: 1})
+	tr.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != Undecided {
+		t.Fatalf("verdict %v, want undecided under %v budget", res.Verdict, budget)
+	}
+	if len(sink.begins) == 0 {
+		t.Fatal("no spans traced")
+	}
+	limit := budget + 30*time.Millisecond
+	for _, ev := range sink.begins {
+		if time.Duration(ev.TS) > limit {
+			t.Errorf("span %q opened at %v, past the %v budget plus slack", ev.Name, time.Duration(ev.TS), budget)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -13,29 +12,15 @@ import (
 const ExpositionContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // nameScale converts raw int64 values to the exposition unit declared
-// by the family's name suffix. The registry stores only int64s, so
-// fractional units follow a fixed-point convention:
-//
-//   - *_seconds families are recorded in nanoseconds (time.Duration's
-//     native unit) and rescaled by 1e-9 on the way out;
-//   - *_ratio families are recorded in parts-per-million (see Ppm) and
-//     rescaled by 1e-6, so a gauge can carry an SLO error-budget
-//     fraction with µ precision;
-//   - everything else is emitted verbatim.
+// by the family's name suffix: the registry stores only int64s, so
+// *_seconds families are recorded in nanoseconds (time.Duration's
+// native unit) and rescaled by 1e-9 on the way out; everything else is
+// emitted verbatim.
 func nameScale(name string) float64 {
-	switch {
-	case strings.HasSuffix(name, "_seconds"):
+	if strings.HasSuffix(name, "_seconds") {
 		return 1e-9
-	case strings.HasSuffix(name, "_ratio"):
-		return 1e-6
 	}
 	return 1
-}
-
-// Ppm converts a fraction to the parts-per-million fixed point that
-// *_ratio families store (the exposition rescales it back to a float).
-func Ppm(fraction float64) int64 {
-	return int64(math.Round(fraction * 1e6))
 }
 
 // WriteProm writes the registry in the Prometheus text exposition

@@ -14,7 +14,7 @@
 // simulated patterns, fraig merges) are count events, so /metrics shows
 // the same numbers as the trace and the engine's Stats. Handles are
 // updated directly only for state no trace carries: the daemon's queue,
-// cache and journal, the runtime sampler, the profiling ring.
+// cache and journal, and the runtime sampler.
 //
 // Nil receivers are no-ops everywhere (TestNoRegistryZeroAlloc), so a
 // caller holding an optional *Registry never branches on it.

@@ -24,9 +24,7 @@ import (
 // observed in nanoseconds and rescaled at exposition. All readings come
 // from runtime/metrics (no stop-the-world, unlike ReadMemStats).
 
-// Keys sampled from runtime/metrics. heap inuse is reconstructed as
-// objects + unused — the two classes that make up in-use spans, i.e.
-// MemStats.HeapInuse.
+// Keys sampled from runtime/metrics.
 const (
 	rkAllocBytes = "/gc/heap/allocs:bytes"
 	rkGCCycles   = "/gc/cycles/total:gc-cycles"
@@ -34,6 +32,18 @@ const (
 	rkHeapObj    = "/memory/classes/heap/objects:bytes"
 	rkHeapUnused = "/memory/classes/heap/unused:bytes"
 )
+
+// HeapInuseBytes is the process's heap in use: bytes in in-use heap
+// spans, reconstructed as objects + unused — the two runtime/metrics
+// classes that make up MemStats.HeapInuse — without ReadMemStats's
+// stop-the-world. It is the one heap reading the daemon uses, for the
+// seqver_heap_inuse_bytes gauge, the dashboard memory panel and the
+// watchdog's memory ceiling alike.
+func HeapInuseBytes() int64 {
+	s := [2]rm.Sample{{Name: rkHeapObj}, {Name: rkHeapUnused}}
+	rm.Read(s[:])
+	return int64(u64(s[0]) + u64(s[1]))
+}
 
 // RuntimeSample is the runtime slice of one timeseries row.
 type RuntimeSample struct {
@@ -59,7 +69,7 @@ type RuntimeCollector struct {
 	gcCycles   *Counter
 	gcPause    *Histogram
 
-	buf       [5]rm.Sample
+	buf       [3]rm.Sample
 	prevT     time.Time
 	prevAlloc uint64
 	// prevPause copies the cumulative pause-histogram counts — rm.Read
@@ -88,12 +98,10 @@ func NewRuntimeCollector(reg *Registry) *RuntimeCollector {
 		gcPause: reg.Histogram("seqver_gc_pause_seconds",
 			"Stop-the-world GC pause durations."),
 	}
-	rc.buf = [5]rm.Sample{
+	rc.buf = [3]rm.Sample{
 		{Name: rkAllocBytes},
 		{Name: rkGCCycles},
 		{Name: rkGCPauses},
-		{Name: rkHeapObj},
-		{Name: rkHeapUnused},
 	}
 	return rc
 }
@@ -109,7 +117,7 @@ func (rc *RuntimeCollector) Collect(now time.Time) RuntimeSample {
 	if rc.buf[2].Value.Kind() == rm.KindFloat64Histogram {
 		pauses = rc.buf[2].Value.Float64Histogram()
 	}
-	heapInuse := int64(u64(rc.buf[3]) + u64(rc.buf[4]))
+	heapInuse := HeapInuseBytes()
 	goroutines := int64(runtime.NumGoroutine())
 
 	rc.heap.Set(heapInuse)

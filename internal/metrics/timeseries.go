@@ -23,8 +23,7 @@ type Sample struct {
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
 	// Throughput rates over the sampling interval, in jobs/s: jobs that
 	// reached done with a decided verdict, done-but-undecided jobs
-	// (budget exhausted — the SLO-relevant failure), and failed /
-	// rejected / quarantined terminals.
+	// (budget exhausted), and failed / rejected / quarantined terminals.
 	DecidedPerSec   float64 `json:"decided_per_sec"`
 	UndecidedPerSec float64 `json:"undecided_per_sec"`
 	FailedPerSec    float64 `json:"failed_per_sec"`

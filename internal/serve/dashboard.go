@@ -8,8 +8,8 @@ import (
 
 // The cockpit is a single self-contained HTML page — embedded template,
 // vanilla JS, zero external assets — driven entirely by the daemon's
-// own JSON surface: /api/v1/stats/timeseries for the sparklines and SLO
-// meters, /api/v1/jobs for the job table, /api/v1/jobs/{id}/report for
+// own JSON surface: /api/v1/stats/timeseries for the sparklines,
+// /api/v1/jobs for the job table, /api/v1/jobs/{id}/report for
 // the drill-down waterfall, and the SSE /events stream to follow a
 // running job live. The server injects only static configuration; all
 // live numbers are fetched by the page so it works unchanged behind a
@@ -23,19 +23,13 @@ var dashboardTmpl = template.Must(template.New("dashboard").Parse(dashboardHTML)
 type dashboardData struct {
 	Workers    int
 	QueueDepth int
-	Objectives []string
 }
 
 // handleDashboard is GET /dashboard.
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	var specs []string
-	for _, o := range s.slo.Objectives() {
-		specs = append(specs, o.String())
-	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	dashboardTmpl.Execute(w, dashboardData{
 		Workers:    s.opt.Workers,
 		QueueDepth: s.opt.QueueDepth,
-		Objectives: specs,
 	})
 }

@@ -53,18 +53,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/jobs/{id}/report", s.handleReport)
 	mux.HandleFunc("GET /api/v1/corpus", s.handleCorpus)
 	mux.HandleFunc("GET /api/v1/cache", s.handleCache)
-	if s.profRing != nil {
-		mux.Handle("GET /debug/profiles/",
-			http.StripPrefix("/debug/profiles", s.profRing.Handler()))
-	}
 	return s.accessLog(mux)
 }
 
 // handleReadyz is GET /readyz: the load-balancer readiness probe.
 // Unlike /healthz (process liveness), readiness goes false the moment a
 // drain begins — {"state":"draining"} with 503 — so rotation happens
-// before the listener closes. The body also carries the SLO status so
-// a human hitting the probe sees the error-budget picture.
+// before the listener closes.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	state, code := "ready", http.StatusOK
 	switch {
@@ -73,14 +68,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	case !s.ready.Load():
 		state, code = "starting", http.StatusServiceUnavailable
 	}
-	body := map[string]any{"state": state}
-	if slo := s.slo.Status(); slo != nil {
-		body["slo"] = slo
-	}
 	if code != http.StatusOK {
 		w.Header().Set("Retry-After", "10")
 	}
-	writeJSON(w, code, body)
+	writeJSON(w, code, map[string]any{"state": state})
 }
 
 // handleTimeseries is GET /api/v1/stats/timeseries?window=5m: the
@@ -105,7 +96,6 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 		"interval_seconds": s.tsr.Interval().Seconds(),
 		"capacity":         s.tsr.Capacity(),
 		"samples":          s.tsr.Window(window),
-		"slo":              s.slo.Status(),
 		"draining":         s.Draining(),
 	})
 }

@@ -23,7 +23,6 @@ import (
 	"seqver/internal/metrics"
 	"seqver/internal/netlist"
 	"seqver/internal/obs"
-	"seqver/internal/prof"
 )
 
 // Options configures a Server. Zero values select the documented
@@ -58,9 +57,6 @@ type Options struct {
 	// the handler in obs.NewLogHandler so every line under a job or
 	// request context carries its correlation ids automatically.
 	Logger *slog.Logger
-	// Objectives, when non-empty, arms the SLO tracker: rolling
-	// error-budget burn gauges in /metrics and status in /readyz.
-	Objectives []metrics.Objective
 	// TimeSeriesCapacity / SampleInterval shape the in-daemon stats ring
 	// behind /api/v1/stats/timeseries (defaults 900 samples × 1 s).
 	TimeSeriesCapacity int
@@ -88,25 +84,15 @@ type Options struct {
 	// a running attempt that emits no trace events for this long is
 	// killed and retried. Negative disables the stall watchdog.
 	StallTimeout time.Duration
-	// MemCeilingBytes kills the running attempt when the process heap
-	// crosses it (0 disables). The ceiling is process-wide — Go cannot
-	// attribute heap to a job — so it is a circuit breaker, not a quota.
+	// MemCeilingBytes kills the running attempt when the process heap in
+	// use (metrics.HeapInuseBytes) crosses it (0 disables). The ceiling
+	// is process-wide — Go cannot attribute heap to a job — so it is a
+	// circuit breaker, not a quota.
 	MemCeilingBytes int64
 	// RetryBaseBackoff/RetryMaxBackoff shape the retry schedule:
 	// base·2^(attempt-1) + jitter, capped at max (defaults 500ms / 30s).
 	RetryBaseBackoff time.Duration
 	RetryMaxBackoff  time.Duration
-
-	// ProfileDir, when non-empty, arms the continuous profiling ring:
-	// periodic CPU+heap pprof captures into a bounded directory under
-	// ProfileDir, listed and downloadable at /debug/profiles. The
-	// remaining Profile* knobs take prof.Options defaults when zero
-	// (60 s interval, 10 s CPU sample, 32 captures, 64 MiB).
-	ProfileDir         string
-	ProfileInterval    time.Duration
-	ProfileCPUDuration time.Duration
-	ProfileMaxCaptures int
-	ProfileMaxBytes    int64
 }
 
 func (o *Options) defaults() {
@@ -170,11 +156,9 @@ type Server struct {
 	journal *journal // nil when JournalDir is empty
 	log     *slog.Logger
 
-	tsr      *metrics.TimeSeries
-	sampler  *metrics.Sampler
-	slo      *metrics.SLOTracker // nil without objectives (no-op methods)
-	profRing *prof.Ring          // nil without Options.ProfileDir
-	ready    atomic.Bool
+	tsr     *metrics.TimeSeries
+	sampler *metrics.Sampler
+	ready   atomic.Bool
 
 	mu          sync.Mutex
 	jobs        map[string]*Job
@@ -228,7 +212,6 @@ func New(opt Options) (*Server, error) {
 		journal:     jn,
 		log:         logger,
 		tsr:         metrics.NewTimeSeries(opt.TimeSeriesCapacity, opt.SampleInterval),
-		slo:         metrics.NewSLOTracker(opt.Registry, opt.Objectives, 0, 0),
 		jobs:        map[string]*Job{},
 		retryTimers: map[string]*time.Timer{},
 		// Recovered live jobs must all fit back into the queue even when
@@ -243,24 +226,6 @@ func New(opt Options) (*Server, error) {
 		jobSeconds: opt.Registry.Histogram("seqver_job_seconds",
 			"Wall clock of finished jobs, submission to verdict."),
 	}
-	if opt.ProfileDir != "" {
-		ring, err := prof.New(prof.Options{
-			Dir:         opt.ProfileDir,
-			Interval:    opt.ProfileInterval,
-			CPUDuration: opt.ProfileCPUDuration,
-			MaxCaptures: opt.ProfileMaxCaptures,
-			MaxBytes:    opt.ProfileMaxBytes,
-			Registry:    opt.Registry,
-			Logger:      logger,
-		})
-		if err != nil {
-			cancel()
-			jn.close()
-			return nil, err
-		}
-		ring.Start()
-		s.profRing = ring
-	}
 	s.recover(recovered)
 	s.compactJournal()
 	for i := 0; i < opt.Workers; i++ {
@@ -272,17 +237,14 @@ func New(opt Options) (*Server, error) {
 	s.log.Info("daemon ready",
 		slog.Int("workers", opt.Workers),
 		slog.Int("queue_depth", opt.QueueDepth),
-		slog.Int("recovered_jobs", len(recovered)),
-		slog.Int("slo_objectives", len(opt.Objectives)))
+		slog.Int("recovered_jobs", len(recovered)))
 	return s, nil
 }
 
 // collector builds the sampler callback: one metrics.Sample per tick,
 // with throughput rates as counter deltas and latency quantiles as the
 // windowed delta of the job-latency histogram. The closure's previous
-// values need no locking — only the sampler goroutine calls it. The
-// sampler doubles as the SLO tracker's heartbeat, so burn rates decay
-// even while no jobs finish.
+// values need no locking — only the sampler goroutine calls it.
 func (s *Server) collector() func(time.Time) metrics.Sample {
 	verdicts := func(v string) int64 { return s.jobVerdicts(v).Value() }
 	outcomes := func(o string) int64 {
@@ -303,7 +265,6 @@ func (s *Server) collector() func(time.Time) metrics.Sample {
 	prevT := time.Now()
 	rtc := metrics.NewRuntimeCollector(s.reg)
 	return func(now time.Time) metrics.Sample {
-		s.slo.Tick()
 		rt := rtc.Collect(now)
 		cur := read()
 		hist := s.jobSeconds.Snapshot()
@@ -347,9 +308,6 @@ func (s *Server) jobVerdicts(verdict string) *metrics.Counter {
 // TimeSeries exposes the stats ring (the /api/v1/stats/timeseries
 // backing store) for embedders and tests.
 func (s *Server) TimeSeries() *metrics.TimeSeries { return s.tsr }
-
-// SLOStatus snapshots the configured objectives (nil without any).
-func (s *Server) SLOStatus() []metrics.ObjectiveStatus { return s.slo.Status() }
 
 // recover folds the replayed journal into the job table before the
 // worker pool starts (no locking needed yet, but the normal helpers
@@ -609,9 +567,6 @@ func (s *Server) Drain(timeout time.Duration) {
 		// The final drain sample closes the time series at the instant the
 		// pool went idle, then the journal compacts and closes.
 		s.sampler.Stop()
-		if s.profRing != nil {
-			s.profRing.Stop()
-		}
 		s.compactJournal()
 		s.journal.close()
 		s.log.Info("drained")
@@ -661,22 +616,16 @@ func (s *Server) finishJob(j *Job, status string, res *JobResult, errMsg string)
 		s.journalAppend(rec)
 	}
 	s.countOutcome(status)
-	// SLO accounting: a decided done job is good (subject to the latency
-	// threshold); an undecided one, a failed one, and a quarantined one
-	// all burn error budget. A drain-rejected job is load shedding, not
-	// a service failure, and is excluded.
 	attrs := []slog.Attr{slog.String("job_id", j.ID), slog.String("status", status)}
 	level := slog.LevelInfo
 	switch {
 	case status == StatusDone && res != nil:
 		s.jobVerdicts(res.Verdict).Inc()
-		s.slo.Observe(res.ElapsedNS, res.ExitCode != 2)
 		attrs = append(attrs,
 			slog.String("verdict", res.Verdict),
 			slog.Duration("elapsed", time.Duration(res.ElapsedNS)),
 			slog.Bool("cached", res.Cached))
 	case status == StatusFailed || status == StatusQuarantined:
-		s.slo.Observe(0, false)
 		level = slog.LevelWarn
 		attrs = append(attrs, slog.String("error", errMsg))
 	default:

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"seqver/internal/metrics"
@@ -14,7 +13,7 @@ import (
 // miters — the multiplier-core inputs the paper's §7.4 CEC lineage
 // warns about. Every running attempt gets a watchdog goroutine that
 // kills it when it shows no trace activity for the stall window or when
-// the process heap crosses the memory ceiling; killed and panicked
+// the process heap in use crosses the memory ceiling; killed and panicked
 // attempts are retried with exponential backoff + jitter under a
 // degraded engine/budget ladder, and a job whose attempts are exhausted
 // is quarantined — a terminal state that guarantees one adversarial
@@ -39,7 +38,7 @@ func (s *Server) startWatchdog(j *Job) (stop func()) {
 	}
 	done := make(chan struct{})
 	// Poll fast enough to bound kill latency at a fraction of the
-	// window, slow enough that ReadMemStats stays invisible.
+	// window, slow enough that the polling stays invisible.
 	interval := s.opt.StallTimeout / 4
 	if stallNS <= 0 || interval > time.Second {
 		interval = time.Second
@@ -69,12 +68,10 @@ func (s *Server) startWatchdog(j *Job) (stop func()) {
 				}
 			}
 			if ceiling > 0 {
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				if int64(ms.HeapAlloc) > ceiling {
+				if heap := metrics.HeapInuseBytes(); heap > ceiling {
 					s.watchdogKills("mem").Inc()
-					reason := fmt.Sprintf("%s: process heap %d bytes over ceiling %d",
-						killMem, ms.HeapAlloc, ceiling)
+					reason := fmt.Sprintf("%s: process heap in use %d bytes over ceiling %d",
+						killMem, heap, ceiling)
 					s.log.Warn("watchdog kill",
 						slog.String("job_id", j.ID), slog.String("reason", reason))
 					j.kill(reason)

@@ -95,6 +95,35 @@ func TestWatchdogStallKillThenRecovery(t *testing.T) {
 	}
 }
 
+// TestWatchdogMemCeilingKill: with a 1-byte ceiling any heap in use is
+// over it, so the watchdog kills the wedged running attempt with reason
+// mem, and the kill counter's mem series counts it.
+func TestWatchdogMemCeilingKill(t *testing.T) {
+	installFaults(t, "seed=1,solver_stall=1")
+	s, err := New(Options{
+		Workers: 1, MaxAttempts: 1, StallTimeout: -1, MemCeilingBytes: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(10 * time.Second)
+
+	j, err := s.Submit(inlineReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := waitTerminal(t, s, j.ID)
+	if v.Status != StatusQuarantined || !strings.Contains(v.Error, "watchdog kill: "+killMem+":") {
+		t.Fatalf("over-ceiling job: status %s, error %q; want quarantined by a mem kill", v.Status, v.Error)
+	}
+	if n := s.Registry().CounterL("seqverd_watchdog_kills_total", "", "reason", killMem).Value(); n != 1 {
+		t.Errorf("mem kills = %d, want 1", n)
+	}
+	if n := s.Registry().CounterL("seqverd_watchdog_kills_total", "", "reason", killStall).Value(); n != 0 {
+		t.Errorf("stall kills = %d, want 0 with the stall watchdog off", n)
+	}
+}
+
 func TestRetryBackoffShape(t *testing.T) {
 	base, max := 100*time.Millisecond, time.Second
 	for attempt := 1; attempt <= 6; attempt++ {
