@@ -139,8 +139,9 @@ func main() {
 		var allocBytes, allocObjects uint64
 		n := *iters * *count
 		for it := 0; it < n; it++ {
-			// A fresh fold per iteration so phase_ns reports the last
-			// (warmed-up) run rather than a sum across iterations.
+			// A fresh fold per iteration so phase_ns and counts report
+			// the last (warmed-up) run rather than a sum across
+			// iterations.
 			fold := obs.NewPhaseFold()
 			ctx := obs.WithTracer(context.Background(), obs.New(fold))
 			b0, o0, p0 := obs.MemCounters()
@@ -161,13 +162,12 @@ func main() {
 			if ns > wr.MaxNSOp {
 				wr.MaxNSOp = ns
 			}
-			wr.SATCalls = res.SATCalls
-			wr.Conflicts = res.Stats.Conflicts
 			wr.Verdict = res.Verdict.String()
 			wr.PhaseNS, wr.PhaseBusyNS = map[string]int64{}, map[string]int64{}
 			for _, ph := range fold.Phases() {
 				wr.PhaseNS[ph.Name], wr.PhaseBusyNS[ph.Name] = ph.WallNS, ph.BusyNS
 			}
+			wr.Counts = fold.Totals()
 			if res.Verdict != cec.Equivalent {
 				fatal(fmt.Errorf("workers=%d: verdict %v on equivalent pair", w, res.Verdict))
 			}

@@ -177,17 +177,14 @@ func run() int {
 	defer root.End()
 
 	_, psp := obs.Start(ctx, "parse")
-	pmem := obs.SpanMem(psp)
 	c1, err := load(flag.Arg(0))
 	var c2 *seqver.Circuit
 	if err == nil {
 		c2, err = load(flag.Arg(1))
 	}
 	if psp != nil && err == nil {
-		psp.Gauge("parse.gates1", int64(c1.NumGates()))
-		psp.Gauge("parse.gates2", int64(c2.NumGates()))
+		psp.Count("parse.gates", int64(c1.NumGates()+c2.NumGates()))
 	}
-	pmem.End()
 	psp.End()
 
 	var code int

@@ -21,7 +21,7 @@ type FraigOptions struct {
 // FraigStats reports what a functional-reduction pass accomplished.
 type FraigStats struct {
 	NodesBefore int   // AND nodes in the input AIG
-	NodesAfter  int   // AND nodes after merging and compaction
+	NodesAfter  int   // AND nodes after merging and compaction (uncompacted after an expiry)
 	Merges      int   // nodes merged into a proven-equivalent representative
 	ProveCalls  int   // SAT equivalence proofs attempted
 	ProveFailed int   // candidates kept separate (refuted or budget hit)
@@ -60,11 +60,12 @@ func FraigEx(a *AIG, opt FraigOptions) (*AIG, *FraigStats) {
 
 // FraigExCtx is FraigEx under cooperative cancellation: once ctx is
 // canceled (or past its deadline) the sweep stops attempting SAT merge
-// proofs and degrades to a plain structural copy, so it always returns a
+// proofs and strashes the remaining nodes onto the merges made so far,
+// with no class bookkeeping and no compaction, so it always returns a
 // function-identical AIG promptly — possibly less reduced than an
-// unbudgeted run would produce, but never wrong. A ctx already expired
-// on entry returns a itself, with no simulation, copy or compaction. A
-// nil ctx never fires.
+// unbudgeted run would produce, and holding dead nodes, but never
+// wrong. A ctx already expired on entry returns a itself, with no
+// simulation, copy or compaction. A nil ctx never fires.
 //
 // A refuted proof is paid for once (Mishchenko et al., ICCAD'06): its
 // counterexample becomes one more simulation pattern, and every later
@@ -113,9 +114,9 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 	cnf := &CNFMap{}
 	// expired flips once the context fires (or a proof comes back
 	// Canceled); from then on no further merge proofs are attempted and
-	// the loop below is a pure structural copy. The first poll reads the
-	// context at once, so a budget that expires during signature
-	// simulation proves nothing.
+	// the rest of the sweep is a pure structural copy. The first poll
+	// reads the context at once, so a budget that expires during
+	// signature simulation proves nothing.
 	expired := false
 	ctxTick := 511
 	pollCtx := func() bool {
@@ -268,16 +269,20 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 	for i := 1; i <= a.numPIs; i++ {
 		repr[i] = MkLit(uint32(i), false)
 	}
-	for i := a.numPIs + 1; i < a.NumNodes(); i++ {
+	// strash copies input node i into out over its fanins'
+	// representatives.
+	strash := func(i int) Lit {
+		e0 := a.fanin0[uint32(i)]
+		e1 := a.fanin1[uint32(i)]
+		return out.And(repr[e0.Node()].NotIf(e0.Compl()), repr[e1.Node()].NotIf(e1.Compl()))
+	}
+	i := a.numPIs + 1
+	for ; i < a.NumNodes() && !expired; i++ {
 		if obsSpan != nil && i&0xfff == 0 && obsThr.Ok() {
 			obsSpan.Gauge("fraig.swept", int64(i-a.numPIs))
 			obsSpan.Gauge("fraig.merges", int64(stats.Merges))
 		}
-		e0 := a.fanin0[uint32(i)]
-		e1 := a.fanin1[uint32(i)]
-		f0 := repr[e0.Node()].NotIf(e0.Compl())
-		f1 := repr[e1.Node()].NotIf(e1.Compl())
-		e := out.And(f0, f1)
+		e := strash(i)
 		nd := e.Node()
 		if int(nd) >= len(src) {
 			// Fresh structural node, function-identical to input node i.
@@ -311,11 +316,20 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 		}
 		repr[i] = e
 	}
+	// After an expiry the merges already made still reach the POs, so a
+	// miter over the result keeps their structural matches; the budget
+	// is spent, so the copy skips compaction and leaves dead nodes.
+	for ; i < a.NumNodes(); i++ {
+		repr[i] = strash(i)
+	}
 	for i := 0; i < a.NumPOs(); i++ {
 		p := a.PO(i)
 		out.AddPO(a.POName(i), repr[p.Node()].NotIf(p.Compl()))
 	}
-	res := Compact(out)
+	res := out
+	if !expired {
+		res = Compact(out)
+	}
 	stats.NodesAfter = res.NumAnds()
 	stats.Conflicts = solver.Stats.Conflicts
 	stats.Decisions = solver.Stats.Decisions

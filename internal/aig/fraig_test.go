@@ -243,6 +243,57 @@ func TestFraigPassedDeadlineIsStructuralCopy(t *testing.T) {
 	}
 }
 
+// countdownCtx is canceled once its Err has been read n times: a
+// budget that expires at a chosen poll in the middle of a sweep.
+type countdownCtx struct {
+	context.Context
+	n *int
+}
+
+func (c countdownCtx) Err() error {
+	if *c.n--; *c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestFraigExpiryMidSweep cancels the sweep at every poll in turn: the
+// result stays function-identical over every input assignment, and the
+// merges made before the cut still reach the POs, so the cut result's
+// live logic is smaller than the input's.
+func TestFraigExpiryMidSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	shrunk := 0
+	for trial := 0; trial < 8; trial++ {
+		a := randomAIG(rng, 3+rng.Intn(4), 80)
+		_, full := FraigEx(a, FraigOptions{Seed: int64(trial)})
+		live := Compact(a).NumAnds()
+		for polls := 1; ; polls++ {
+			n := polls
+			f, st := FraigExCtx(countdownCtx{context.Background(), &n}, a, FraigOptions{Seed: int64(trial)})
+			if !exhaustiveEqual(a, f) {
+				t.Fatalf("trial %d, cut after %d polls: function changed: %+v", trial, polls, st)
+			}
+			checkFraigStats(t, a, f, st)
+			if n >= 0 {
+				break // the sweep finished before the budget ran out
+			}
+			if st.Merges > full.Merges {
+				t.Fatalf("trial %d: cut sweep merged %d, full sweep %d", trial, st.Merges, full.Merges)
+			}
+			switch got := Compact(f).NumAnds(); {
+			case got > live:
+				t.Fatalf("trial %d, cut after %d polls: live ANDs %d -> %d", trial, polls, live, got)
+			case got < live:
+				shrunk++
+			}
+		}
+	}
+	if shrunk == 0 {
+		t.Fatal("no cut sweep kept a merge; the test exercises nothing")
+	}
+}
+
 func TestFraigExReportsMerges(t *testing.T) {
 	// Build an AIG with a guaranteed redundancy: XOR in its two-AND
 	// sum-of-products form and in its (x|y)&!(x&y) form — structurally

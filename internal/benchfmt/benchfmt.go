@@ -14,14 +14,12 @@ import (
 
 // WorkerResult is one row of the worker-count sweep.
 type WorkerResult struct {
-	Workers   int     `json:"workers"`
-	Iters     int     `json:"iters"`
-	MeanNSOp  int64   `json:"mean_ns_op"`
-	MinNSOp   int64   `json:"min_ns_op"`
-	Speedup   float64 `json:"speedup_vs_1_worker"` // from min ns/op
-	SATCalls  int     `json:"sat_calls"`
-	Conflicts int64   `json:"conflicts"`
-	Verdict   string  `json:"verdict"`
+	Workers  int     `json:"workers"`
+	Iters    int     `json:"iters"`
+	MeanNSOp int64   `json:"mean_ns_op"`
+	MinNSOp  int64   `json:"min_ns_op"`
+	Speedup  float64 `json:"speedup_vs_1_worker"` // from min ns/op
+	Verdict  string  `json:"verdict"`
 	// GOMAXPROCS / NumCPU are recorded per row (not just in the file
 	// header) so a row is self-describing when rows from different runs
 	// are spliced together, and so oversubscription is visible next to
@@ -39,6 +37,9 @@ type WorkerResult struct {
 	// busy/wall is the phase's mean parallelism.
 	PhaseNS     map[string]int64 `json:"phase_ns,omitempty"`
 	PhaseBusyNS map[string]int64 `json:"phase_busy_ns,omitempty"`
+	// Counts sums the same iteration's count events by name (the trace's
+	// and /metrics' work totals: sat.calls, fraig.merges, aig.inputs, …).
+	Counts map[string]int64 `json:"counts,omitempty"`
 	// Allocation profile of the measured iterations — per-op averages
 	// from runtime/metrics deltas around the timed loop. Zero in files
 	// predating the alloc schema; Compare skips the alloc gate for such

@@ -242,19 +242,19 @@ func Unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 }
 
 // UnrollCtx is Unroll under the context's tracer: it wraps the
-// construction in a "cbf.unroll" span recording the unrolled gate count
-// and the size of the timed-input window (the Figure 18 replication
-// cost). The unrolling itself is pure and runs to completion.
+// construction in a "cbf.unroll" span counting the unrolled and source
+// gates (their ratio is the Figure 18 replication factor) and the size
+// of the timed-input window. The unrolling itself is pure and runs to
+// completion.
 func UnrollCtx(ctx context.Context, c *netlist.Circuit) (*netlist.Circuit, error) {
 	_, sp := obs.Start1(ctx, "cbf.unroll", obs.S("circuit", c.Name))
-	mem := obs.SpanMem(sp)
 	out, err := Unroll(c)
 	if sp != nil {
 		if err == nil {
-			sp.Gauge("cbf.gates", int64(out.NumGates()))
-			sp.Gauge("cbf.timed_inputs", int64(len(out.Inputs)))
+			sp.Count("cbf.gates", int64(out.NumGates()))
+			sp.Count("cbf.source_gates", int64(c.NumGates()))
+			sp.Count("cbf.timed_inputs", int64(len(out.Inputs)))
 		}
-		mem.End()
 		sp.End()
 	}
 	return out, err

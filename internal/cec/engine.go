@@ -60,12 +60,10 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 
 	// Stage 1: random simulation looks for cheap counterexamples.
 	sctx, ssp := obs.Start(ctx, "sim")
-	smem := obs.SpanMem(ssp)
 	sctx, srestore := obs.PhaseLabel(sctx, "sim")
 	hit := simStage(sctx, a, pos1, pos2, opt, st)
 	srestore()
 	ssp.Count("sim.patterns", st.SimPatterns)
-	smem.End()
 	ssp.End()
 	if hit != nil {
 		res.Verdict = Inequivalent
@@ -82,20 +80,18 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 	// stage 3 the only consumer of whatever budget remains.
 	st.FraigNodesBefore = a.NumAnds()
 	fctx, fsp := obs.Start(ctx, "fraig")
-	fmem := obs.SpanMem(fsp)
 	fctx, frestore := obs.PhaseLabel(fctx, "fraig")
 	af, fst := aig.FraigExCtx(fctx, a, aig.FraigOptions{Seed: opt.Seed, MaxConflicts: 1000})
 	frestore()
 	if fsp != nil {
-		fsp.Gauge("fraig.nodes_before", int64(st.FraigNodesBefore))
-		fsp.Gauge("fraig.nodes_after", int64(fst.NodesAfter))
+		fsp.Count("fraig.nodes_before", int64(st.FraigNodesBefore))
+		fsp.Count("fraig.nodes_after", int64(fst.NodesAfter))
 		fsp.Count("fraig.merges", int64(fst.Merges))
 		fsp.Count("fraig.prove_calls", int64(fst.ProveCalls))
 		fsp.Count("fraig.refuted", int64(fst.Refuted))
 		fsp.Count("fraig.sat_conflicts", fst.Conflicts)
 		fsp.Count("fraig.sat_decisions", fst.Decisions)
 	}
-	fmem.End()
 	fsp.End()
 	st.FraigNodesAfter = fst.NodesAfter
 	st.FraigMerges = fst.Merges
@@ -269,8 +265,6 @@ type workerState struct {
 func proveMiters(ctx context.Context, e *proveEnv, workers int, res *Result, st *Stats) {
 	ctx, msp := obs.Start(ctx, "miters")
 	defer msp.End()
-	mmem := obs.SpanMem(msp)
-	defer mmem.End() // LIFO: memory gauges land before the span closes
 	ctx, mrestore := obs.PhaseLabel(ctx, "miters")
 	defer mrestore() // pool goroutines inherit job_id+phase at spawn
 	n := len(e.pos1)

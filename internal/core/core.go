@@ -239,6 +239,7 @@ func UnrollAcyclicCtx(ctx context.Context, c1, c2 *netlist.Circuit, rewrite bool
 		if u.Depth, err = cbf.SequentialDepth(c1); err != nil {
 			return nil, err
 		}
+		obs.CurrentSpan(ctx).Count("cbf.depth", int64(u.Depth))
 	} else {
 		u.Method = "edbf"
 		u.Conservative = true
@@ -250,10 +251,6 @@ func UnrollAcyclicCtx(ctx context.Context, c1, c2 *netlist.Circuit, rewrite bool
 		if u.U2, err = cx.UnrollCtx(ctx, c2); err != nil {
 			return nil, err
 		}
-	}
-	if sp := obs.CurrentSpan(ctx); sp != nil {
-		sp.Event("unrolled", obs.S("method", u.Method),
-			obs.I("gates1", int64(u.U1.NumGates())), obs.I("gates2", int64(u.U2.NumGates())))
 	}
 	u.UnrolledGates = [2]int{u.U1.NumGates(), u.U2.NumGates()}
 	return u, nil

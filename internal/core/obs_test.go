@@ -5,7 +5,10 @@ import (
 	"context"
 	"testing"
 
+	"seqver/internal/edbf"
+	"seqver/internal/netlist"
 	"seqver/internal/obs"
+	"seqver/internal/retime"
 )
 
 // collect drains the trace a full VerifyCtx run emits through a JSONL
@@ -81,5 +84,56 @@ func TestVerifyCtxWithoutTracer(t *testing.T) {
 	}
 	if rep.Result.Verdict.String() != "equivalent" {
 		t.Fatalf("verdict = %v", rep.Result.Verdict)
+	}
+}
+
+// TestEDBFEventCountsSumToContext: the two EDBF sides share one event
+// context, so each edbf.unroll span counts only the events it interned
+// and the trace's edbf.events total is the context's NumEvents.
+func TestEDBFEventCountsSumToContext(t *testing.T) {
+	c := netlist.New("mcrt")
+	a := c.AddInput("a")
+	b := c.AddInput("b")
+	le := c.AddInput("le")
+	g1 := c.AddGate("g1", netlist.OpXor, a, b)
+	g2 := c.AddGate("g2", netlist.OpNand, g1, a)
+	l1 := c.AddLatch("l1", g2)
+	l2 := c.AddLatch("l2", l1)
+	e1 := c.AddEnabledLatch("e1", a, le)
+	e2 := c.AddEnabledLatch("e2", e1, le)
+	c.AddOutput("o", c.AddGate("o", netlist.OpXor, l2, e2))
+	rt, err := retime.MinPeriodMulti(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fold, ring := obs.NewPhaseFold(), obs.NewRingSink(1024)
+	ctx := obs.WithTracer(context.Background(), obs.New(fold, ring))
+	u, err := UnrollAcyclicCtx(ctx, c, rt.Circuit, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.Method != "edbf" {
+		t.Fatalf("method %s, want edbf", u.Method)
+	}
+	var perSpan []int64
+	for _, ev := range ring.Events() {
+		if ev.Type == obs.EvCount && ev.Name == "edbf.events" {
+			perSpan = append(perSpan, ev.Value)
+		}
+	}
+
+	cx := edbf.NewCtx()
+	if _, err := cx.Unroll(c); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cx.Unroll(rt.Circuit); err != nil {
+		t.Fatal(err)
+	}
+	if len(perSpan) != 2 || perSpan[0] == 0 {
+		t.Fatalf("edbf.events per span = %v, want two counts, the first nonzero", perSpan)
+	}
+	if got := fold.Totals()["edbf.events"]; got != int64(cx.NumEvents()) {
+		t.Fatalf("summed edbf.events = %d (per span %v), cx.NumEvents() = %d", got, perSpan, cx.NumEvents())
 	}
 }

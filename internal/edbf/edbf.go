@@ -273,19 +273,19 @@ func (cx *Ctx) Unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 }
 
 // UnrollCtx is Unroll under the context's tracer: an "edbf.unroll" span
-// records the unrolled gate count and the cumulative number of distinct
-// events interned in the shared context (the Section 5.2 blow-up
-// metric).
+// counts the unrolled and source gates and the distinct events this
+// call interned in the shared context (the Section 5.2 blow-up metric),
+// so the counts of the spans sharing cx sum to cx.NumEvents().
 func (cx *Ctx) UnrollCtx(ctx context.Context, c *netlist.Circuit) (*netlist.Circuit, error) {
 	_, sp := obs.Start1(ctx, "edbf.unroll", obs.S("circuit", c.Name))
-	mem := obs.SpanMem(sp)
+	events := cx.NumEvents()
 	out, err := cx.unroll(c)
 	if sp != nil {
 		if err == nil {
-			sp.Gauge("edbf.gates", int64(out.NumGates()))
-			sp.Gauge("edbf.events", int64(cx.NumEvents()))
+			sp.Count("edbf.gates", int64(out.NumGates()))
+			sp.Count("edbf.source_gates", int64(c.NumGates()))
+			sp.Count("edbf.events", int64(cx.NumEvents()-events))
 		}
-		mem.End()
 		sp.End()
 	}
 	return out, err

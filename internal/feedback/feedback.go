@@ -380,15 +380,15 @@ func BreakFeedback(c *netlist.Circuit, protected map[int]bool) (*netlist.Circuit
 }
 
 // BreakFeedbackCtx is BreakFeedback under the context's tracer: a
-// "feedback.break" span records the latch count of the input circuit
+// "feedback.break" span counts the latches of the input circuit
 // and how many latches the MFVS heuristic chose to expose.
 func BreakFeedbackCtx(ctx context.Context, c *netlist.Circuit, protected map[int]bool) (*netlist.Circuit, []int, error) {
 	_, sp := obs.Start1(ctx, "feedback.break", obs.S("circuit", c.Name))
 	out, ids, err := BreakFeedback(c, protected)
 	if sp != nil {
 		if err == nil {
-			sp.Gauge("feedback.latches", int64(len(c.Latches)))
-			sp.Gauge("feedback.exposed", int64(len(ids)))
+			sp.Count("feedback.latches", int64(len(c.Latches)))
+			sp.Count("feedback.exposed", int64(len(ids)))
 		}
 		sp.End()
 	}

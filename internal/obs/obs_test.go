@@ -216,7 +216,8 @@ func TestThrottle(t *testing.T) {
 // TestPhaseFold folds two overlapping miter spans under one miters
 // span, a gap, a third miter, and a span the trace never ends: busy
 // time sums durations, wall time is the union of the open intervals,
-// and the unended span stretches to the last timestamp.
+// and the unended span stretches to the last timestamp. Totals sums
+// the count events by name and ignores the gauge.
 func TestPhaseFold(t *testing.T) {
 	f := NewPhaseFold()
 	for _, ev := range []Event{
@@ -228,6 +229,8 @@ func TestPhaseFold(t *testing.T) {
 		{Type: EvEnd, TS: 60, Span: 3, Name: "miter", Dur: 40},
 		{Type: EvBegin, TS: 80, Span: 4, Parent: 1, Name: "miter"},
 		{Type: EvEnd, TS: 100, Span: 4, Name: "miter", Dur: 20},
+		{Type: EvCount, TS: 101, Span: 1, Name: "sat.conflicts", Value: 4},
+		{Type: EvCount, TS: 102, Span: 1, Name: "sat.calls", Value: 2},
 		{Type: EvBegin, TS: 105, Span: 5, Name: "sim"},
 		{Type: EvEnd, TS: 110, Span: 1, Name: "miters", Dur: 110},
 		{Type: EvEnd, TS: 115, Span: 99, Name: "orphan", Dur: 7}, // begin never seen
@@ -256,5 +259,17 @@ func TestPhaseFold(t *testing.T) {
 	}
 	if NewPhaseFold().Phases() == nil {
 		t.Error("empty fold must return an empty, non-nil slice")
+	}
+
+	totals := f.Totals()
+	if len(totals) != 2 || totals["sat.conflicts"] != 13 || totals["sat.calls"] != 2 {
+		t.Errorf("totals = %v, want sat.conflicts 13, sat.calls 2 and no gauge", totals)
+	}
+	totals["sat.calls"] = 99 // a copy: the fold keeps its own sums
+	if got := f.Totals()["sat.calls"]; got != 2 {
+		t.Errorf("Totals shares its map with the fold: sat.calls = %d after caller write", got)
+	}
+	if NewPhaseFold().Totals() != nil {
+		t.Error("a fold with no count events must total nil")
 	}
 }

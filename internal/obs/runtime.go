@@ -5,71 +5,14 @@ import (
 	"runtime/metrics"
 )
 
-// Span-scoped allocation attribution: a MemScope samples the Go
-// runtime's allocation and GC counters when a coarse phase span opens
-// and emits the deltas as gauges on that span when the phase ends, so a
-// trace answers "which phase allocated those bytes" without a heap
-// profiler attached. The ROADMAP's struct-of-arrays refactor (item 3)
-// gates on exactly these numbers: per-phase alloc volume before and
-// after, from the same harness.
-//
-// The sampling rides runtime/metrics, not runtime.ReadMemStats — no
-// stop-the-world, safe on every coarse phase boundary. Only the coarse
-// spans (parse, unroll, sim, fraig, miters) are scoped; per-miter spans
-// stay untouched so the hot path keeps its zero-overhead contract.
-//
-// Attribution caveat: the counters are process-wide, so a concurrent
-// phase (another job on the same daemon) bleeds into the delta. For the
-// single-run CLIs the attribution is exact; for the daemon it is a
-// per-phase upper bound, which is the honest thing a Go runtime can
-// give without per-goroutine allocation accounting.
-
-// The runtime/metrics keys MemScope samples. All are cumulative except
-// the live-heap byte count.
+// The runtime/metrics keys MemCounters reads. All are cumulative; the
+// sampling rides runtime/metrics, not runtime.ReadMemStats, so a read
+// stops no world.
 const (
-	rmAllocBytes   = "/gc/heap/allocs:bytes"              // cumulative allocated bytes
-	rmAllocObjects = "/gc/heap/allocs:objects"            // cumulative allocated objects
-	rmGCCycles     = "/gc/cycles/total:gc-cycles"         // completed GC cycles
-	rmGCPauses     = "/sched/pauses/total/gc:seconds"     // stop-the-world pause histogram
-	rmHeapLive     = "/memory/classes/heap/objects:bytes" // live heap bytes
+	rmAllocBytes   = "/gc/heap/allocs:bytes"          // cumulative allocated bytes
+	rmAllocObjects = "/gc/heap/allocs:objects"        // cumulative allocated objects
+	rmGCPauses     = "/sched/pauses/total/gc:seconds" // stop-the-world pause histogram
 )
-
-// memSample is one reading of the sampled counters.
-type memSample struct {
-	allocBytes   uint64
-	allocObjects uint64
-	gcCycles     uint64
-	pauseNS      int64
-	heapLive     uint64
-}
-
-func readMemSample() memSample {
-	buf := [5]metrics.Sample{
-		{Name: rmAllocBytes},
-		{Name: rmAllocObjects},
-		{Name: rmGCCycles},
-		{Name: rmGCPauses},
-		{Name: rmHeapLive},
-	}
-	metrics.Read(buf[:])
-	var s memSample
-	if buf[0].Value.Kind() == metrics.KindUint64 {
-		s.allocBytes = buf[0].Value.Uint64()
-	}
-	if buf[1].Value.Kind() == metrics.KindUint64 {
-		s.allocObjects = buf[1].Value.Uint64()
-	}
-	if buf[2].Value.Kind() == metrics.KindUint64 {
-		s.gcCycles = buf[2].Value.Uint64()
-	}
-	if buf[3].Value.Kind() == metrics.KindFloat64Histogram {
-		s.pauseNS = histTotalNS(buf[3].Value.Float64Histogram())
-	}
-	if buf[4].Value.Kind() == metrics.KindUint64 {
-		s.heapLive = buf[4].Value.Uint64()
-	}
-	return s
-}
 
 // histTotalNS estimates the cumulative time in a runtime/metrics
 // duration histogram, in nanoseconds: count × bucket upper bound,
@@ -96,52 +39,25 @@ func histTotalNS(h *metrics.Float64Histogram) int64 {
 }
 
 // MemCounters returns the process's cumulative heap-allocation counters
-// and estimated cumulative GC pause time — the same readings MemScope
-// samples — for harnesses (cmd/cecbench) that account allocation around
-// a timed region by delta.
+// and estimated cumulative GC pause time, for harnesses (cmd/cecbench,
+// perfbench) that account allocation around a timed region by delta.
+// The counters are process-wide, so a delta is exact only when nothing
+// else runs in the process.
 func MemCounters() (allocBytes, allocObjects uint64, gcPauseNS int64) {
-	s := readMemSample()
-	return s.allocBytes, s.allocObjects, s.pauseNS
-}
-
-// MemScope attributes runtime allocation to one span. It travels by
-// value so the not-tracing path (nil span) costs one nil check and
-// allocates nothing — the same contract Start pins (see
-// TestMemScopeZeroAllocNoTracer).
-type MemScope struct {
-	sp   *Span
-	base memSample
-}
-
-// SpanMem opens a memory scope on sp: the runtime counters are sampled
-// now, and End emits the deltas as gauges on the span. A nil span
-// yields the inert scope.
-func SpanMem(sp *Span) MemScope {
-	if sp == nil {
-		return MemScope{}
+	buf := [3]metrics.Sample{
+		{Name: rmAllocBytes},
+		{Name: rmAllocObjects},
+		{Name: rmGCPauses},
 	}
-	return MemScope{sp: sp, base: readMemSample()}
-}
-
-// End samples the counters again and emits the phase's memory account
-// on the span:
-//
-//	mem.alloc_bytes      bytes allocated during the scope
-//	mem.alloc_objects    objects allocated during the scope
-//	mem.gc_cycles        GC cycles completed during the scope
-//	mem.gc_pause_ns      estimated stop-the-world pause time accrued
-//	mem.heap_live_bytes  live heap at scope end (absolute, not a delta)
-//
-// Call End before the span's own End so the gauges land inside the
-// span. Safe on the inert scope.
-func (m MemScope) End() {
-	if m.sp == nil {
-		return
+	metrics.Read(buf[:])
+	if buf[0].Value.Kind() == metrics.KindUint64 {
+		allocBytes = buf[0].Value.Uint64()
 	}
-	cur := readMemSample()
-	m.sp.Gauge("mem.alloc_bytes", int64(cur.allocBytes-m.base.allocBytes))
-	m.sp.Gauge("mem.alloc_objects", int64(cur.allocObjects-m.base.allocObjects))
-	m.sp.Gauge("mem.gc_cycles", int64(cur.gcCycles-m.base.gcCycles))
-	m.sp.Gauge("mem.gc_pause_ns", cur.pauseNS-m.base.pauseNS)
-	m.sp.Gauge("mem.heap_live_bytes", int64(cur.heapLive))
+	if buf[1].Value.Kind() == metrics.KindUint64 {
+		allocObjects = buf[1].Value.Uint64()
+	}
+	if buf[2].Value.Kind() == metrics.KindFloat64Histogram {
+		gcPauseNS = histTotalNS(buf[2].Value.Float64Histogram())
+	}
+	return allocBytes, allocObjects, gcPauseNS
 }

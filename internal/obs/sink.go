@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"maps"
 	"sort"
 )
 
@@ -264,14 +265,16 @@ type Phase struct {
 }
 
 // PhaseFold is the one span-to-phase aggregation: the bench harness,
-// the daemon's job report and the dashboard all read Phases. Spans
-// still open when Phases is called extend to the last timestamp seen,
-// so a running or crashed trace folds without repair. An end whose
-// begin never reached the fold (a truncated trace) is ignored. It keeps
-// no event stream.
+// the daemon's job report and the dashboard all read Phases, and the
+// per-name sums of the count events through Totals. Spans still open
+// when Phases is called extend to the last timestamp seen, so a running
+// or crashed trace folds without repair. An end whose begin never
+// reached the fold (a truncated trace) is ignored. It keeps no event
+// stream.
 type PhaseFold struct {
 	phases map[string]*phaseAcc
 	open   map[uint64]openSpan
+	totals map[string]int64
 	lastTS int64
 }
 
@@ -288,10 +291,12 @@ type openSpan struct {
 
 // NewPhaseFold returns an empty fold.
 func NewPhaseFold() *PhaseFold {
-	return &PhaseFold{phases: map[string]*phaseAcc{}, open: map[uint64]openSpan{}}
+	return &PhaseFold{phases: map[string]*phaseAcc{}, open: map[uint64]openSpan{},
+		totals: map[string]int64{}}
 }
 
-// Emit folds one event; only span begins and ends count.
+// Emit folds one event: span begins and ends into phases, count events
+// into totals.
 func (f *PhaseFold) Emit(ev Event) {
 	if ev.TS > f.lastTS {
 		f.lastTS = ev.TS
@@ -320,6 +325,8 @@ func (f *PhaseFold) Emit(ev Event) {
 		if a.nOpen--; a.nOpen == 0 {
 			a.WallNS += ev.TS - a.since
 		}
+	case EvCount:
+		f.totals[ev.Name] += ev.Value
 	}
 }
 
@@ -332,6 +339,15 @@ func (a *phaseAcc) add(dur int64) {
 
 // Close is a no-op (the fold stays readable).
 func (f *PhaseFold) Close() error { return nil }
+
+// Totals returns a copy of the count events summed by name; nil when
+// the fold saw none.
+func (f *PhaseFold) Totals() map[string]int64 {
+	if len(f.totals) == 0 {
+		return nil
+	}
+	return maps.Clone(f.totals)
+}
 
 // Phases returns the fold sorted by descending WallNS, then name.
 func (f *PhaseFold) Phases() []Phase {

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -441,6 +442,40 @@ func TestJobReportMatchesTrace(t *testing.T) {
 	}
 	if jobPhase == nil || jobPhase.WallNS != rep.TotalNS || jobPhase.BusyNS != rep.TotalNS {
 		t.Fatalf("job phase %+v vs total %d", jobPhase, rep.TotalNS)
+	}
+
+	// Totals are the trace's count events summed by name, and on this
+	// CBF pair they carry the paper's cost drivers.
+	counts := map[string]int64{}
+	for _, ev := range events {
+		if ev.Type == "count" {
+			counts[ev.Name] += ev.Value
+		}
+	}
+	if !reflect.DeepEqual(rep.Totals, counts) {
+		t.Fatalf("report totals %v, trace count sums %v", rep.Totals, counts)
+	}
+	for _, name := range []string{"feedback.exposed", "cbf.depth", "cbf.gates", "cbf.source_gates"} {
+		if _, ok := rep.Totals[name]; !ok {
+			t.Errorf("totals lack %q: %v", name, rep.Totals)
+		}
+	}
+	if rep.Totals["cbf.depth"] != 1 || rep.Totals["cbf.gates"] < rep.Totals["cbf.source_gates"] {
+		t.Errorf("one latch deep pair: cbf.depth %d, cbf.gates %d, cbf.source_gates %d",
+			rep.Totals["cbf.depth"], rep.Totals["cbf.gates"], rep.Totals["cbf.source_gates"])
+	}
+	// The daemon ran one job, so /metrics holds the same numbers.
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	expo, _ := io.ReadAll(mresp.Body)
+	for name, n := range rep.Totals {
+		want := fmt.Sprintf("\nseqver_%s_total %d\n", metrics.SanitizeName(name), n)
+		if !strings.Contains(string(expo), want) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+		}
 	}
 
 	if resp, err := http.Get(ts.URL + "/api/v1/jobs/nope/report"); err == nil {

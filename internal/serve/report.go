@@ -12,8 +12,9 @@ import (
 // per miter comes from the fanSink's buffered trace alone — a miter's
 // exact conflicts and decisions ride its "resolved" instant — so a
 // running job reports its partial waterfall (an open miter has no
-// counts until it resolves) and a finished one reports the full story.
-// Only the SAT header, the job's totals, is read from the job view.
+// counts until it resolves) and a finished one reports the full story,
+// its totals included: they are the trace's count events summed by
+// name, so a cached job, which ran no engine, reports no solver work.
 
 // slowestMiters bounds the per-miter detail in a report: the k slowest
 // miters are listed individually, the rest fold into the summary.
@@ -48,30 +49,23 @@ type BudgetReport struct {
 	DonatedNS int64 `json:"donated_ns"`
 }
 
-// SATReport totals solver effort across the job.
-type SATReport struct {
-	Calls     int   `json:"calls"`
-	Conflicts int64 `json:"conflicts"`
-	Decisions int64 `json:"decisions"`
-}
-
 // JobReport is GET /api/v1/jobs/{id}/report.
 type JobReport struct {
-	ID             string        `json:"id"`
-	Status         string        `json:"status"`
-	Attempts       int           `json:"attempts,omitempty"`
-	Verdict        string        `json:"verdict,omitempty"`
-	Engine         string        `json:"engine,omitempty"`
-	Error          string        `json:"error,omitempty"`
-	Cached         bool          `json:"cached,omitempty"`
-	CacheOutcome   string        `json:"cache_outcome,omitempty"`
-	Recovered      bool          `json:"recovered,omitempty"`
-	TraceTruncated bool          `json:"trace_truncated,omitempty"`
-	TotalNS        int64         `json:"total_ns"`
-	Phases         []obs.Phase   `json:"phases"`
-	Miters         *MiterSummary `json:"miters,omitempty"`
-	Budget         *BudgetReport `json:"budget,omitempty"`
-	SAT            *SATReport    `json:"sat,omitempty"`
+	ID             string           `json:"id"`
+	Status         string           `json:"status"`
+	Attempts       int              `json:"attempts,omitempty"`
+	Verdict        string           `json:"verdict,omitempty"`
+	Engine         string           `json:"engine,omitempty"`
+	Error          string           `json:"error,omitempty"`
+	Cached         bool             `json:"cached,omitempty"`
+	CacheOutcome   string           `json:"cache_outcome,omitempty"`
+	Recovered      bool             `json:"recovered,omitempty"`
+	TraceTruncated bool             `json:"trace_truncated,omitempty"`
+	TotalNS        int64            `json:"total_ns"`
+	Phases         []obs.Phase      `json:"phases"`
+	Miters         *MiterSummary    `json:"miters,omitempty"`
+	Budget         *BudgetReport    `json:"budget,omitempty"`
+	Totals         map[string]int64 `json:"totals,omitempty"`
 }
 
 // Report folds the job's buffered trace (plus its result, when
@@ -95,20 +89,18 @@ func (s *Server) Report(j *Job) *JobReport {
 		rep.Cached = r.Cached
 		if st := r.Stats; st != nil {
 			rep.Engine = st.Engine
-			rep.SAT = &SATReport{Calls: st.SATCalls, Conflicts: st.Conflicts, Decisions: st.Decisions}
-		} else if r.SATCalls > 0 {
-			rep.SAT = &SATReport{Calls: r.SATCalls}
 		}
 	}
 	foldTrace(rep, events)
 	return rep
 }
 
-// foldTrace walks the decoded events once, feeding spans to an
-// obs.PhaseFold for the phases, miter spans into the waterfall, and
-// budget/cache instants into their summaries. Every instant a miter
-// row reads (resolved, budget.slice, budget.donate) is emitted on the
-// miter span itself, so attaching one is a lookup by span id.
+// foldTrace walks the decoded events once, feeding every event to an
+// obs.PhaseFold for the phases and totals, miter spans into the
+// waterfall, and budget/cache instants into their summaries. Every
+// instant a miter row reads (resolved, budget.slice, budget.donate) is
+// emitted on the miter span itself, so attaching one is a lookup by
+// span id.
 func foldTrace(rep *JobReport, events []obs.Event) {
 	bySpan := map[uint64]*MiterReport{}
 	phases := obs.NewPhaseFold()
@@ -178,6 +170,7 @@ func foldTrace(rep *JobReport, events []obs.Event) {
 		rep.TotalNS = maxTS
 	}
 	rep.Phases = phases.Phases()
+	rep.Totals = phases.Totals()
 	if budget.SlicesNS > 0 || budget.Donations > 0 {
 		rep.Budget = budget
 	}

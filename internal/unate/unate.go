@@ -324,15 +324,15 @@ func ModelFeedback(c *netlist.Circuit) (*netlist.Circuit, []int, error) {
 }
 
 // ModelFeedbackCtx is ModelFeedback under the context's tracer: a
-// "unate.model" span records how many self-loop latches passed the
+// "unate.model" span counts how many self-loop latches passed the
 // Lemma 6.1 unateness check and were re-modeled.
 func ModelFeedbackCtx(ctx context.Context, c *netlist.Circuit) (*netlist.Circuit, []int, error) {
 	_, sp := obs.Start1(ctx, "unate.model", obs.S("circuit", c.Name))
 	out, modeled, err := ModelFeedback(c)
 	if sp != nil {
 		if err == nil {
-			sp.Gauge("unate.latches", int64(len(c.Latches)))
-			sp.Gauge("unate.modeled", int64(len(modeled)))
+			sp.Count("unate.latches", int64(len(c.Latches)))
+			sp.Count("unate.modeled", int64(len(modeled)))
 		}
 		sp.End()
 	}
