@@ -105,7 +105,7 @@ func CheckAcyclic(c *netlist.Circuit) error {
 // SequentialDepth returns the topological sequential depth: the maximum
 // number of latches along any path from a primary input (or constant) to
 // a primary output. Per Definition 4 the true sequential depth can be
-// lower when dependencies are false; see cec.FunctionalDepth for the
+// lower when dependencies are false; see FunctionalDepth for the
 // exact (BDD-based) refinement.
 func SequentialDepth(c *netlist.Circuit) (int, error) {
 	if err := CheckAcyclic(c); err != nil {

@@ -3,7 +3,6 @@ package cbf
 import (
 	"seqver/internal/bdd"
 	"seqver/internal/netlist"
-	"seqver/internal/unate"
 )
 
 // FunctionalDepth computes the exact sequential depth of Definition 4:
@@ -41,21 +40,8 @@ func FunctionalDepth(c *netlist.Circuit, maxNodes int) (depth int, exact bool, e
 			varDelay[v] = k
 			val[id] = m.Var(v)
 		}
-		order, oerr := u.TopoOrder()
-		if oerr != nil {
-			err = oerr
+		if err = bdd.Gates(m, u, val); err != nil {
 			return
-		}
-		for _, id := range order {
-			n := u.Nodes[id]
-			if n.Kind != netlist.KindGate {
-				continue
-			}
-			fins := make([]bdd.Ref, len(n.Fanins))
-			for i, f := range n.Fanins {
-				fins[i] = val[f]
-			}
-			val[id] = unate.GateBDD(m, n, fins)
 		}
 		for _, o := range u.Outputs {
 			for _, v := range m.Support(val[o.Node]) {

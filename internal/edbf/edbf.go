@@ -210,56 +210,12 @@ func (cx *Ctx) predicateOf(c *netlist.Circuit, enable int, memo []bdd.Ref, done 
 					return bdd.False, err
 				}
 			}
-			f = cx.gateBDD(n, fins)
+			f = bdd.Gate(cx.m, n, fins)
 		}
 		memo[id], done[id] = f, true
 		return f, nil
 	}
 	return rec(enable)
-}
-
-func (cx *Ctx) gateBDD(n *netlist.Node, in []bdd.Ref) bdd.Ref {
-	m := cx.m
-	switch n.Op {
-	case netlist.OpConst0:
-		return bdd.False
-	case netlist.OpConst1:
-		return bdd.True
-	case netlist.OpBuf:
-		return in[0]
-	case netlist.OpNot:
-		return in[0].Not()
-	case netlist.OpAnd:
-		return m.And(in...)
-	case netlist.OpNand:
-		return m.And(in...).Not()
-	case netlist.OpOr:
-		return m.Or(in...)
-	case netlist.OpNor:
-		return m.Or(in...).Not()
-	case netlist.OpXor:
-		return m.Xor(in...)
-	case netlist.OpXnor:
-		return m.Xor(in...).Not()
-	case netlist.OpMux:
-		return m.Ite(in[0], in[1], in[2])
-	case netlist.OpTable:
-		sum := bdd.False
-		for _, cu := range n.Cover {
-			prod := bdd.True
-			for i := 0; i < len(cu); i++ {
-				switch cu[i] {
-				case '1':
-					prod = m.And(prod, in[i])
-				case '0':
-					prod = m.And(prod, in[i].Not())
-				}
-			}
-			sum = m.Or(sum, prod)
-		}
-		return sum
-	}
-	panic("edbf: gateBDD on " + n.Op.String())
 }
 
 // Unroll computes the EDBF of every primary output of c (the Figure 8

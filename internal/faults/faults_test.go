@@ -81,13 +81,13 @@ func TestInstallFireCounts(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
-		"worker_panic",           // not key=value
-		"worker_panic=2",         // probability out of range
-		"worker_panic=x",         // not a number
-		"quantum_flip=0.5",       // unknown point
-		"seed=abc,disk_full=1",   // bad seed
-		"delay=-5s,disk_full=1",  // negative delay
-		"seed=3",                 // no injection point at all
+		"worker_panic",          // not key=value
+		"worker_panic=2",        // probability out of range
+		"worker_panic=x",        // not a number
+		"quantum_flip=0.5",      // unknown point
+		"seed=abc,disk_full=1",  // bad seed
+		"delay=-5s,disk_full=1", // negative delay
+		"seed=3",                // no injection point at all
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)

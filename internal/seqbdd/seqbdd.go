@@ -4,16 +4,19 @@
 // argues against: it works on small designs and blows up well below
 // industrial sizes, which is precisely the motivation for the CBF/EDBF
 // reduction. A node budget turns the blowup into a reported outcome
-// instead of an unbounded computation.
+// instead of an unbounded computation. An inequivalent verdict carries a
+// distinguishing input sequence from reset, read back from the
+// breadth-first frontiers, so the baseline can serve as an oracle whose
+// answers replay.
 package seqbdd
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"seqver/internal/bdd"
 	"seqver/internal/netlist"
-	"seqver/internal/unate"
 )
 
 // Verdict is the outcome of a traversal-based check.
@@ -42,22 +45,31 @@ func (v Verdict) String() string {
 // Result reports the traversal outcome.
 type Result struct {
 	Verdict    Verdict
-	Iterations int     // image steps until fixpoint (or blowup)
-	States     float64 // reachable product states (when completed)
+	Iterations int     // image steps until fixpoint, a difference, or blowup
+	States     float64 // reachable product states (when Equivalent)
 	PeakNodes  int
 	Elapsed    time.Duration
+	// Inputs is the distinguishing sequence when Inequivalent, and nil
+	// otherwise: Inputs[t] assigns the primary inputs by name at cycle
+	// t. Applied to both circuits from the all-zero reset it makes some
+	// output differ at the last cycle, and no shorter sequence does.
+	Inputs []map[string]bool
 }
 
 // Options tunes the traversal.
 type Options struct {
-	MaxNodes int // BDD node budget (default 500k)
+	// MaxNodes is the BDD node budget (default 500k). Exhausting it,
+	// witness extraction included, yields Blowup.
+	MaxNodes int
 }
 
-// CheckResetEquivalence decides reset equivalence of two circuits with
-// identical input interfaces (matched by name) from the all-zero initial
-// state of each, by symbolic breadth-first traversal of the product
-// machine. This is the "compose the machines and traverse the state
-// space" baseline of Section 2.
+// CheckResetEquivalence decides reset equivalence of two circuits from
+// the all-zero initial state of each, by symbolic breadth-first
+// traversal of the product machine with a monolithic transition
+// relation. This is the "compose the machines and traverse the state
+// space" baseline of Section 2. Inputs are matched by name and outputs
+// by position; an input of c2 that c1 lacks, a differing input or
+// output count, or a combinational cycle is an error, not a verdict.
 func CheckResetEquivalence(c1, c2 *netlist.Circuit, opt Options) (*Result, error) {
 	start := time.Now()
 	if opt.MaxNodes == 0 {
@@ -73,20 +85,15 @@ func CheckResetEquivalence(c1, c2 *netlist.Circuit, opt Options) (*Result, error
 	m := bdd.New(0)
 	m.MaxNodes = opt.MaxNodes
 	res := &Result{}
-	defer func() {
-		res.Elapsed = time.Since(start)
-		res.PeakNodes = m.NumNodes()
-	}()
-
-	var verdict Verdict
-	err := bdd.CatchLimit(func() {
-		verdict = traverse(m, c1, c2, res)
-	})
-	if err != nil {
+	var err error
+	if bdd.CatchLimit(func() { err = traverse(m, c1, c2, res) }) != nil {
 		res.Verdict = Blowup
-		return res, nil
 	}
-	res.Verdict = verdict
+	if err != nil {
+		return nil, err
+	}
+	res.Elapsed = time.Since(start)
+	res.PeakNodes = m.NumNodes()
 	return res, nil
 }
 
@@ -99,41 +106,24 @@ type machine struct {
 }
 
 func buildMachine(m *bdd.Manager, c *netlist.Circuit, inVar map[string]int) (*machine, error) {
-	// Assign current/next state vars interleaved for this machine.
 	mach := &machine{}
-	nodeVar := make(map[int]int)
+	val := make([]bdd.Ref, len(c.Nodes))
 	for _, id := range c.Inputs {
 		v, ok := inVar[c.Nodes[id].Name]
 		if !ok {
-			return nil, fmt.Errorf("seqbdd: unmatched input %q", c.Nodes[id].Name)
+			return nil, fmt.Errorf("seqbdd: input %q of %q has no match by name", c.Nodes[id].Name, c.Name)
 		}
-		nodeVar[id] = v
-	}
-	for _, id := range c.Latches {
-		cur := m.AddVar()
-		nxt := m.AddVar()
-		mach.current = append(mach.current, cur)
-		mach.nextVar = append(mach.nextVar, nxt)
-		nodeVar[id] = cur
-	}
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	val := make([]bdd.Ref, len(c.Nodes))
-	for id, v := range nodeVar {
 		val[id] = m.Var(v)
 	}
-	for _, id := range order {
-		n := c.Nodes[id]
-		if n.Kind != netlist.KindGate {
-			continue
-		}
-		fins := make([]bdd.Ref, len(n.Fanins))
-		for i, f := range n.Fanins {
-			fins[i] = val[f]
-		}
-		val[id] = unate.GateBDD(m, n, fins)
+	// Current and next state variables interleaved per latch.
+	for _, id := range c.Latches {
+		cur := m.AddVar()
+		mach.current = append(mach.current, cur)
+		mach.nextVar = append(mach.nextVar, m.AddVar())
+		val[id] = m.Var(cur)
+	}
+	if err := bdd.Gates(m, c, val); err != nil {
+		return nil, fmt.Errorf("seqbdd: circuit %q: %w", c.Name, err)
 	}
 	for i, id := range c.Latches {
 		n := c.Nodes[id]
@@ -149,27 +139,28 @@ func buildMachine(m *bdd.Manager, c *netlist.Circuit, inVar map[string]int) (*ma
 	return mach, nil
 }
 
-func traverse(m *bdd.Manager, c1, c2 *netlist.Circuit, res *Result) Verdict {
+// traverse fills res with the verdict and, on Inequivalent, the witness.
+// It panics with bdd.ErrNodeLimit when the budget runs out and returns
+// an error when the circuits cannot be modeled.
+func traverse(m *bdd.Manager, c1, c2 *netlist.Circuit, res *Result) error {
 	// Shared input variables first in the order.
-	inVar := make(map[string]int)
+	inVar := make(map[string]int, len(c1.Inputs))
+	inputs := make([]int, 0, len(c1.Inputs))
 	for _, id := range c1.Inputs {
-		inVar[c1.Nodes[id].Name] = m.AddVar()
-	}
-	// Positional fallback: if c2's names differ, match by position.
-	for i, id := range c2.Inputs {
-		name := c2.Nodes[id].Name
-		if _, ok := inVar[name]; !ok {
-			inVar[name] = inVar[c1.Nodes[c1.Inputs[i]].Name]
-		}
+		v := m.AddVar()
+		inVar[c1.Nodes[id].Name] = v
+		inputs = append(inputs, v)
 	}
 	m1, err := buildMachine(m, c1, inVar)
 	if err != nil {
-		panic(bdd.ErrNodeLimit) // interface mismatch surfaces as blowup-free error upstream
+		return err
 	}
 	m2, err := buildMachine(m, c2, inVar)
 	if err != nil {
-		panic(bdd.ErrNodeLimit)
+		return err
 	}
+	cur := slices.Concat(m1.current, m2.current)
+	nxt := slices.Concat(m1.nextVar, m2.nextVar)
 
 	// Output miter: some pair of outputs differs.
 	bad := bdd.False
@@ -177,80 +168,74 @@ func traverse(m *bdd.Manager, c1, c2 *netlist.Circuit, res *Result) Verdict {
 		bad = m.Or(bad, m.Xor(m1.outs[i], m2.outs[i]))
 	}
 
-	// Transition relation as a conjunction (monolithic: the 1990s
-	// baseline; partitioning would stretch it, but the point of the
-	// experiment is the cliff).
+	// Transition relation as one conjunction (monolithic: the 1990s
+	// baseline; AndExists interleaves it with quantification, which is
+	// the stronger schedule, but the point of the experiment is the
+	// cliff).
 	trans := bdd.True
-	for i := range m1.next {
-		trans = m.And(trans, m.Xnor(m.Var(m1.nextVar[i]), m1.next[i]))
+	for i, f := range slices.Concat(m1.next, m2.next) {
+		trans = m.And(trans, m.Xnor(m.Var(nxt[i]), f))
 	}
-	for i := range m2.next {
-		trans = m.And(trans, m.Xnor(m.Var(m2.nextVar[i]), m2.next[i]))
-	}
-
-	// Quantification cubes and next->current substitution.
-	var quantVars []int
-	for _, v := range inVar {
-		quantVars = append(quantVars, v)
-	}
-	quantVars = append(quantVars, m1.current...)
-	quantVars = append(quantVars, m2.current...)
-	cube := m.CubeVars(dedup(quantVars))
-	sub := make(map[int]bdd.Ref)
-	for i := range m1.current {
-		sub[m1.nextVar[i]] = m.Var(m1.current[i])
-	}
-	for i := range m2.current {
-		sub[m2.nextVar[i]] = m.Var(m2.current[i])
+	cube := m.CubeVars(append(inputs, cur...))
+	sub := make(map[int]bdd.Ref, len(cur))
+	for i, v := range cur {
+		sub[nxt[i]] = m.Var(v)
 	}
 
-	// Initial state: all zero for both machines.
+	// Initial state: all zero for both machines. rings[t] holds the
+	// states first reached at cycle t; the manager never frees nodes,
+	// so keeping them costs one Ref each.
 	reached := bdd.True
-	for _, v := range m1.current {
+	for _, v := range cur {
 		reached = m.And(reached, m.NVar(v))
 	}
-	for _, v := range m2.current {
-		reached = m.And(reached, m.NVar(v))
-	}
-
-	frontier := reached
+	rings := []bdd.Ref{reached}
+	var hit bdd.Ref
 	for {
-		// Check the miter on the frontier.
-		if m.And(frontier, bad) != bdd.False {
-			return Inequivalent
-		}
-		res.Iterations++
-		img := m.AndExists(frontier, trans, cube)
-		img = m.VecCompose(img, sub)
-		newStates := m.And(img, reached.Not())
-		if newStates == bdd.False {
+		frontier := rings[len(rings)-1]
+		if hit = m.And(frontier, bad); hit != bdd.False {
 			break
 		}
+		res.Iterations++
+		img := m.VecCompose(m.AndExists(frontier, trans, cube), sub)
+		newStates := m.And(img, reached.Not())
+		if newStates == bdd.False {
+			res.Verdict = Equivalent
+			res.States = m.SatCount(reached, len(cur))
+			return nil
+		}
 		reached = m.Or(reached, newStates)
-		frontier = newStates
+		rings = append(rings, newStates)
 	}
-	nState := len(m1.current) + len(m2.current)
-	res.States = m.SatCount(reached, m.NumVars()) /
-		pow2(m.NumVars()-nState)
-	return Equivalent
-}
 
-func pow2(n int) float64 {
-	out := 1.0
-	for i := 0; i < n; i++ {
-		out *= 2
-	}
-	return out
-}
-
-func dedup(vs []int) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, v := range vs {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
+	// Walk the rings back from hit, the distinguishing part of the last
+	// ring: at each cycle pick a state of the previous ring and the
+	// inputs that lead from it to the state already chosen. Variables an
+	// assignment leaves out are don't-cares and read as false.
+	seq := make([]map[string]bool, len(rings))
+	assign := m.AnySat(hit)
+	for t := len(rings) - 1; ; t-- {
+		step := make(map[string]bool, len(c1.Inputs))
+		for _, id := range c1.Inputs {
+			name := c1.Nodes[id].Name
+			step[name] = assign[inVar[name]]
+		}
+		seq[t] = step
+		if t == 0 {
+			break
+		}
+		to := bdd.True
+		for i, v := range cur {
+			lit := m.Var(nxt[i])
+			if !assign[v] {
+				lit = lit.Not()
+			}
+			to = m.And(to, lit)
+		}
+		if assign = m.AnySat(m.And(rings[t-1], trans, to)); assign == nil {
+			return fmt.Errorf("seqbdd: state of cycle %d has no predecessor in ring %d", t, t-1)
 		}
 	}
-	return out
+	res.Verdict, res.Inputs = Inequivalent, seq
+	return nil
 }

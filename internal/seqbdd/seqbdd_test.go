@@ -1,6 +1,8 @@
 package seqbdd
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"seqver/internal/netlist"
@@ -129,8 +131,8 @@ func TestBlowupUnderBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict != Blowup {
-		t.Fatalf("verdict = %v, want blowup", res.Verdict)
+	if res.Verdict != Blowup || res.Inputs != nil {
+		t.Fatalf("verdict = %v with %d input steps, want blowup and none", res.Verdict, len(res.Inputs))
 	}
 }
 
@@ -152,64 +154,6 @@ func TestEnabledLatchTraversal(t *testing.T) {
 	}
 }
 
-func TestPartitionedMatchesMonolithic(t *testing.T) {
-	for _, n := range []int{3, 5, 7} {
-		c1 := counterN(n)
-		c2 := counterN(n)
-		r1, err := CheckResetEquivalence(c1, c2, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := CheckResetEquivalencePartitioned(c1, c2, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1.Verdict != r2.Verdict {
-			t.Fatalf("n=%d: monolithic %v vs partitioned %v", n, r1.Verdict, r2.Verdict)
-		}
-		if r1.States != r2.States {
-			t.Fatalf("n=%d: reachable states %v vs %v", n, r1.States, r2.States)
-		}
-	}
-}
-
-func TestPartitionedFindsBug(t *testing.T) {
-	c1 := counterN(4)
-	c2 := counterN(4)
-	inv := c2.AddGate("inv", netlist.OpNot, c2.Outputs[0].Node)
-	c2.Outputs[0].Node = inv
-	res, err := CheckResetEquivalencePartitioned(c1, c2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != Inequivalent {
-		t.Fatalf("verdict %v", res.Verdict)
-	}
-}
-
-func TestPartitionedAgreesUnderBudget(t *testing.T) {
-	// Both schedules complete a 10-bit counter pair under a 1M budget
-	// and agree on verdict and reachable state count. (The AndExists
-	// schedule of the "monolithic" path is in fact the stronger one on
-	// carry-chain circuits; see partition.go.)
-	c := counterN(10)
-	budget := Options{MaxNodes: 1_000_000}
-	mono, err := CheckResetEquivalence(c, c.Clone(), budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := CheckResetEquivalencePartitioned(c, c.Clone(), budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mono.Verdict != Equivalent || part.Verdict != Equivalent {
-		t.Fatalf("verdicts: mono %v, part %v", mono.Verdict, part.Verdict)
-	}
-	if mono.States != part.States {
-		t.Fatalf("states: mono %v, part %v", mono.States, part.States)
-	}
-}
-
 func TestTraceReproducesBug(t *testing.T) {
 	// The deep-bug counter: the trace must drive both machines from
 	// reset to a cycle where the outputs differ, confirmed by simulation.
@@ -217,7 +161,7 @@ func TestTraceReproducesBug(t *testing.T) {
 	c2 := counterN(4)
 	inv := c2.AddGate("inv", netlist.OpNot, c2.Outputs[0].Node)
 	c2.Outputs[0].Node = inv
-	res, err := CheckWithTrace(c1, c2, Options{})
+	res, err := CheckResetEquivalence(c1, c2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,33 +171,14 @@ func TestTraceReproducesBug(t *testing.T) {
 	if len(res.Inputs) == 0 {
 		t.Fatal("no trace returned")
 	}
-	s1, s2 := sim.New(c1), sim.New(c2)
-	st1 := make(sim.State, len(c1.Latches))
-	st2 := make(sim.State, len(c2.Latches))
-	names := c1.InputNames()
-	var last1, last2 []bool
-	for _, step := range res.Inputs {
-		in := make([]bool, len(names))
-		for i, n := range names {
-			in[i] = step[n]
-		}
-		last1, st1 = s1.Step(in, st1)
-		last2, st2 = s2.Step(in, st2)
-	}
-	diff := false
-	for i := range last1 {
-		if last1[i] != last2[i] {
-			diff = true
-		}
-	}
-	if !diff {
+	if !replayDiffers(c1, c2, res.Inputs) {
 		t.Fatalf("trace of %d cycles does not distinguish", len(res.Inputs))
 	}
 }
 
 func TestTraceEquivalentHasNoInputs(t *testing.T) {
 	c := counterN(3)
-	res, err := CheckWithTrace(c, c.Clone(), Options{})
+	res, err := CheckResetEquivalence(c, c.Clone(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +211,7 @@ func TestTraceDeepWrapAround(t *testing.T) {
 		carry = nc
 	}
 	c2.AddOutput("msb", bits[3])
-	res, err := CheckWithTrace(c1, c2, Options{})
+	res, err := CheckResetEquivalence(c1, c2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,5 +220,81 @@ func TestTraceDeepWrapAround(t *testing.T) {
 	}
 	if len(res.Inputs) < 10 {
 		t.Fatalf("trace suspiciously short (%d cycles) for a wrap-around bug", len(res.Inputs))
+	}
+	if !replayDiffers(c1, c2, res.Inputs) {
+		t.Fatalf("trace of %d cycles does not distinguish", len(res.Inputs))
+	}
+}
+
+// replayDiffers simulates both circuits from the all-zero reset under
+// seq, whose steps assign c1's inputs by name, and reports whether some
+// output differs at the last cycle and none does before it.
+func replayDiffers(c1, c2 *netlist.Circuit, seq []map[string]bool) bool {
+	s1, s2 := sim.New(c1), sim.New(c2)
+	st1 := make(sim.State, len(c1.Latches))
+	st2 := make(sim.State, len(c2.Latches))
+	in1 := make([]bool, len(c1.Inputs))
+	in2 := make([]bool, len(c2.Inputs))
+	for t, step := range seq {
+		for i, id := range c1.Inputs {
+			in1[i] = step[c1.Nodes[id].Name]
+		}
+		for i, id := range c2.Inputs {
+			in2[i] = step[c2.Nodes[id].Name]
+		}
+		var o1, o2 []bool
+		o1, st1 = s1.Step(in1, st1)
+		o2, st2 = s2.Step(in2, st2)
+		if !slices.Equal(o1, o2) {
+			return t == len(seq)-1
+		}
+	}
+	return false
+}
+
+func TestCombinationalCycleIsError(t *testing.T) {
+	c := netlist.New("cyc")
+	a := c.AddInput("a")
+	g1 := c.AddGate("g1", netlist.OpAnd, a, a) // fanin patched below
+	g2 := c.AddGate("g2", netlist.OpOr, g1, a)
+	c.Nodes[g1].Fanins[1] = g2
+	c.AddOutput("o", g2)
+	res, err := CheckResetEquivalence(c, c.Clone(), Options{})
+	if err == nil || !strings.Contains(err.Error(), "combinational cycle") {
+		t.Fatalf("cyclic circuit: got %v, %v; want a cycle error", res, err)
+	}
+	if res != nil {
+		t.Fatalf("cyclic circuit: got a result %+v alongside %v", res, err)
+	}
+}
+
+func TestInputsMatchedByName(t *testing.T) {
+	// c1 has inputs (a, b) computing a∧¬b; c2 has inputs (x, a)
+	// computing a∧¬x. Pairing by position would give x a's variable.
+	mk := func(names [2]string, pos, neg string) *netlist.Circuit {
+		c := netlist.New("m")
+		ids := map[string]int{}
+		for _, n := range names {
+			ids[n] = c.AddInput(n)
+		}
+		nb := c.AddGate("nb", netlist.OpNot, ids[neg])
+		c.AddOutput("o", c.AddGate("g", netlist.OpAnd, ids[pos], nb))
+		return c
+	}
+	c1 := mk([2]string{"a", "b"}, "a", "b")
+	c2 := mk([2]string{"x", "a"}, "a", "x")
+	_, err := CheckResetEquivalence(c1, c2, Options{})
+	if err == nil || !strings.Contains(err.Error(), `"x"`) {
+		t.Fatalf("err = %v, want one naming the unmatched input x", err)
+	}
+
+	// Same names in another order are matched, not paired by position.
+	c3 := mk([2]string{"b", "a"}, "a", "b")
+	res, err := CheckResetEquivalence(c1, c3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != Equivalent {
+		t.Fatalf("reordered inputs: verdict %v", res.Verdict)
 	}
 }

@@ -85,24 +85,12 @@ func LatchFunctions(c *netlist.Circuit, m *bdd.Manager) (next map[int]bdd.Ref, e
 	for _, id := range c.Latches {
 		varOf[id] = m.AddVar()
 	}
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, nil, nil, err
-	}
 	val := make([]bdd.Ref, len(c.Nodes))
 	for id, v := range varOf {
 		val[id] = m.Var(v)
 	}
-	for _, id := range order {
-		n := c.Nodes[id]
-		if n.Kind != netlist.KindGate {
-			continue
-		}
-		fins := make([]bdd.Ref, len(n.Fanins))
-		for i, f := range n.Fanins {
-			fins[i] = val[f]
-		}
-		val[id] = GateBDD(m, n, fins)
+	if err = bdd.Gates(m, c, val); err != nil {
+		return nil, nil, nil, err
 	}
 	next = make(map[int]bdd.Ref, len(c.Latches))
 	enable = make(map[int]bdd.Ref, len(c.Latches))
@@ -120,50 +108,6 @@ func LatchFunctions(c *netlist.Circuit, m *bdd.Manager) (next map[int]bdd.Ref, e
 		}
 	}
 	return next, enable, varOf, nil
-}
-
-// GateBDD evaluates one gate over BDD fanin functions.
-func GateBDD(m *bdd.Manager, n *netlist.Node, in []bdd.Ref) bdd.Ref {
-	switch n.Op {
-	case netlist.OpConst0:
-		return bdd.False
-	case netlist.OpConst1:
-		return bdd.True
-	case netlist.OpBuf:
-		return in[0]
-	case netlist.OpNot:
-		return in[0].Not()
-	case netlist.OpAnd:
-		return m.And(in...)
-	case netlist.OpNand:
-		return m.And(in...).Not()
-	case netlist.OpOr:
-		return m.Or(in...)
-	case netlist.OpNor:
-		return m.Or(in...).Not()
-	case netlist.OpXor:
-		return m.Xor(in...)
-	case netlist.OpXnor:
-		return m.Xor(in...).Not()
-	case netlist.OpMux:
-		return m.Ite(in[0], in[1], in[2])
-	case netlist.OpTable:
-		sum := bdd.False
-		for _, cu := range n.Cover {
-			prod := bdd.True
-			for i := 0; i < len(cu); i++ {
-				switch cu[i] {
-				case '1':
-					prod = m.And(prod, in[i])
-				case '0':
-					prod = m.And(prod, in[i].Not())
-				}
-			}
-			sum = m.Or(sum, prod)
-		}
-		return sum
-	}
-	panic("unate: GateBDD on " + n.Op.String())
 }
 
 // SelfLoopReport classifies one latch with a (direct or transitive

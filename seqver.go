@@ -363,12 +363,15 @@ func NewProgressTraceSink(w io.Writer) TraceSink { return obs.NewProgressSink(w)
 // TraversalOptions bounds the BDD reachability baseline.
 type TraversalOptions = seqbdd.Options
 
-// TraversalResult is the baseline's outcome.
+// TraversalResult is the baseline's outcome. On Inequivalent its Inputs
+// is a shortest distinguishing sequence from reset, one map from input
+// name to value per cycle.
 type TraversalResult = seqbdd.Result
 
 // CheckByTraversal runs the classical product-machine symbolic
 // reachability check (reset equivalence from the all-zero states) — the
-// baseline whose capacity cliff motivates the paper.
+// baseline whose capacity cliff motivates the paper. Inputs are matched
+// by name: an input of c2 that c1 lacks is an error.
 func CheckByTraversal(c1, c2 *Circuit, opt TraversalOptions) (*TraversalResult, error) {
 	return seqbdd.CheckResetEquivalence(c1, c2, opt)
 }
