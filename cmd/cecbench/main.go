@@ -25,9 +25,12 @@
 //	         [-out BENCH_cec.json]
 //
 // Each worker row also records the run's allocation profile —
-// allocs_per_op / bytes_per_op and the estimated GC pause accrued per
-// op, from runtime/metrics deltas around the timed loop — so
+// allocs_per_op / bytes_per_op and the GC pause accrued per op, from
+// runtime.ReadMemStats deltas around each timed check — so
 // cmd/benchdiff can gate allocation regressions alongside wall clock.
+// ReadMemStats counts every allocation exactly; runtime/metrics counts
+// small objects a whole span at a time, which moved an s3384 check's
+// per-op count by up to a quarter between runs.
 // -count repeats the whole measurement per row; min/max ns/op and the
 // spread ratio across every iteration of every repeat quantify the
 // harness's run-to-run noise (the benchdiff threshold calibration in
@@ -144,17 +147,18 @@ func main() {
 			// iterations.
 			fold := obs.NewPhaseFold()
 			ctx := obs.WithTracer(context.Background(), obs.New(fold))
-			b0, o0, p0 := obs.MemCounters()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
 			start := time.Now()
 			res, err := cec.CheckCtx(ctx, h, j, cec.Options{Engine: *engine, Workers: w})
 			if err != nil {
 				fatal(err)
 			}
 			ns := time.Since(start).Nanoseconds()
-			b1, o1, p1 := obs.MemCounters()
-			allocBytes += b1 - b0
-			allocObjects += o1 - o0
-			pauseNS += p1 - p0
+			runtime.ReadMemStats(&m1)
+			allocBytes += m1.TotalAlloc - m0.TotalAlloc
+			allocObjects += m1.Mallocs - m0.Mallocs
+			pauseNS += int64(m1.PauseTotalNs - m0.PauseTotalNs)
 			total += ns
 			if ns < wr.MinNSOp {
 				wr.MinNSOp = ns

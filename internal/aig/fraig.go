@@ -23,11 +23,22 @@ type FraigStats struct {
 	NodesBefore int   // AND nodes in the input AIG
 	NodesAfter  int   // AND nodes after merging and compaction (uncompacted after an expiry)
 	Merges      int   // nodes merged into a proven-equivalent representative
+	CutMerges   int   // merges settled by equal truth tables on a common cut, without SAT
 	ProveCalls  int   // SAT equivalence proofs attempted
 	ProveFailed int   // candidates kept separate (refuted or budget hit)
 	Refuted     int   // failed proofs whose SAT model refined the signatures
 	Conflicts   int64 // SAT conflicts over all proofs
 	Decisions   int64 // SAT decisions over all proofs
+}
+
+// cutLeaves bounds the common cut a candidate pair is compared on
+// before SAT: one uint64 holds a truth table over at most 6 leaves.
+const cutLeaves = 6
+
+// cutVars are the projection truth tables of the cut's leaf variables.
+var cutVars = [cutLeaves]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
 }
 
 func (o *FraigOptions) defaults() {
@@ -71,6 +82,12 @@ func FraigEx(a *AIG, opt FraigOptions) (*AIG, *FraigStats) {
 // counterexample becomes one more simulation pattern, and every later
 // candidate pair that pattern separates is skipped without calling SAT.
 // Each proof decides only the variables of the two nodes' cones.
+//
+// Before a proof, the pair is compared on a common cut of at most 6
+// leaves (cut sweeping, Kuehlmann ICCAD'04): after earlier merges most
+// equal pairs compute the same function of a few shared nodes just
+// below them, and equal truth tables there settle the merge without
+// SAT.
 func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStats) {
 	stats := &FraigStats{NodesBefore: a.NumAnds()}
 	if sat.Expired(ctx) {
@@ -214,6 +231,69 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 		return st == sat.Unsat
 	}
 
+	// Cut check: the common cut of x and y starts as {x, y} and grows by
+	// replacing its highest-numbered AND leaf with that node's fanins
+	// for as long as it keeps at most cutLeaves leaves. Fanins lie below
+	// the node they feed, so the expanded nodes come out in decreasing
+	// order and every fanin of one is a leaf or expanded later; each
+	// leaf takes one variable's truth table (the constant node keeps 0)
+	// and the expanded nodes are evaluated back up. Equal tables mean
+	// equal functions; unequal ones prove nothing, since leaves can be
+	// correlated. stamp[n] == epoch marks n as a leaf of the current cut.
+	stamp := make([]uint32, a.NumNodes())
+	tt := make([]uint64, a.NumNodes())
+	var epoch uint32
+	var leaves, cone []uint32
+	edgeTT := func(e Lit) uint64 { return tt[e.Node()] ^ -uint64(e&1) }
+	cutEqual := func(x, y Lit) bool {
+		epoch++
+		leaves = append(leaves[:0], x.Node(), y.Node())
+		stamp[x.Node()], stamp[y.Node()] = epoch, epoch
+		cone = cone[:0]
+		for {
+			hi := -1
+			for j, n := range leaves {
+				if n > uint32(out.numPIs) && (hi < 0 || n > leaves[hi]) {
+					hi = j
+				}
+			}
+			if hi < 0 {
+				break
+			}
+			n := leaves[hi]
+			f0, f1 := out.fanin0[n].Node(), out.fanin1[n].Node()
+			size := len(leaves) - 1 // the fanins of an AND are two distinct nodes
+			if stamp[f0] != epoch {
+				size++
+			}
+			if stamp[f1] != epoch {
+				size++
+			}
+			if size > cutLeaves {
+				break
+			}
+			leaves[hi] = leaves[len(leaves)-1]
+			leaves = leaves[:len(leaves)-1]
+			for _, f := range [2]uint32{f0, f1} {
+				if stamp[f] != epoch {
+					stamp[f] = epoch
+					leaves = append(leaves, f)
+				}
+			}
+			cone = append(cone, n)
+		}
+		for j, n := range leaves {
+			if n != 0 {
+				tt[n] = cutVars[j]
+			}
+		}
+		for j := len(cone) - 1; j >= 0; j-- {
+			n := cone[j]
+			tt[n] = edgeTT(out.fanin0[n]) & edgeTT(out.fanin1[n])
+		}
+		return edgeTT(x) == edgeTT(y)
+	}
+
 	// normEdge returns the polarity-normalized edge of a node (bit 0 of
 	// signature word 0 cleared) — equivalence up to complement becomes
 	// plain equality of normalized edges.
@@ -300,12 +380,16 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 				if !sameSig(cols, src, me, cand) {
 					continue // separated by a refinement pattern
 				}
-				tried++
-				if prove(me, cand) {
+				if merged = cutEqual(me, cand); merged {
+					stats.CutMerges++
+				} else {
+					tried++
+					merged = prove(me, cand)
+				}
+				if merged {
 					// me ≡ cand, so node nd == cand adjusted for nd's
 					// normalization polarity.
 					e = cand.NotIf(me.Compl()).NotIf(e.Compl())
-					merged = true
 					stats.Merges++
 					break
 				}

@@ -186,8 +186,12 @@ func checkFraigStats(t *testing.T, a, f *AIG, st *FraigStats) {
 	if st.NodesBefore != a.NumAnds() || st.NodesAfter != f.NumAnds() {
 		t.Fatalf("stats nodes wrong: %+v (%d -> %d ands)", st, a.NumAnds(), f.NumAnds())
 	}
-	if st.ProveCalls != st.Merges+st.ProveFailed {
-		t.Fatalf("prove calls %d != merges %d + failed %d", st.ProveCalls, st.Merges, st.ProveFailed)
+	if st.ProveCalls+st.CutMerges != st.Merges+st.ProveFailed {
+		t.Fatalf("prove calls %d + cut merges %d != merges %d + failed %d",
+			st.ProveCalls, st.CutMerges, st.Merges, st.ProveFailed)
+	}
+	if st.CutMerges > st.Merges {
+		t.Fatalf("cut merges %d > merges %d", st.CutMerges, st.Merges)
 	}
 	if st.Refuted > st.ProveFailed {
 		t.Fatalf("refuted %d > failed %d", st.Refuted, st.ProveFailed)
@@ -228,8 +232,9 @@ func TestFraigPassedDeadlineIsStructuralCopy(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		a := randomAIG(rng, 4+rng.Intn(4), 60)
 		f, st := FraigExCtx(lateCtx{context.Background()}, a, FraigOptions{Seed: int64(trial)})
-		if st.ProveCalls != 0 || st.Merges != 0 {
-			t.Fatalf("trial %d: %d proofs, %d merges past the deadline", trial, st.ProveCalls, st.Merges)
+		if st.ProveCalls != 0 || st.Merges != 0 || st.CutMerges != 0 {
+			t.Fatalf("trial %d: %d proofs, %d merges (%d cut) past the deadline",
+				trial, st.ProveCalls, st.Merges, st.CutMerges)
 		}
 		if f != a {
 			t.Fatalf("trial %d: result is not the input AIG", trial)
@@ -358,5 +363,91 @@ func TestFraigRefinementSkipsRefutedCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	if !equalAIGs(a, f, len(names), rng, 200) {
 		t.Fatal("function changed")
+	}
+}
+
+// fraigPair fraigs an AIG whose first two POs compute one function and
+// whose others are constant 0, and returns its statistics: the result
+// must equal the input exhaustively, with the first two POs one edge
+// and the others False.
+func fraigPair(t *testing.T, a *AIG) *FraigStats {
+	t.Helper()
+	f, st := FraigEx(a, FraigOptions{})
+	checkFraigStats(t, a, f, st)
+	if !exhaustiveEqual(a, f) {
+		t.Fatalf("function changed: %+v", st)
+	}
+	if f.PO(0) != f.PO(1) {
+		t.Fatalf("equal outputs not merged: %+v", st)
+	}
+	for i := 2; i < f.NumPOs(); i++ {
+		if f.PO(i) != False {
+			t.Fatalf("constant output %s not merged: %+v", f.POName(i), st)
+		}
+	}
+	return st
+}
+
+// TestFraigCutMergeSkipsSAT: a re-associated 3-input AND equals the
+// original on the cut {a, b, c}, and (a&b)&(!a&c) is the constant 0
+// there, so both merge without a proof.
+func TestFraigCutMergeSkipsSAT(t *testing.T) {
+	a := New([]string{"a", "b", "c"})
+	x, y, z := a.PI(0), a.PI(1), a.PI(2)
+	a.AddPO("o1", a.And(x, a.And(y, z)))
+	a.AddPO("o2", a.And(a.And(x, y), z))
+	a.AddPO("zero", a.And(a.And(x, y), a.And(x.Not(), z)))
+	if a.PO(0) == a.PO(1) || a.PO(2) == False {
+		t.Fatal("test premise broken: strash settled the pairs")
+	}
+	st := fraigPair(t, a)
+	if st.ProveCalls != 0 || st.CutMerges != 2 {
+		t.Fatalf("want two cut merges and no proof: %+v", st)
+	}
+}
+
+// TestFraigWideParityMergesThroughSAT: x0^...^x7 chained in opposite
+// orders share no internal function, so no cut of at most 6 leaves
+// separates both roots from the PIs, and the roots merge through SAT.
+func TestFraigWideParityMergesThroughSAT(t *testing.T) {
+	const n = 8
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("x%d", i)
+	}
+	a := New(names)
+	up, down := a.PI(0), a.PI(n-1)
+	for i := 1; i < n; i++ {
+		up = a.Xor(up, a.PI(i))
+		down = a.Xor(down, a.PI(n-1-i))
+	}
+	a.AddPO("up", up)
+	a.AddPO("down", down)
+	st := fraigPair(t, a)
+	if st.Merges == st.CutMerges || st.ProveCalls == 0 {
+		t.Fatalf("want a merge proved by SAT: %+v", st)
+	}
+}
+
+// TestFraigCorrelatedCutFallsBackToSAT: c = p0&...&p6 and c&p0 are
+// equal, but their 6-leaf cut {p0, c2, p3, ..., p6} treats p0 and
+// c2 = p0&p1&p2 as independent, so the tables differ. The mismatch must
+// not block the merge: SAT proves it.
+func TestFraigCorrelatedCutFallsBackToSAT(t *testing.T) {
+	const n = 7
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("p%d", i)
+	}
+	a := New(names)
+	c := a.PI(0)
+	for i := 1; i < n; i++ {
+		c = a.And(c, a.PI(i))
+	}
+	a.AddPO("c", c)
+	a.AddPO("cp0", a.And(c, a.PI(0)))
+	st := fraigPair(t, a)
+	if st.CutMerges != 0 || st.Merges != 1 {
+		t.Fatalf("want exactly one merge, proved by SAT: %+v", st)
 	}
 }

@@ -41,14 +41,13 @@ type WorkerResult struct {
 	// and /metrics' work totals: sat.calls, fraig.merges, aig.inputs, …).
 	Counts map[string]int64 `json:"counts,omitempty"`
 	// Allocation profile of the measured iterations — per-op averages
-	// from runtime/metrics deltas around the timed loop. Zero in files
-	// predating the alloc schema; Compare skips the alloc gate for such
-	// rows. These are the numbers the ROADMAP's struct-of-arrays
-	// refactor must move.
+	// from runtime.ReadMemStats deltas around each timed check. Zero
+	// in files predating the alloc schema; Compare skips the alloc gate
+	// for such rows. These are the numbers the ROADMAP's
+	// struct-of-arrays refactor must move.
 	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
 	BytesPerOp  int64 `json:"bytes_per_op,omitempty"`
-	// GCPauseNSOp is the estimated stop-the-world pause accrued per op
-	// (bucket-resolution, from the runtime's pause histogram).
+	// GCPauseNSOp is the stop-the-world GC pause accrued per op.
 	GCPauseNSOp int64 `json:"gc_pause_ns_op,omitempty"`
 	// MaxNSOp and SpreadRatio (max/min ns per op across all iterations
 	// of all -count repeats) record the row's measured run-to-run

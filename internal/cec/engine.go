@@ -87,6 +87,7 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 		fsp.Count("fraig.nodes_before", int64(st.FraigNodesBefore))
 		fsp.Count("fraig.nodes_after", int64(fst.NodesAfter))
 		fsp.Count("fraig.merges", int64(fst.Merges))
+		fsp.Count("fraig.cut_merges", int64(fst.CutMerges))
 		fsp.Count("fraig.prove_calls", int64(fst.ProveCalls))
 		fsp.Count("fraig.refuted", int64(fst.Refuted))
 		fsp.Count("fraig.sat_conflicts", fst.Conflicts)
@@ -95,6 +96,7 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 	fsp.End()
 	st.FraigNodesAfter = fst.NodesAfter
 	st.FraigMerges = fst.Merges
+	st.FraigCutMerges = fst.CutMerges
 	st.FraigProveCalls = fst.ProveCalls
 	st.FraigRefuted = fst.Refuted
 	st.FraigConflicts = fst.Conflicts

@@ -122,6 +122,7 @@ func TestTraceFeedsEngineCounters(t *testing.T) {
 		for name, want := range map[string]int64{
 			"seqver_sim_patterns_total":        st.SimPatterns,
 			"seqver_fraig_merges_total":        int64(st.FraigMerges),
+			"seqver_fraig_cut_merges_total":    int64(st.FraigCutMerges),
 			"seqver_fraig_prove_calls_total":   int64(st.FraigProveCalls),
 			"seqver_fraig_refuted_total":       int64(st.FraigRefuted),
 			"seqver_fraig_sat_conflicts_total": st.FraigConflicts,

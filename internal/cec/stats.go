@@ -24,6 +24,7 @@ type Stats struct {
 	FraigNodesBefore int   `json:"fraig_nodes_before"`
 	FraigNodesAfter  int   `json:"fraig_nodes_after"`
 	FraigMerges      int   `json:"fraig_merges"`
+	FraigCutMerges   int   `json:"fraig_cut_merges"` // merges settled on a common cut, without SAT
 	FraigProveCalls  int   `json:"fraig_prove_calls"`
 	FraigRefuted     int   `json:"fraig_refuted"` // proofs answered with a counterexample
 	FraigConflicts   int64 `json:"fraig_conflicts"`
@@ -92,8 +93,8 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "simulation:  %d rounds x %d words (%d patterns), %d cex hits\n",
 		s.SimRounds, s.SimWordsPerRound, s.SimPatterns, s.SimCexHits)
 	if s.FraigNodesBefore > 0 {
-		fmt.Fprintf(&b, "fraig:       %d -> %d AND nodes, %d merges (%d proofs, %d refuted; %d conflicts, %d decisions)\n",
-			s.FraigNodesBefore, s.FraigNodesAfter, s.FraigMerges, s.FraigProveCalls,
+		fmt.Fprintf(&b, "fraig:       %d -> %d AND nodes, %d merges (%d on a cut; %d proofs, %d refuted; %d conflicts, %d decisions)\n",
+			s.FraigNodesBefore, s.FraigNodesAfter, s.FraigMerges, s.FraigCutMerges, s.FraigProveCalls,
 			s.FraigRefuted, s.FraigConflicts, s.FraigDecisions)
 	}
 	fmt.Fprintf(&b, "sat:         %d calls, %d conflicts, %d decisions\n",

@@ -22,6 +22,7 @@ func fullStats() *Stats {
 		FraigNodesBefore: 120,
 		FraigNodesAfter:  30,
 		FraigMerges:      45,
+		FraigCutMerges:   40,
 		FraigProveCalls:  12,
 		FraigRefuted:     7,
 		FraigConflicts:   33,
@@ -83,7 +84,7 @@ func TestStatsStringGolden(t *testing.T) {
 	want := `engine:      hybrid (4 workers)
 outputs:     9 (6 structural)
 simulation:  8 rounds x 4 words (2048 patterns), 1 cex hits
-fraig:       120 -> 30 AND nodes, 45 merges (12 proofs, 7 refuted; 33 conflicts, 90 decisions)
+fraig:       120 -> 30 AND nodes, 45 merges (40 on a cut; 12 proofs, 7 refuted; 33 conflicts, 90 decisions)
 sat:         5 calls, 777 conflicts, 1234 decisions
 sat reuse:   321 clauses reused, 654 vars encoded, 2 reductions
 budget:      2s wall clock

@@ -39,9 +39,9 @@ func histTotalNS(h *metrics.Float64Histogram) int64 {
 }
 
 // MemCounters returns the process's cumulative heap-allocation counters
-// and estimated cumulative GC pause time, for harnesses (cmd/cecbench,
-// perfbench) that account allocation around a timed region by delta.
-// The counters are process-wide, so a delta is exact only when nothing
+// and estimated cumulative GC pause time, for harnesses (perfbench)
+// that account allocation around a timed region by delta. The
+// counters are process-wide, so a delta is exact only when nothing
 // else runs in the process.
 func MemCounters() (allocBytes, allocObjects uint64, gcPauseNS int64) {
 	buf := [3]metrics.Sample{
