@@ -18,22 +18,15 @@ package cbf
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"seqver/internal/netlist"
 	"seqver/internal/obs"
+	"seqver/internal/unroll"
 )
-
-// TimedName renders the unrolled primary-input name for input `name`
-// delayed by k cycles.
-func TimedName(name string, k int) string {
-	if k == 0 {
-		return name + "@0"
-	}
-	return name + "@" + strconv.Itoa(k)
-}
 
 // ParseTimedName splits an unrolled input name back into (base, delay).
 func ParseTimedName(timed string) (string, int, error) {
@@ -157,22 +150,67 @@ func SequentialDepth(c *netlist.Circuit) (int, error) {
 // replication). The circuit must be acyclic and contain only regular
 // latches; use the edbf package for load-enabled latches.
 //
-// In the result, primary inputs are named TimedName(a, k) for each
-// (input a, delay k) pair the outputs depend on, ordered by (input
+// In the result, primary inputs are named "a@k" for each (input a,
+// delay k) pair the outputs depend on, ordered by (input
 // declaration order, delay). Output names are preserved.
 func Unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
+	return UnrollCtx(context.Background(), c)
+}
+
+// UnrollCtx is Unroll under the context's tracer: it wraps the
+// construction in a "cbf.unroll" span counting the unrolled and source
+// gates (their ratio is the Figure 18 replication factor) and the size
+// of the timed-input window. The unrolling itself is pure and runs to
+// completion.
+func UnrollCtx(ctx context.Context, c *netlist.Circuit) (*netlist.Circuit, error) {
+	_, sp := obs.Start1(ctx, "cbf.unroll", obs.S("circuit", c.Name))
+	defer sp.End()
+	r, err := recordSpan(sp, c)
+	if err != nil {
+		return nil, err
+	}
+	out, err := r.Circuit(c.Name + "_cbf")
+	if err != nil {
+		return nil, fmt.Errorf("cbf: %w", err)
+	}
+	return out, nil
+}
+
+// RecordCtx is UnrollCtx without the netlist: it returns the
+// unrolling's record, which the checker builds straight into its joint
+// AIG; r.Circuit(c.Name+"_cbf") is the netlist Unroll returns. The
+// "cbf.unroll" span and its counts are UnrollCtx's.
+func RecordCtx(ctx context.Context, c *netlist.Circuit) (*unroll.Record, error) {
+	_, sp := obs.Start1(ctx, "cbf.unroll", obs.S("circuit", c.Name))
+	defer sp.End()
+	return recordSpan(sp, c)
+}
+
+// recordSpan records c's unrolling and counts it on sp.
+func recordSpan(sp *obs.Span, c *netlist.Circuit) (*unroll.Record, error) {
+	r, err := record(c)
+	if sp != nil && err == nil {
+		sp.Count("cbf.gates", int64(r.NumGates()))
+		sp.Count("cbf.source_gates", int64(c.NumGates()))
+		sp.Count("cbf.timed_inputs", int64(r.NumInputs()))
+	}
+	return r, err
+}
+
+// record runs the Figure 7 recursion from every output, recording one
+// instance per (gate, delay) and (input, delay) pair it reaches.
+func record(c *netlist.Circuit) (*unroll.Record, error) {
 	if !c.IsRegular() {
 		return nil, fmt.Errorf("cbf: circuit %q has load-enabled latches; use edbf.Unroll", c.Name)
 	}
 	if err := CheckAcyclic(c); err != nil {
 		return nil, err
 	}
-	out := netlist.New(c.Name + "_cbf")
-	out.Grow(len(c.Nodes))
+	r := unroll.New(c, '@')
 
-	// memo[d][id] is the unrolled node of node id at delay d, plus one
-	// (0: not built yet); a delay's row is allocated on first use. An
-	// input's entry is its timed input a@d.
+	// memo[d][id] is the instance of node id at delay d, plus one (0:
+	// not recorded yet); a delay's row is allocated on first use. A
+	// latch's entry is its data's instance one delay further back.
 	var memo [][]int32
 	row := func(d int) []int32 {
 		for len(memo) <= d {
@@ -183,88 +221,42 @@ func Unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 		}
 		return memo[d]
 	}
-	// fins holds the fanins of the gates being built, one frame per
+	// fins holds the fanins of the gates being recorded, one frame per
 	// open recursion level; frames index it by offset because deeper
 	// levels may reallocate it.
-	var fins []int
+	var fins []int32
 
-	var rec func(id, d int) int
-	rec = func(id, d int) int {
-		if nid := row(d)[id]; nid != 0 {
-			return int(nid) - 1
+	var rec func(id, d int) int32
+	rec = func(id, d int) int32 {
+		if i := row(d)[id]; i != 0 {
+			return i - 1
 		}
 		n := c.Nodes[id]
-		var nid int
+		var i int32
 		switch n.Kind {
 		case netlist.KindInput:
-			nid = out.AddInput(TimedName(n.Name, d))
+			i = r.Input(id, d)
 		case netlist.KindLatch:
 			// s(t-d) = y(t-d-1): the latch dissolves into a delay.
-			nid = rec(n.Data(), d+1)
+			i = rec(n.Data(), d+1)
 		case netlist.KindGate:
 			base := len(fins)
-			fins = append(fins, n.Fanins...)
+			fins = slices.Grow(fins, len(n.Fanins))[:base+len(n.Fanins)]
 			for j, f := range n.Fanins {
-				fj := rec(f, d)
+				fj := rec(f, d) // may grow fins: index it after the call
 				fins[base+j] = fj
 			}
-			name := unrolledName(n.Name, d)
-			if n.Op == netlist.OpTable {
-				nid = out.AddTable(name, fins[base:], n.Cover)
-			} else {
-				nid = out.AddGate(name, n.Op, fins[base:]...)
-			}
+			i = r.Gate(id, d, fins[base:])
 			fins = fins[:base]
 		}
-		memo[d][id] = int32(nid + 1)
-		return nid
+		memo[d][id] = i + 1
+		return i
 	}
 
 	for _, o := range c.Outputs {
-		out.AddOutput(o.Name, rec(o.Node, 0))
+		r.Output(rec(o.Node, 0))
 	}
-
-	// Deterministic input order: by (declaration position, delay).
-	ordered := make([]int, 0, len(out.Inputs))
-	for _, id := range c.Inputs {
-		for _, m := range memo {
-			if m != nil && m[id] != 0 {
-				ordered = append(ordered, int(m[id])-1)
-			}
-		}
-	}
-	out.Inputs = ordered
-
-	if err := out.Check(); err != nil {
-		return nil, fmt.Errorf("cbf: internal error, unrolled circuit invalid: %w", err)
-	}
-	return out, nil
-}
-
-// UnrollCtx is Unroll under the context's tracer: it wraps the
-// construction in a "cbf.unroll" span counting the unrolled and source
-// gates (their ratio is the Figure 18 replication factor) and the size
-// of the timed-input window. The unrolling itself is pure and runs to
-// completion.
-func UnrollCtx(ctx context.Context, c *netlist.Circuit) (*netlist.Circuit, error) {
-	_, sp := obs.Start1(ctx, "cbf.unroll", obs.S("circuit", c.Name))
-	out, err := Unroll(c)
-	if sp != nil {
-		if err == nil {
-			sp.Count("cbf.gates", int64(out.NumGates()))
-			sp.Count("cbf.source_gates", int64(c.NumGates()))
-			sp.Count("cbf.timed_inputs", int64(len(out.Inputs)))
-		}
-		sp.End()
-	}
-	return out, err
-}
-
-func unrolledName(base string, d int) string {
-	if base == "" {
-		return ""
-	}
-	return base + "@" + strconv.Itoa(d)
+	return r, nil
 }
 
 // Depths returns, per primary input name, the set of delays at which the

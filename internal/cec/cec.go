@@ -154,7 +154,7 @@ func check(ctx context.Context, start time.Time, m *Miter, c1, c2 *netlist.Circu
 	defer sp.End()
 	if m == nil {
 		var err error
-		if m, err = buildMiter(ctx, c1, c2); err != nil {
+		if m, err = buildMiter(ctx, circuitSide{c1}, circuitSide{c2}); err != nil {
 			return nil, err
 		}
 	}
@@ -196,10 +196,9 @@ func ValidEngine(name string) bool {
 	return false
 }
 
-func sameOutputNames(c1, c2 *netlist.Circuit) error {
-	n1, n2 := c1.OutputNames(), c2.OutputNames()
-	s1 := append([]string(nil), n1...)
-	s2 := append([]string(nil), n2...)
+func sameOutputNames(n1, n2 []string) error {
+	s1 := slices.Clone(n1)
+	s2 := slices.Clone(n2)
 	sort.Strings(s1)
 	sort.Strings(s2)
 	if len(s1) != len(s2) {
@@ -224,6 +223,23 @@ type Miter struct {
 	pos1, pos2 []aig.Lit // per names[i], each side's edge
 }
 
+// Side is one combinational circuit of a comparison as the joint AIG
+// sees it: named inputs, named outputs and the logic between them. A
+// netlist is one; an unrolling's record (unroll.Record) is another,
+// which builds its replicated cones into the AIG without a netlist.
+type Side interface {
+	// InputNames lists the side's input names in order.
+	InputNames() []string
+	// OutputNames lists its output names in declaration order.
+	OutputNames() []string
+	// NumFanins is its summed gate fanin count, which sizes the AIG.
+	NumFanins() int
+	// Build adds the side's logic to a over in (one edge per input, in
+	// InputNames order) and returns one edge per output, in
+	// OutputNames order.
+	Build(a *aig.AIG, in []aig.Lit) ([]aig.Lit, error)
+}
+
 // NewMiterCtx builds the joint AIG of c1 and c2 under an "aig.build"
 // span. The circuits must meet Check's contract: latch-free, with
 // identical output name sets.
@@ -231,22 +247,37 @@ func NewMiterCtx(ctx context.Context, c1, c2 *netlist.Circuit) (*Miter, error) {
 	if err := checkContract(c1, c2); err != nil {
 		return nil, err
 	}
-	return buildMiter(ctx, c1, c2)
+	return buildMiter(ctx, circuitSide{c1}, circuitSide{c2})
+}
+
+// BuildMiterCtx builds the joint AIG of two sides under an "aig.build"
+// span. The sides must have identical output name sets. For two
+// netlists it is the miter NewMiterCtx builds, node for node.
+func BuildMiterCtx(ctx context.Context, s1, s2 Side) (*Miter, error) {
+	if err := sameOutputNames(s1.OutputNames(), s2.OutputNames()); err != nil {
+		return nil, err
+	}
+	return buildMiter(ctx, s1, s2)
 }
 
 // Hash returns the miter's content address (see MiterHash).
 func (m *Miter) Hash() string { return m.a.StructuralHash() }
 
+// AIG returns the joint AIG: the union's inputs, then both sides' AND
+// nodes, and per sorted output name o the outputs "l$o" and "r$o". The
+// caller must not modify it.
+func (m *Miter) AIG() *aig.AIG { return m.a }
+
 func checkContract(c1, c2 *netlist.Circuit) error {
 	if len(c1.Latches) > 0 || len(c2.Latches) > 0 {
 		return fmt.Errorf("cec: circuits must be combinational (unroll first)")
 	}
-	return sameOutputNames(c1, c2)
+	return sameOutputNames(c1.OutputNames(), c2.OutputNames())
 }
 
-func buildMiter(ctx context.Context, c1, c2 *netlist.Circuit) (*Miter, error) {
+func buildMiter(ctx context.Context, s1, s2 Side) (*Miter, error) {
 	_, bsp := obs.Start(ctx, "aig.build")
-	m, err := jointAIG(c1, c2)
+	m, err := jointAIG(s1, s2)
 	if bsp != nil && err == nil {
 		// A gauge, not a count: perfbench's layer run reads it as one.
 		bsp.Gauge("aig.ands", int64(m.a.NumAnds()))
@@ -256,83 +287,113 @@ func buildMiter(ctx context.Context, c1, c2 *netlist.Circuit) (*Miter, error) {
 	return m, err
 }
 
-// jointAIG builds both circuits into one AIG over the union of input
-// names and records, per sorted output name, each side's edge.
-func jointAIG(c1, c2 *netlist.Circuit) (*Miter, error) {
-	seen := make(map[string]int, len(c1.Inputs)+len(c2.Inputs))
-	union := make([]string, 0, len(c1.Inputs))
-	fanins := 0
-	for _, c := range []*netlist.Circuit{c1, c2} {
-		for _, id := range c.Inputs {
-			n := c.Nodes[id].Name
+// jointAIG builds both sides into one AIG over the union of input
+// names (the first side's, then the second's new ones) and records,
+// per sorted output name, each side's edge.
+func jointAIG(s1, s2 Side) (*Miter, error) {
+	in1, in2 := s1.InputNames(), s2.InputNames()
+	seen := make(map[string]int, len(in1)+len(in2))
+	union := make([]string, 0, len(in1))
+	for _, names := range [][]string{in1, in2} {
+		for _, n := range names {
 			if _, ok := seen[n]; !ok {
 				seen[n] = len(union)
 				union = append(union, n)
 			}
 		}
-		for _, n := range c.Nodes {
-			fanins += len(n.Fanins)
-		}
 	}
 	a := aig.New(union)
 	// About one AND node per fanin: an n-input gate is n-1 ANDs.
-	a.Grow(fanins)
-	var fins []aig.Lit // reused: Gate does not keep it
-	build := func(c *netlist.Circuit) ([]aig.Lit, error) {
-		order, err := c.TopoOrder()
-		if err != nil {
-			return nil, err
+	a.Grow(s1.NumFanins() + s2.NumFanins())
+	build := func(s Side, names []string) ([]aig.Lit, error) {
+		in := make([]aig.Lit, len(names))
+		for i, n := range names {
+			in[i] = a.PI(seen[n])
 		}
-		lit := make([]aig.Lit, len(c.Nodes))
-		for _, id := range c.Inputs {
-			lit[id] = a.PI(seen[c.Nodes[id].Name])
-		}
-		for _, id := range order {
-			n := c.Nodes[id]
-			if n.Kind != netlist.KindGate {
-				continue
-			}
-			fins = fins[:0]
-			for _, f := range n.Fanins {
-				fins = append(fins, lit[f])
-			}
-			lit[id] = a.Gate(n, fins)
-		}
-		return lit, nil
+		return s.Build(a, in)
 	}
-	lit1, err := build(c1)
+	out1, err := build(s1, in1)
 	if err != nil {
 		return nil, err
 	}
-	lit2, err := build(c2)
+	out2, err := build(s2, in2)
 	if err != nil {
 		return nil, err
 	}
-	names := c1.OutputNames()
+	names1 := s1.OutputNames()
+	names := slices.Clone(names1)
 	sort.Strings(names)
 	m := &Miter{piNames: union, a: a, names: names}
-	m.pos1 = outputEdges(c1, lit1, m.names)
-	m.pos2 = outputEdges(c2, lit2, m.names)
+	m.pos1 = outputEdges(names1, out1, m.names)
+	m.pos2 = outputEdges(s2.OutputNames(), out2, m.names)
+	// Output names "l$<name>" and "r$<name>", sharing one string.
+	var b []byte
+	for _, n := range m.names {
+		b = append(append(b, "l$"...), n...)
+		b = append(append(b, "r$"...), n...)
+	}
+	all := string(b)
 	for i, n := range m.names {
-		a.AddPO("l$"+n, m.pos1[i])
-		a.AddPO("r$"+n, m.pos2[i])
+		w := len(n) + 2
+		a.AddPO(all[:w], m.pos1[i])
+		a.AddPO(all[w:2*w], m.pos2[i])
+		all = all[2*w:]
 	}
 	return m, nil
 }
 
-// outputEdges returns the edge driving each named output of c; lit is
-// c's node-to-edge map. A name c declares twice takes its last
-// declaration.
-func outputEdges(c *netlist.Circuit, lit []aig.Lit, names []string) []aig.Lit {
-	byName := make(map[string]aig.Lit, len(c.Outputs))
-	for _, o := range c.Outputs {
-		byName[o.Name] = lit[o.Node]
+// outputEdges returns the edge driving each of names, given a side's
+// output names in declaration order and their edges. A name the side
+// declares twice takes its last declaration.
+func outputEdges(declared []string, edges []aig.Lit, names []string) []aig.Lit {
+	byName := make(map[string]aig.Lit, len(declared))
+	for i, n := range declared {
+		byName[n] = edges[i]
 	}
-	edges := make([]aig.Lit, len(names))
+	out := make([]aig.Lit, len(names))
 	for i, n := range names {
-		edges[i] = byName[n]
+		out[i] = byName[n]
 	}
-	return edges
+	return out
+}
+
+// circuitSide is a latch-free netlist as a Side.
+type circuitSide struct{ *netlist.Circuit }
+
+func (c circuitSide) NumFanins() int {
+	n := 0
+	for _, nd := range c.Nodes {
+		n += len(nd.Fanins)
+	}
+	return n
+}
+
+func (c circuitSide) Build(a *aig.AIG, in []aig.Lit) ([]aig.Lit, error) {
+	order, err := c.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	lit := make([]aig.Lit, len(c.Nodes))
+	for i, id := range c.Inputs {
+		lit[id] = in[i]
+	}
+	var fins []aig.Lit // reused: Gate does not keep it
+	for _, id := range order {
+		n := c.Nodes[id]
+		if n.Kind != netlist.KindGate {
+			continue
+		}
+		fins = fins[:0]
+		for _, f := range n.Fanins {
+			fins = append(fins, lit[f])
+		}
+		lit[id] = a.Gate(n, fins)
+	}
+	edges := make([]aig.Lit, len(c.Outputs))
+	for i, o := range c.Outputs {
+		edges[i] = lit[o.Node]
+	}
+	return edges, nil
 }
 
 // checkBDD is the monolithic reference engine: one BDD per output

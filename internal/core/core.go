@@ -19,6 +19,7 @@ import (
 	"seqver/internal/netlist"
 	"seqver/internal/obs"
 	"seqver/internal/unate"
+	"seqver/internal/unroll"
 )
 
 // PrepareOptions controls the constraint-satisfaction step.
@@ -148,7 +149,9 @@ func VerifyAcyclic(c1, c2 *netlist.Circuit, opt Options) (*Report, error) {
 // VerifyAcyclicCtx is VerifyAcyclic under cooperative cancellation: the
 // context (and opt.CEC.Budget) bound the equivalence check's wall
 // clock, and exhaustion degrades to an Undecided verdict naming the
-// unresolved outputs rather than an error (see cec.CheckCtx).
+// unresolved outputs rather than an error (see cec.CheckCtx). The
+// budget covers the check alone; the unrolling before it is not
+// budgeted.
 func VerifyAcyclicCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options) (*Report, error) {
 	start := time.Now()
 	ctx, sp := obs.Start(ctx, "verify")
@@ -168,14 +171,12 @@ func VerifyAcyclicCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options)
 }
 
 // Unrolled is the combinational reduction of a verification pair: the
-// CBF or EDBF unrollings of both circuits, ready for the equivalence
-// checker. It is the seam between "what problem is this" and "decide
-// it" — the verification daemon hashes U1/U2 (MiterHash) to key its
-// result cache before spending any solver time, and then decides the
-// very joint AIG it hashed (CheckCtx).
+// joint AIG of the CBF or EDBF unrollings of both circuits, ready for
+// the equivalence checker. It is the seam between "what problem is
+// this" and "decide it" — the verification daemon hashes the joint AIG
+// (MiterHash) to key its result cache before spending any solver time,
+// and then decides that very AIG (CheckCtx).
 type Unrolled struct {
-	// U1, U2 are the combinational unrollings, name-aligned for cec.
-	U1, U2 *netlist.Circuit
 	// Method is "cbf" (regular latches, complete) or "edbf"
 	// (load-enabled latches, conservative).
 	Method string
@@ -188,7 +189,7 @@ type Unrolled struct {
 	// Figure 18 replication cost).
 	UnrolledGates [2]int
 
-	miter *cec.Miter // joint AIG of U1 and U2, once MiterHash built it
+	miter *cec.Miter // the joint AIG of both unrollings
 }
 
 // report seeds a Report with the unrolling's metadata.
@@ -197,62 +198,53 @@ func (u *Unrolled) report() *Report {
 		UnrolledGates: u.UnrolledGates, Conservative: u.Conservative}
 }
 
-// MiterHash returns the reduction's content address, cec.MiterHash of
-// U1 and U2. It keeps the joint AIG it hashes, so a later CheckCtx
-// decides that AIG instead of building it again.
-func (u *Unrolled) MiterHash(ctx context.Context) (string, error) {
-	if u.miter == nil {
-		m, err := cec.NewMiterCtx(ctx, u.U1, u.U2)
-		if err != nil {
-			return "", err
-		}
-		u.miter = m
-	}
-	return u.miter.Hash(), nil
-}
+// MiterHash returns the reduction's content address: cec.MiterHash of
+// the two unrolled netlists, which the joint AIG equals node for node.
+func (u *Unrolled) MiterHash() string { return u.miter.Hash() }
 
-// CheckCtx discharges the reduction with the combinational checker: on
-// the joint AIG MiterHash built, if it ran, else as cec.CheckCtx does.
+// CheckCtx discharges the reduction with the combinational checker on
+// the joint AIG; the budget in opt covers the check alone.
 func (u *Unrolled) CheckCtx(ctx context.Context, opt cec.Options) (*cec.Result, error) {
-	if u.miter != nil {
-		return u.miter.CheckCtx(ctx, opt)
-	}
-	return cec.CheckCtx(ctx, u.U1, u.U2, opt)
+	return u.miter.CheckCtx(ctx, opt)
 }
 
 // UnrollAcyclicCtx reduces an acyclic pair to combinational form
 // without deciding it: the CBF path for regular-latch circuits
 // (Theorem 5.1, exact) or the EDBF path when load-enabled latches are
 // present (Theorem 5.2, conservative). Both circuits must already
-// satisfy the feedback constraint.
+// satisfy the feedback constraint and have the same output names. Each
+// side's walk records its cone replication, and both records are built
+// straight into one joint AIG under an "aig.build" span.
 func UnrollAcyclicCtx(ctx context.Context, c1, c2 *netlist.Circuit, rewrite bool) (*Unrolled, error) {
 	u := &Unrolled{}
+	var r1, r2 *unroll.Record
 	var err error
 	if c1.IsRegular() && c2.IsRegular() {
 		u.Method = "cbf"
-		if u.U1, err = cbf.UnrollCtx(ctx, c1); err != nil {
+		if r1, err = cbf.RecordCtx(ctx, c1); err != nil {
 			return nil, err
 		}
-		if u.U2, err = cbf.UnrollCtx(ctx, c2); err != nil {
+		if r2, err = cbf.RecordCtx(ctx, c2); err != nil {
 			return nil, err
 		}
-		if u.Depth, err = cbf.SequentialDepth(c1); err != nil {
-			return nil, err
-		}
+		u.Depth = r1.MaxKey() // cbf.SequentialDepth(c1), without its walk
 		obs.CurrentSpan(ctx).Count("cbf.depth", int64(u.Depth))
 	} else {
 		u.Method = "edbf"
 		u.Conservative = true
 		cx := edbf.NewCtx()
 		cx.Rewrite = rewrite
-		if u.U1, err = cx.UnrollCtx(ctx, c1); err != nil {
+		if r1, err = cx.RecordCtx(ctx, c1); err != nil {
 			return nil, err
 		}
-		if u.U2, err = cx.UnrollCtx(ctx, c2); err != nil {
+		if r2, err = cx.RecordCtx(ctx, c2); err != nil {
 			return nil, err
 		}
 	}
-	u.UnrolledGates = [2]int{u.U1.NumGates(), u.U2.NumGates()}
+	if u.miter, err = cec.BuildMiterCtx(ctx, r1, r2); err != nil {
+		return nil, err
+	}
+	u.UnrolledGates = [2]int{r1.NumGates(), r2.NumGates()}
 	return u, nil
 }
 

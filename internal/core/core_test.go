@@ -394,9 +394,10 @@ func TestVerifyMultiClassRetimedEDBF(t *testing.T) {
 	}
 }
 
-// TestUnrolledHashesAndChecksOneMiter: MiterHash keys the reduction by
-// cec.MiterHash of its unrollings, and the check that follows decides
-// the joint AIG that was hashed, with the verdict a fresh check gives.
+// TestUnrolledHashesAndChecksOneMiter: the joint AIG UnrollAcyclicCtx
+// builds straight from the two walks hashes as cec.MiterHash of the
+// netlist route (cbf.Unroll of each side), and the check on it gives
+// the verdict a check of those netlists gives.
 func TestUnrolledHashesAndChecksOneMiter(t *testing.T) {
 	orig := pipeCircuit()
 	bug := pipeCircuit()
@@ -407,30 +408,35 @@ func TestUnrolledHashesAndChecksOneMiter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cec.MiterHash(u.U1, u.U2)
+		h1, err := cbf.Unroll(orig)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := u.MiterHash(ctx)
+		h2, err := cbf.Unroll(c2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("Unrolled.MiterHash = %s, cec.MiterHash = %s", got, want)
+		want, err := cec.MiterHash(h1, h2)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if u.miter == nil {
-			t.Fatal("MiterHash kept no joint AIG for the check")
+		if got := u.MiterHash(); got != want {
+			t.Fatalf("Unrolled.MiterHash = %s, cec.MiterHash of the netlists = %s", got, want)
+		}
+		if u.UnrolledGates != [2]int{h1.NumGates(), h2.NumGates()} {
+			t.Fatalf("UnrolledGates = %v, netlists have %d and %d", u.UnrolledGates, h1.NumGates(), h2.NumGates())
 		}
 		res, err := u.CheckCtx(ctx, cec.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := cec.Check(u.U1, u.U2, cec.Options{})
+		fresh, err := cec.Check(h1, h2, cec.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Verdict != fresh.Verdict {
-			t.Fatalf("check on the hashed miter: %v, fresh check: %v", res.Verdict, fresh.Verdict)
+		if res.Verdict != fresh.Verdict || res.FailingOutput != fresh.FailingOutput {
+			t.Fatalf("check on the joint AIG: %v %q, netlist check: %v %q",
+				res.Verdict, res.FailingOutput, fresh.Verdict, fresh.FailingOutput)
 		}
 	}
 }

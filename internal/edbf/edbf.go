@@ -34,6 +34,7 @@ import (
 	"seqver/internal/cbf"
 	"seqver/internal/netlist"
 	"seqver/internal/obs"
+	"seqver/internal/unroll"
 )
 
 // Element is one event constituent: an enable predicate (by canonical id)
@@ -166,12 +167,6 @@ func (cx *Ctx) canon(e Event) Event {
 	return e
 }
 
-// VarName renders the unrolled primary-input name for input `base`
-// sampled under event id ev.
-func VarName(base string, ev int) string {
-	return base + "#" + strconv.Itoa(ev)
-}
-
 // ParseVarName splits an unrolled input name into (base, event id).
 func ParseVarName(v string) (string, int, error) {
 	i := strings.LastIndexByte(v, '#')
@@ -220,12 +215,12 @@ func (cx *Ctx) predicateOf(c *netlist.Circuit, enable int, memo []bdd.Ref, done 
 
 // Unroll computes the EDBF of every primary output of c (the Figure 8
 // recursion) and materializes it as a combinational circuit whose primary
-// inputs are (input, event) variables named VarName(a, ev). The circuit
+// inputs are (input, event) variables named "a#ev". The circuit
 // must be acyclic; both regular and load-enabled latches are supported
 // (regular latches degrade to pure delays, so on a regular-latch circuit
 // the EDBF coincides with the CBF up to variable naming).
 func (cx *Ctx) Unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
-	return cx.unroll(c)
+	return cx.UnrollCtx(context.Background(), c)
 }
 
 // UnrollCtx is Unroll under the context's tracer: an "edbf.unroll" span
@@ -234,60 +229,81 @@ func (cx *Ctx) Unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 // so the counts of the spans sharing cx sum to cx.NumEvents().
 func (cx *Ctx) UnrollCtx(ctx context.Context, c *netlist.Circuit) (*netlist.Circuit, error) {
 	_, sp := obs.Start1(ctx, "edbf.unroll", obs.S("circuit", c.Name))
-	events := cx.NumEvents()
-	out, err := cx.unroll(c)
-	if sp != nil {
-		if err == nil {
-			sp.Count("edbf.gates", int64(out.NumGates()))
-			sp.Count("edbf.source_gates", int64(c.NumGates()))
-			sp.Count("edbf.events", int64(cx.NumEvents()-events))
-		}
-		sp.End()
+	defer sp.End()
+	r, err := cx.recordSpan(sp, c)
+	if err != nil {
+		return nil, err
 	}
-	return out, err
+	out, err := r.Circuit(c.Name + "_edbf")
+	if err != nil {
+		return nil, fmt.Errorf("edbf: %w", err)
+	}
+	return out, nil
 }
 
-func (cx *Ctx) unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
+// RecordCtx is UnrollCtx without the netlist: it returns the
+// unrolling's record, which the checker builds straight into its joint
+// AIG. The "edbf.unroll" span and its counts are UnrollCtx's.
+func (cx *Ctx) RecordCtx(ctx context.Context, c *netlist.Circuit) (*unroll.Record, error) {
+	_, sp := obs.Start1(ctx, "edbf.unroll", obs.S("circuit", c.Name))
+	defer sp.End()
+	return cx.recordSpan(sp, c)
+}
+
+// recordSpan records c's unrolling and counts it on sp.
+func (cx *Ctx) recordSpan(sp *obs.Span, c *netlist.Circuit) (*unroll.Record, error) {
+	events := cx.NumEvents()
+	r, err := cx.record(c)
+	if sp != nil && err == nil {
+		sp.Count("edbf.gates", int64(r.NumGates()))
+		sp.Count("edbf.source_gates", int64(c.NumGates()))
+		sp.Count("edbf.events", int64(cx.NumEvents()-events))
+	}
+	return r, err
+}
+
+// record runs the Figure 8 recursion from every output, recording one
+// instance per (gate, event) and (input, event) pair it reaches, and a
+// free variable per (never-loading latch, event).
+func (cx *Ctx) record(c *netlist.Circuit) (*unroll.Record, error) {
 	if err := cbf.CheckAcyclic(c); err != nil {
 		return nil, fmt.Errorf("edbf: %w", err)
 	}
-	out := netlist.New(c.Name + "_edbf")
-	out.Grow(len(c.Nodes))
+	r := unroll.New(c, '#')
 
 	predMemo := make([]bdd.Ref, len(c.Nodes))
 	predDone := make([]bool, len(c.Nodes))
-	// The memo maps (node, event) to the unrolled node. A node is
-	// visited under few of the context's events, so rather than one
-	// dense row per event it keeps, per node, a chain of (event,
-	// unrolled node) entries in one arena: head[id] is the newest entry
-	// of node id, plus one (0: none). An input's entries are its event
-	// variables a#ev.
+	// The memo maps (node, event) to the instance. A node is visited
+	// under few of the context's events, so rather than one dense row
+	// per event it keeps, per node, a chain of (event, instance)
+	// entries in one arena: head[id] is the newest entry of node id,
+	// plus one (0: none).
 	type memoEntry struct {
-		ev, nid, next int32
+		ev, inst, next int32
 	}
 	head := make([]int32, len(c.Nodes))
 	entries := make([]memoEntry, 0, len(c.Nodes))
-	store := func(id, ev, nid int) {
-		entries = append(entries, memoEntry{int32(ev), int32(nid), head[id]})
+	store := func(id, ev int, i int32) {
+		entries = append(entries, memoEntry{int32(ev), i, head[id]})
 		head[id] = int32(len(entries))
 	}
-	// fins holds the fanins of the gates being built (see cbf.Unroll);
-	// elems is the scratch event a latch crossing builds.
-	var fins []int
+	// fins holds the fanins of the gates being recorded (see
+	// cbf.record); elems is the scratch event a latch crossing builds.
+	var fins []int32
 	var elems []Element
 
-	var rec func(id int, ev int) (int, error)
-	rec = func(id int, ev int) (int, error) {
+	var rec func(id int, ev int) (int32, error)
+	rec = func(id int, ev int) (int32, error) {
 		for e := head[id]; e != 0; e = entries[e-1].next {
 			if int(entries[e-1].ev) == ev {
-				return int(entries[e-1].nid), nil
+				return entries[e-1].inst, nil
 			}
 		}
 		n := c.Nodes[id]
-		var nid int
+		var i int32
 		switch n.Kind {
 		case netlist.KindInput:
-			nid = out.AddInput(VarName(n.Name, ev))
+			i = r.Input(id, ev)
 		case netlist.KindLatch:
 			e := cx.events[ev]
 			elems = append(elems[:0], e.Elems...)
@@ -302,22 +318,21 @@ func (cx *Ctx) unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 				case bdd.False:
 					// The latch never loads: its value is the power-up
 					// nondeterminate, a fresh free variable.
-					nid = out.AddInput("undef:" + nodeName(c, id) + "#" + strconv.Itoa(ev))
-					store(id, ev, nid)
-					return nid, nil
+					i = r.Undef(id, ev)
+					store(id, ev, i)
+					return i, nil
 				default:
 					elems = append(elems, Element{Pred: cx.internPred(pred), Delta: e.Depth})
 				}
 			}
 			nextID := cx.internEvent(cx.canon(Event{Elems: elems, Depth: e.Depth + 1}))
 			var err error
-			nid, err = rec(n.Data(), nextID)
-			if err != nil {
+			if i, err = rec(n.Data(), nextID); err != nil {
 				return 0, err
 			}
 		case netlist.KindGate:
 			base := len(fins)
-			fins = append(fins, n.Fanins...)
+			fins = slices.Grow(fins, len(n.Fanins))[:base+len(n.Fanins)]
 			for j, f := range n.Fanins {
 				fj, err := rec(f, ev)
 				if err != nil {
@@ -325,62 +340,20 @@ func (cx *Ctx) unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 				}
 				fins[base+j] = fj
 			}
-			name := ""
-			if n.Name != "" {
-				name = n.Name + "#" + strconv.Itoa(ev)
-			}
-			if n.Op == netlist.OpTable {
-				nid = out.AddTable(name, fins[base:], n.Cover)
-			} else {
-				nid = out.AddGate(name, n.Op, fins[base:]...)
-			}
+			i = r.Gate(id, ev, fins[base:])
 			fins = fins[:base]
 		}
-		store(id, ev, nid)
-		return nid, nil
+		store(id, ev, i)
+		return i, nil
 	}
 
 	empty := cx.internEvent(Event{})
 	for _, o := range c.Outputs {
-		nid, err := rec(o.Node, empty)
+		i, err := rec(o.Node, empty)
 		if err != nil {
 			return nil, err
 		}
-		out.AddOutput(o.Name, nid)
+		r.Output(i)
 	}
-
-	// Deterministic input order: (input position, event id); synthetic
-	// "undef" inputs keep their creation order at the end.
-	ordered := make([]int, 0, len(out.Inputs))
-	placed := make([]bool, len(out.Nodes))
-	for _, id := range c.Inputs {
-		first := len(ordered)
-		for e := head[id]; e != 0; e = entries[e-1].next {
-			ordered = append(ordered, int(e-1)) // entry index, mapped below
-		}
-		vars := ordered[first:]
-		slices.SortFunc(vars, func(a, b int) int { return cmp.Compare(entries[a].ev, entries[b].ev) })
-		for i, e := range vars {
-			vars[i] = int(entries[e].nid)
-			placed[vars[i]] = true
-		}
-	}
-	for _, id := range out.Inputs {
-		if !placed[id] {
-			ordered = append(ordered, id)
-		}
-	}
-	out.Inputs = ordered
-
-	if err := out.Check(); err != nil {
-		return nil, fmt.Errorf("edbf: internal error, unrolled circuit invalid: %w", err)
-	}
-	return out, nil
-}
-
-func nodeName(c *netlist.Circuit, id int) string {
-	if n := c.Nodes[id]; n.Name != "" {
-		return n.Name
-	}
-	return "n" + strconv.Itoa(id)
+	return r, nil
 }

@@ -1,24 +1,25 @@
 package obs
 
-import (
-	"math"
-	"runtime/metrics"
-	"testing"
-)
+import "testing"
 
-// TestHistTotalNS checks the pause-total estimator against a
-// hand-built histogram, including the open-ended last bucket.
-func TestHistTotalNS(t *testing.T) {
-	h := &metrics.Float64Histogram{
-		Counts:  []uint64{2, 0, 1},
-		Buckets: []float64{0, 1e-6, 1e-3, math.Inf(1)},
+var memSink []*[64]byte
+
+// TestMemCountersCountEveryAllocation: the counters are exact, so a
+// delta around n heap allocations of a known size reads at least n
+// objects and their bytes (the harness's own allocations can only add).
+func TestMemCountersCountEveryAllocation(t *testing.T) {
+	const n = 1000
+	memSink = make([]*[64]byte, 0, n)
+	b0, o0, p0 := MemCounters()
+	for range n {
+		memSink = append(memSink, new([64]byte))
 	}
-	// 2 × 1e-6 s + 1 × 1e-3 s (lower bound of the +Inf bucket) = 1.002 ms
-	want := int64(2*1e3 + 1e6)
-	if got := histTotalNS(h); got != want {
-		t.Fatalf("histTotalNS = %d, want %d", got, want)
+	b1, o1, p1 := MemCounters()
+	if o1-o0 < n || b1-b0 < n*64 {
+		t.Fatalf("counted %d objects, %d bytes around %d allocations of 64 bytes", o1-o0, b1-b0, n)
 	}
-	if histTotalNS(nil) != 0 {
-		t.Fatal("nil histogram must total 0")
+	if p1 < p0 {
+		t.Fatalf("GC pause total went back from %d to %d ns", p0, p1)
 	}
+	memSink = nil
 }

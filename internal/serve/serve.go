@@ -756,22 +756,17 @@ func (s *Server) execute(ctx context.Context, j *Job, attempt int) (*JobResult, 
 	var key string
 	var hit *CachedResult
 	if !req.NoCache {
-		cctx, csp := obs.Start(ctx, "cache.lookup")
-		key, err = u.MiterHash(cctx)
-		if err == nil {
-			// The miter hash is the job's idempotency key: journal it
-			// before solving so a crash mid-solve lets replay answer this
-			// job from the cache instead of re-running it.
-			j.setKey(key)
-			s.journalAppend(journalRecord{Op: jopKeyed, ID: j.ID, Key: key})
-			hit = s.cache.Get(key)
-		}
+		_, csp := obs.Start(ctx, "cache.lookup")
+		key = u.MiterHash()
+		// The miter hash is the job's idempotency key: journal it before
+		// solving so a crash mid-solve lets replay answer this job from
+		// the cache instead of re-running it.
+		j.setKey(key)
+		s.journalAppend(journalRecord{Op: jopKeyed, ID: j.ID, Key: key})
+		hit = s.cache.Get(key)
 		outcome := "miss"
 		if hit != nil {
 			outcome = "hit"
-		}
-		if err != nil {
-			outcome = "unkeyable"
 		}
 		csp.Event("cache", obs.S("outcome", outcome))
 		csp.End()

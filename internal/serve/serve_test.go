@@ -151,8 +151,9 @@ func TestSubmitVerdictAndCacheHit(t *testing.T) {
 	if !bytes.Contains(trace1, []byte(`"name":"cec"`)) {
 		t.Error("solved job's trace missing the cec span")
 	}
-	// A cache miss hashes and decides one joint AIG: it is built once,
-	// under the cache lookup, and the cec span does not rebuild it.
+	// A cache miss hashes and decides one joint AIG: the unrolling
+	// builds it once, straight under the job span (before the cache
+	// lookup hashes it), and the cec span does not rebuild it.
 	events, err := obs.DecodeJSONL(bytes.NewReader(trace1))
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +167,8 @@ func TestSubmitVerdictAndCacheHit(t *testing.T) {
 		spanName[ev.Span] = ev.Name
 		if ev.Name == "aig.build" {
 			builds++
-			if p := spanName[ev.Parent]; p != "cache.lookup" {
-				t.Errorf("aig.build opened under %q, want cache.lookup", p)
+			if p := spanName[ev.Parent]; p != "job" {
+				t.Errorf("aig.build opened under %q, want job", p)
 			}
 		}
 	}

@@ -151,7 +151,8 @@ func VerifyAcyclic(c1, c2 *Circuit, opt Options) (*Report, error) {
 // context and Options.CEC.Budget bound the equivalence check's wall
 // clock (whichever deadline is tighter wins), and exhaustion degrades
 // the verdict to Undecided with the unresolved outputs listed in
-// Report.Result.UndecidedOutputs — never a hang or an error.
+// Report.Result.UndecidedOutputs — never a hang or an error. The budget
+// covers the check alone, not the unrolling into its joint AIG.
 func VerifyAcyclicCtx(ctx context.Context, c1, c2 *Circuit, opt Options) (*Report, error) {
 	return core.VerifyAcyclicCtx(ctx, c1, c2, opt)
 }
