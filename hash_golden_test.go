@@ -1,10 +1,14 @@
 package seqver_test
 
 import (
+	"context"
 	"testing"
 
 	"seqver"
 	"seqver/internal/bench"
+	"seqver/internal/core"
+	"seqver/internal/netlist"
+	"seqver/internal/synth"
 )
 
 // TestMiterHashGoldenS3384 pins the content address of a fixed
@@ -60,5 +64,44 @@ func TestMiterHashGoldenEx5(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("ex5 miter hash = %s, want %s (cache keys of deployed daemons change!)", got, want)
+	}
+}
+
+// TestUnrollPairMiterHashGolden pins the daemon's cache keys: the
+// daemon reduces a pair with core.UnrollPairCtx, which reads both
+// circuits through cuts instead of exposing copies of them, and its
+// MiterHash must be the constant of TestMiterHashGoldenEx5 on the ex5-0
+// pair and of TestMiterHashGoldenS3384 on the s3384 circuit against
+// itself.
+func TestUnrollPairMiterHashGolden(t *testing.T) {
+	const (
+		wantEx5   = "84c25b5aa7959072454b39d0d33f8f61" // TestMiterHashGoldenEx5
+		wantS3384 = "bca2b189e6d692cce23b0c3952293c7a" // TestMiterHashGoldenS3384
+	)
+	sp := bench.IndustrialSpec{Name: "ex5-0", Latches: 672, FSMFrac: 305.0 / 672, MemFrac: 0.15}
+	a := bench.GenerateIndustrial(sp)
+	syn, err := synth.Optimize(a, synth.DefaultScript())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s3384 bench.Spec
+	for _, sp := range bench.Table1Specs {
+		if sp.Name == "s3384" {
+			s3384 = sp
+		}
+	}
+	c := bench.Generate(s3384)
+	for _, tc := range []struct {
+		name   string
+		c1, c2 *netlist.Circuit
+		want   string
+	}{{"ex5-0", a, syn, wantEx5}, {"s3384", c, c, wantS3384}} {
+		u, err := core.UnrollPairCtx(context.Background(), tc.c1, tc.c2, core.PrepareOptions{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := u.MiterHash(); got != tc.want {
+			t.Errorf("%s: UnrollPairCtx miter hash = %s, want %s (cache keys of deployed daemons change!)", tc.name, got, tc.want)
+		}
 	}
 }

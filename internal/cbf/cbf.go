@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 
+	"seqver/internal/feedback"
 	"seqver/internal/netlist"
 	"seqver/internal/obs"
 	"seqver/internal/unroll"
@@ -44,53 +45,14 @@ func ParseTimedName(timed string) (string, int, error) {
 // CheckAcyclic verifies the circuit has no feedback path through latches:
 // the dependency graph including latch data edges must be acyclic. This is
 // the precondition for CBF existence (Section 5).
-func CheckAcyclic(c *netlist.Circuit) error {
-	// DFS over the full graph (gate fanins + latch data edges + latch
-	// enable edges).
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]uint8, len(c.Nodes))
-	type frame struct {
-		id   int
-		next int
-	}
-	// edge returns node n's i-th dependency: its fanins, then a latch's
-	// enable.
-	edge := func(n *netlist.Node, i int) (int, bool) {
-		if i < len(n.Fanins) {
-			return n.Fanins[i], true
-		}
-		if i == len(n.Fanins) && n.Kind == netlist.KindLatch && n.Enable != netlist.NoEnable {
-			return n.Enable, true
-		}
-		return 0, false
-	}
-	var stack []frame
-	for root := range c.Nodes {
-		if color[root] != white {
-			continue
-		}
-		color[root] = gray
-		stack = append(stack[:0], frame{root, 0})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if ch, ok := edge(c.Nodes[f.id], f.next); ok {
-				f.next++
-				switch color[ch] {
-				case white:
-					color[ch] = gray
-					stack = append(stack, frame{ch, 0})
-				case gray:
-					return fmt.Errorf("cbf: feedback path through %q; expose or decompose feedback latches first", c.Nodes[ch].Name)
-				}
-				continue
-			}
-			color[f.id] = black
-			stack = stack[:len(stack)-1]
-		}
+func CheckAcyclic(c *netlist.Circuit) error { return CheckCut(feedback.Whole(c)) }
+
+// CheckCut is CheckAcyclic over a circuit read through a cut, whose
+// exposed latches break the feedback paths through them. A cut is
+// checked once however often it is asked.
+func CheckCut(x *feedback.Cut) error {
+	if err := x.CheckAcyclic(); err != nil {
+		return fmt.Errorf("cbf: %w", err)
 	}
 	return nil
 }
@@ -165,7 +127,7 @@ func Unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 func UnrollCtx(ctx context.Context, c *netlist.Circuit) (*netlist.Circuit, error) {
 	_, sp := obs.Start1(ctx, "cbf.unroll", obs.S("circuit", c.Name))
 	defer sp.End()
-	r, err := recordSpan(sp, c)
+	r, err := recordSpan(sp, feedback.Whole(c))
 	if err != nil {
 		return nil, err
 	}
@@ -176,37 +138,42 @@ func UnrollCtx(ctx context.Context, c *netlist.Circuit) (*netlist.Circuit, error
 	return out, nil
 }
 
-// RecordCtx is UnrollCtx without the netlist: it returns the
-// unrolling's record, which the checker builds straight into its joint
-// AIG; r.Circuit(c.Name+"_cbf") is the netlist Unroll returns. The
-// "cbf.unroll" span and its counts are UnrollCtx's.
-func RecordCtx(ctx context.Context, c *netlist.Circuit) (*unroll.Record, error) {
-	_, sp := obs.Start1(ctx, "cbf.unroll", obs.S("circuit", c.Name))
+// RecordCtx is UnrollCtx without the netlist, over a circuit read
+// through a cut: it returns the unrolling's record, which the checker
+// builds straight into its joint AIG. Over feedback.Whole(c),
+// r.Circuit(c.Name+"_cbf") is the netlist Unroll returns; over any cut
+// it is the netlist Unroll returns for the circuit the cut reads as.
+// The "cbf.unroll" span and its counts are UnrollCtx's, with the cut's
+// source gates.
+func RecordCtx(ctx context.Context, x *feedback.Cut) (*unroll.Record, error) {
+	_, sp := obs.Start1(ctx, "cbf.unroll", obs.S("circuit", x.Source().Name))
 	defer sp.End()
-	return recordSpan(sp, c)
+	return recordSpan(sp, x)
 }
 
-// recordSpan records c's unrolling and counts it on sp.
-func recordSpan(sp *obs.Span, c *netlist.Circuit) (*unroll.Record, error) {
-	r, err := record(c)
+// recordSpan records x's unrolling and counts it on sp.
+func recordSpan(sp *obs.Span, x *feedback.Cut) (*unroll.Record, error) {
+	r, err := record(x)
 	if sp != nil && err == nil {
 		sp.Count("cbf.gates", int64(r.NumGates()))
-		sp.Count("cbf.source_gates", int64(c.NumGates()))
+		sp.Count("cbf.source_gates", int64(x.NumGates()))
 		sp.Count("cbf.timed_inputs", int64(r.NumInputs()))
 	}
 	return r, err
 }
 
 // record runs the Figure 7 recursion from every output, recording one
-// instance per (gate, delay) and (input, delay) pair it reaches.
-func record(c *netlist.Circuit) (*unroll.Record, error) {
-	if !c.IsRegular() {
-		return nil, fmt.Errorf("cbf: circuit %q has load-enabled latches; use edbf.Unroll", c.Name)
+// instance per (gate, delay) and (input, delay) pair it reaches; an
+// exposed latch is an input.
+func record(x *feedback.Cut) (*unroll.Record, error) {
+	if !x.IsRegular() {
+		return nil, fmt.Errorf("cbf: circuit %q has load-enabled latches; use edbf.Unroll", x.Source().Name)
 	}
-	if err := CheckAcyclic(c); err != nil {
+	if err := CheckCut(x); err != nil {
 		return nil, err
 	}
-	r := unroll.New(c, '@')
+	r := unroll.New(x, '@')
+	nodes := x.NumNodes()
 
 	// memo[d][id] is the instance of node id at delay d, plus one (0:
 	// not recorded yet); a delay's row is allocated on first use. A
@@ -217,7 +184,7 @@ func record(c *netlist.Circuit) (*unroll.Record, error) {
 			memo = append(memo, nil)
 		}
 		if memo[d] == nil {
-			memo[d] = make([]int32, len(c.Nodes))
+			memo[d] = make([]int32, nodes)
 		}
 		return memo[d]
 	}
@@ -231,9 +198,9 @@ func record(c *netlist.Circuit) (*unroll.Record, error) {
 		if i := row(d)[id]; i != 0 {
 			return i - 1
 		}
-		n := c.Nodes[id]
+		n := x.Node(id)
 		var i int32
-		switch n.Kind {
+		switch x.Kind(id) {
 		case netlist.KindInput:
 			i = r.Input(id, d)
 		case netlist.KindLatch:
@@ -253,7 +220,7 @@ func record(c *netlist.Circuit) (*unroll.Record, error) {
 		return i
 	}
 
-	for _, o := range c.Outputs {
+	for _, o := range x.Outputs {
 		r.Output(rec(o.Node, 0))
 	}
 	return r, nil

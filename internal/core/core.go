@@ -60,20 +60,35 @@ func Prepare(a *netlist.Circuit, opt PrepareOptions) (*PrepareResult, error) {
 
 // PrepareCtx is Prepare under the context's tracer: a "prepare" span
 // wraps the whole constraint-satisfaction step, with child spans for
-// the unate re-modeling ("unate.model") and feedback-breaking
-// ("feedback.break") phases.
+// the unate re-modeling ("unate.model") and feedback-vertex-set
+// selection ("feedback.break") phases. The circuit it returns is the
+// one the verify path reads through a cut without building it.
 func PrepareCtx(ctx context.Context, a *netlist.Circuit, opt PrepareOptions) (*PrepareResult, error) {
 	ctx, sp := obs.Start1(ctx, "prepare", obs.S("circuit", a.Name))
 	defer sp.End()
-	res := &PrepareResult{TotalLatches: len(a.Latches)}
-	work := a
+	res, work, ids, err := prepare(ctx, a, opt)
+	if err != nil {
+		return nil, err
+	}
+	b, err := feedback.Expose(work, ids)
+	if err != nil {
+		return nil, err
+	}
+	res.Circuit = netlist.Sweep(b, false)
+	return res, nil
+}
+
+// prepare re-models unate self-loops when asked and selects the
+// latches to expose. It returns the circuit the selection applies to
+// (a itself unless re-modeled) and the selected latch IDs in it; res
+// lacks only its Circuit.
+func prepare(ctx context.Context, a *netlist.Circuit, opt PrepareOptions) (res *PrepareResult, work *netlist.Circuit, ids []int, err error) {
+	res = &PrepareResult{TotalLatches: len(a.Latches)}
+	work = a
 	if opt.UnateAware {
-		modeled, names, err := modelUnate(ctx, a)
-		if err != nil {
-			return nil, err
+		if work, res.Modeled, err = modelUnate(ctx, a); err != nil {
+			return nil, nil, nil, err
 		}
-		work = modeled
-		res.Modeled = names
 	}
 	var prot map[int]bool
 	if opt.Protected != nil {
@@ -84,15 +99,13 @@ func PrepareCtx(ctx context.Context, a *netlist.Circuit, opt PrepareOptions) (*P
 			}
 		}
 	}
-	b, exposed, err := feedback.BreakFeedbackCtx(ctx, work, prot)
-	if err != nil {
-		return nil, err
+	if ids, err = feedback.SelectCtx(ctx, work, prot); err != nil {
+		return nil, nil, nil, err
 	}
-	for _, id := range exposed {
+	for _, id := range ids {
 		res.Exposed = append(res.Exposed, work.Nodes[id].Name)
 	}
-	res.Circuit = netlist.Sweep(b, false)
-	return res, nil
+	return res, work, ids, nil
 }
 
 func modelUnate(ctx context.Context, a *netlist.Circuit) (*netlist.Circuit, []string, error) {
@@ -153,10 +166,16 @@ func VerifyAcyclic(c1, c2 *netlist.Circuit, opt Options) (*Report, error) {
 // budget covers the check alone; the unrolling before it is not
 // budgeted.
 func VerifyAcyclicCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options) (*Report, error) {
+	return verifyCuts(ctx, feedback.Whole(c1), feedback.Whole(c2), opt)
+}
+
+// verifyCuts unrolls and checks two circuits read through their cuts
+// under a "verify" span.
+func verifyCuts(ctx context.Context, x1, x2 *feedback.Cut, opt Options) (*Report, error) {
 	start := time.Now()
 	ctx, sp := obs.Start(ctx, "verify")
 	defer sp.End()
-	u, err := UnrollAcyclicCtx(ctx, c1, c2, opt.Rewrite)
+	u, err := unrollCuts(ctx, x1, x2, opt.Rewrite)
 	if err != nil {
 		return nil, err
 	}
@@ -216,28 +235,34 @@ func (u *Unrolled) CheckCtx(ctx context.Context, opt cec.Options) (*cec.Result, 
 // side's walk records its cone replication, and both records are built
 // straight into one joint AIG under an "aig.build" span.
 func UnrollAcyclicCtx(ctx context.Context, c1, c2 *netlist.Circuit, rewrite bool) (*Unrolled, error) {
+	return unrollCuts(ctx, feedback.Whole(c1), feedback.Whole(c2), rewrite)
+}
+
+// unrollCuts is UnrollAcyclicCtx over two circuits read through their
+// cuts: each walk treats its cut's exposed latches as inputs.
+func unrollCuts(ctx context.Context, x1, x2 *feedback.Cut, rewrite bool) (*Unrolled, error) {
 	u := &Unrolled{}
 	var r1, r2 *unroll.Record
 	var err error
-	if c1.IsRegular() && c2.IsRegular() {
+	if x1.IsRegular() && x2.IsRegular() {
 		u.Method = "cbf"
-		if r1, err = cbf.RecordCtx(ctx, c1); err != nil {
+		if r1, err = cbf.RecordCtx(ctx, x1); err != nil {
 			return nil, err
 		}
-		if r2, err = cbf.RecordCtx(ctx, c2); err != nil {
+		if r2, err = cbf.RecordCtx(ctx, x2); err != nil {
 			return nil, err
 		}
-		u.Depth = r1.MaxKey() // cbf.SequentialDepth(c1), without its walk
+		u.Depth = r1.MaxKey() // cbf.SequentialDepth of side 1, without its walk
 		obs.CurrentSpan(ctx).Count("cbf.depth", int64(u.Depth))
 	} else {
 		u.Method = "edbf"
 		u.Conservative = true
 		cx := edbf.NewCtx()
 		cx.Rewrite = rewrite
-		if r1, err = cx.RecordCtx(ctx, c1); err != nil {
+		if r1, err = cx.RecordCtx(ctx, x1); err != nil {
 			return nil, err
 		}
-		if r2, err = cx.RecordCtx(ctx, c2); err != nil {
+		if r2, err = cx.RecordCtx(ctx, x2); err != nil {
 			return nil, err
 		}
 	}
@@ -248,17 +273,28 @@ func UnrollAcyclicCtx(ctx context.Context, c1, c2 *netlist.Circuit, rewrite bool
 	return u, nil
 }
 
-// MatchExposure exposes the named latches in c, mirroring an exposure
-// already applied to the other side of a comparison, and verifies the
-// result is acyclic. It is the second half of Verify's preparation.
-func MatchExposure(c *netlist.Circuit, exposed []string) (*netlist.Circuit, error) {
-	var ids []int
+// latchIDs maps latch names exposed in the first circuit of a pair
+// onto the second circuit's latches.
+func latchIDs(c *netlist.Circuit, exposed []string) ([]int, error) {
+	ids := make([]int, 0, len(exposed))
 	for _, name := range exposed {
 		id := c.Lookup(name)
 		if id < 0 || c.Nodes[id].Kind != netlist.KindLatch {
 			return nil, fmt.Errorf("core: latch %q exposed in first circuit is missing in second", name)
 		}
 		ids = append(ids, id)
+	}
+	return ids, nil
+}
+
+// MatchExposure exposes the named latches in c, mirroring an exposure
+// already applied to the other side of a comparison, and verifies the
+// result is acyclic. It builds the circuit the verify path reads
+// through a cut of c.
+func MatchExposure(c *netlist.Circuit, exposed []string) (*netlist.Circuit, error) {
+	ids, err := latchIDs(c, exposed)
+	if err != nil {
+		return nil, err
 	}
 	b, err := feedback.Expose(c, ids)
 	if err != nil {
@@ -271,25 +307,47 @@ func MatchExposure(c *netlist.Circuit, exposed []string) (*netlist.Circuit, erro
 	return b, nil
 }
 
+// cutPair is the constraint-satisfaction step of a verification pair,
+// under a "prepare" span: select the first circuit's feedback latches
+// (after unate re-modeling, if asked), expose the same latch names in
+// the second, and check that the second is then acyclic. Neither
+// circuit is copied: each is read through its cut, the first's
+// acyclic by construction and checked by its walk, the second's
+// checked here.
+func cutPair(ctx context.Context, c1, c2 *netlist.Circuit, prep PrepareOptions) (x1, x2 *feedback.Cut, err error) {
+	ctx, sp := obs.Start1(ctx, "prepare", obs.S("circuit", c1.Name))
+	defer sp.End()
+	res, work, ids, err := prepare(ctx, c1, prep)
+	if err != nil {
+		return nil, nil, err
+	}
+	if x1, err = feedback.NewCut(work, ids); err != nil {
+		return nil, nil, err
+	}
+	ids2, err := latchIDs(c2, res.Exposed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if x2, err = feedback.NewCut(c2, ids2); err != nil {
+		return nil, nil, err
+	}
+	if err := cbf.CheckCut(x2); err != nil {
+		return nil, nil, fmt.Errorf("core: second circuit still cyclic after matching exposure: %w", err)
+	}
+	return x1, x2, nil
+}
+
 // UnrollPairCtx runs the full reduction for two arbitrary sequential
-// circuits: prepare the first (expose a feedback vertex set), mirror
-// the exposure onto the second by latch name, and unroll both. The
-// returned Unrolled is the cacheable verification problem; the
-// PrepareResult reports what was exposed.
-func UnrollPairCtx(ctx context.Context, c1, c2 *netlist.Circuit, prep PrepareOptions, rewrite bool) (*Unrolled, *PrepareResult, error) {
-	p1, err := PrepareCtx(ctx, c1, prep)
+// circuits: select a feedback vertex set of the first, mirror it onto
+// the second by latch name, and unroll both through those cuts. The
+// returned Unrolled is the cacheable verification problem, the one
+// UnrollAcyclicCtx returns for PrepareCtx's circuit and MatchExposure's.
+func UnrollPairCtx(ctx context.Context, c1, c2 *netlist.Circuit, prep PrepareOptions, rewrite bool) (*Unrolled, error) {
+	x1, x2, err := cutPair(ctx, c1, c2, prep)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	b2, err := MatchExposure(c2, p1.Exposed)
-	if err != nil {
-		return nil, nil, err
-	}
-	u, err := UnrollAcyclicCtx(ctx, p1.Circuit, b2, rewrite)
-	if err != nil {
-		return nil, nil, err
-	}
-	return u, p1, nil
+	return unrollCuts(ctx, x1, x2, rewrite)
 }
 
 // Verify checks two arbitrary sequential circuits: it prepares the first
@@ -304,16 +362,13 @@ func Verify(c1, c2 *netlist.Circuit, prep PrepareOptions, opt Options) (*Report,
 }
 
 // VerifyCtx is Verify under cooperative cancellation (see
-// VerifyAcyclicCtx for the budget semantics).
+// VerifyAcyclicCtx for the budget semantics). Its verdict is
+// VerifyAcyclicCtx's on PrepareCtx's circuit and MatchExposure's, but
+// it builds neither: both circuits are read through their cuts.
 func VerifyCtx(ctx context.Context, c1, c2 *netlist.Circuit, prep PrepareOptions, opt Options) (*Report, error) {
-	p1, err := PrepareCtx(ctx, c1, prep)
+	x1, x2, err := cutPair(ctx, c1, c2, prep)
 	if err != nil {
 		return nil, err
 	}
-	// Expose the same names in c2.
-	b2, err := MatchExposure(c2, p1.Exposed)
-	if err != nil {
-		return nil, err
-	}
-	return VerifyAcyclicCtx(ctx, p1.Circuit, b2, opt)
+	return verifyCuts(ctx, x1, x2, opt)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"seqver/internal/cbf"
@@ -437,6 +438,52 @@ func TestUnrolledHashesAndChecksOneMiter(t *testing.T) {
 		if res.Verdict != fresh.Verdict || res.FailingOutput != fresh.FailingOutput {
 			t.Fatalf("check on the joint AIG: %v %q, netlist check: %v %q",
 				res.Verdict, res.FailingOutput, fresh.Verdict, fresh.FailingOutput)
+		}
+	}
+}
+
+// TestVerifyCtxExposureErrors pins the two errors of mirroring the
+// first circuit's exposure onto the second, on the verify path and the
+// daemon's: a latch name the second circuit lacks, and a feedback path
+// the mirrored exposure leaves in the second circuit. The texts are
+// the ones MatchExposure gives on the materialized route.
+func TestVerifyCtxExposureErrors(t *testing.T) {
+	c := mixedCircuit() // exposes its self-loops "hold" and "tog"
+	renamed, err := netlist.ParseBLIFString(strings.ReplaceAll(c.String(), "tog", "toggle"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// cyclic has mixedCircuit's self-loops and, where mixedCircuit's
+	// pipeline latch is, a two-latch cycle that no self-loop breaks.
+	cyclic := mixedCircuit()
+	p := cyclic.MustLookup("pipe")
+	q := cyclic.AddLatch("q", p)
+	cyclic.SetLatchData(p, cyclic.AddGate("pq", netlist.OpXor, q, cyclic.MustLookup("d")))
+
+	prep, err := Prepare(c, PrepareOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prep.Exposed) != 2 {
+		t.Fatalf("exposed %v, want hold and tog", prep.Exposed)
+	}
+	for _, tc := range []struct {
+		c2   *netlist.Circuit
+		want string
+	}{
+		{renamed, `core: latch "tog" exposed in first circuit is missing in second`},
+		{cyclic, `core: second circuit still cyclic after matching exposure: cbf: feedback path through "`},
+	} {
+		_, merr := MatchExposure(tc.c2, prep.Exposed)
+		if merr == nil || !strings.HasPrefix(merr.Error(), tc.want) {
+			t.Fatalf("MatchExposure: %v, want %s…", merr, tc.want)
+		}
+		if _, err := VerifyCtx(context.Background(), c, tc.c2, PrepareOptions{}, Options{}); err == nil || err.Error() != merr.Error() {
+			t.Errorf("VerifyCtx: %v, want %q", err, merr)
+		}
+		if _, err := UnrollPairCtx(context.Background(), c, tc.c2, PrepareOptions{}, false); err == nil || err.Error() != merr.Error() {
+			t.Errorf("UnrollPairCtx: %v, want %q", err, merr)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"seqver/internal/bench"
 	"seqver/internal/core"
 	"seqver/internal/netlist"
+	"seqver/internal/obs"
 )
 
 // TestUnrollAcyclicAllocsPerGate pins the direct path's allocations:
@@ -45,5 +46,52 @@ func TestUnrollAcyclicAllocsPerGate(t *testing.T) {
 		} else {
 			t.Logf("%s: %.0f allocations for %d unrolled gates (%.3f per gate)", tc.method, allocs, gates, per)
 		}
+	}
+}
+
+// TestUnrollPairExposesWithoutCopies pins that UnrollPairCtx exposes
+// the feedback latches through cuts rather than copies: on the ex5-0
+// pair it allocates at most 1.3 times the bytes, and at most 100 more
+// objects than, UnrollAcyclicCtx on the exposed circuits PrepareCtx and
+// MatchExposure build. Exposing and sweeping copies of both circuits,
+// as that route does, allocates more than twice those bytes.
+func TestUnrollPairExposesWithoutCopies(t *testing.T) {
+	c1, c2 := ex5Pair(t, 0)
+	ctx := context.Background()
+	p, err := core.PrepareCtx(ctx, c1, core.PrepareOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := core.MatchExposure(c2, p.Exposed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(f func() error) (bytes, objects float64) {
+		const runs = 4
+		if err := f(); err != nil { // warm up
+			t.Fatal(err)
+		}
+		b0, o0, _ := obs.MemCounters()
+		for i := 0; i < runs; i++ {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b1, o1, _ := obs.MemCounters()
+		return float64(b1-b0) / runs, float64(o1-o0) / runs
+	}
+	cutB, cutO := measure(func() error {
+		_, err := core.UnrollPairCtx(ctx, c1, c2, core.PrepareOptions{}, false)
+		return err
+	})
+	walkB, walkO := measure(func() error {
+		_, err := core.UnrollAcyclicCtx(ctx, p.Circuit, b2, false)
+		return err
+	})
+	t.Logf("UnrollPairCtx: %.0f bytes in %.0f objects; walks over the exposed copies: %.0f bytes in %.0f objects",
+		cutB, cutO, walkB, walkO)
+	if cutB > 1.3*walkB || cutO > walkO+100 {
+		t.Errorf("UnrollPairCtx allocates %.0f bytes in %.0f objects, want at most %.0f bytes and %.0f objects",
+			cutB, cutO, 1.3*walkB, walkO+100)
 	}
 }

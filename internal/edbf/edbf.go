@@ -32,6 +32,7 @@ import (
 
 	"seqver/internal/bdd"
 	"seqver/internal/cbf"
+	"seqver/internal/feedback"
 	"seqver/internal/netlist"
 	"seqver/internal/obs"
 	"seqver/internal/unroll"
@@ -181,22 +182,23 @@ func ParseVarName(v string) (string, int, error) {
 }
 
 // predicateOf computes the canonical function of an enable signal as a
-// BDD over primary inputs. The enable cone must be purely combinational
-// over primary inputs (no latches) — the circuit class the paper's
-// experimental setup targets; richer enables should be exposed first.
-func (cx *Ctx) predicateOf(c *netlist.Circuit, enable int, memo []bdd.Ref, done []bool) (bdd.Ref, error) {
+// BDD over primary inputs, exposed latches among them. The enable cone
+// must be purely combinational over primary inputs (no latches) — the
+// circuit class the paper's experimental setup targets; richer enables
+// should be exposed first.
+func (cx *Ctx) predicateOf(x *feedback.Cut, enable int, memo []bdd.Ref, done []bool) (bdd.Ref, error) {
 	var rec func(id int) (bdd.Ref, error)
 	rec = func(id int) (bdd.Ref, error) {
 		if done[id] {
 			return memo[id], nil
 		}
-		n := c.Nodes[id]
+		n := x.Node(id)
 		var f bdd.Ref
-		switch n.Kind {
+		switch x.Kind(id) {
 		case netlist.KindInput:
 			f = cx.m.Var(cx.inputVar(n.Name))
 		case netlist.KindLatch:
-			return bdd.False, fmt.Errorf("edbf: enable cone of %q passes through latch %q; expose it first", c.Name, n.Name)
+			return bdd.False, fmt.Errorf("edbf: enable cone of %q passes through latch %q; expose it first", x.Source().Name, n.Name)
 		case netlist.KindGate:
 			fins := make([]bdd.Ref, len(n.Fanins))
 			for i, fid := range n.Fanins {
@@ -230,7 +232,7 @@ func (cx *Ctx) Unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 func (cx *Ctx) UnrollCtx(ctx context.Context, c *netlist.Circuit) (*netlist.Circuit, error) {
 	_, sp := obs.Start1(ctx, "edbf.unroll", obs.S("circuit", c.Name))
 	defer sp.End()
-	r, err := cx.recordSpan(sp, c)
+	r, err := cx.recordSpan(sp, feedback.Whole(c))
 	if err != nil {
 		return nil, err
 	}
@@ -241,22 +243,24 @@ func (cx *Ctx) UnrollCtx(ctx context.Context, c *netlist.Circuit) (*netlist.Circ
 	return out, nil
 }
 
-// RecordCtx is UnrollCtx without the netlist: it returns the
-// unrolling's record, which the checker builds straight into its joint
-// AIG. The "edbf.unroll" span and its counts are UnrollCtx's.
-func (cx *Ctx) RecordCtx(ctx context.Context, c *netlist.Circuit) (*unroll.Record, error) {
-	_, sp := obs.Start1(ctx, "edbf.unroll", obs.S("circuit", c.Name))
+// RecordCtx is UnrollCtx without the netlist, over a circuit read
+// through a cut (see cbf.RecordCtx): it returns the unrolling's record,
+// which the checker builds straight into its joint AIG. The
+// "edbf.unroll" span and its counts are UnrollCtx's, with the cut's
+// source gates.
+func (cx *Ctx) RecordCtx(ctx context.Context, x *feedback.Cut) (*unroll.Record, error) {
+	_, sp := obs.Start1(ctx, "edbf.unroll", obs.S("circuit", x.Source().Name))
 	defer sp.End()
-	return cx.recordSpan(sp, c)
+	return cx.recordSpan(sp, x)
 }
 
-// recordSpan records c's unrolling and counts it on sp.
-func (cx *Ctx) recordSpan(sp *obs.Span, c *netlist.Circuit) (*unroll.Record, error) {
+// recordSpan records x's unrolling and counts it on sp.
+func (cx *Ctx) recordSpan(sp *obs.Span, x *feedback.Cut) (*unroll.Record, error) {
 	events := cx.NumEvents()
-	r, err := cx.record(c)
+	r, err := cx.record(x)
 	if sp != nil && err == nil {
 		sp.Count("edbf.gates", int64(r.NumGates()))
-		sp.Count("edbf.source_gates", int64(c.NumGates()))
+		sp.Count("edbf.source_gates", int64(x.NumGates()))
 		sp.Count("edbf.events", int64(cx.NumEvents()-events))
 	}
 	return r, err
@@ -264,15 +268,17 @@ func (cx *Ctx) recordSpan(sp *obs.Span, c *netlist.Circuit) (*unroll.Record, err
 
 // record runs the Figure 8 recursion from every output, recording one
 // instance per (gate, event) and (input, event) pair it reaches, and a
-// free variable per (never-loading latch, event).
-func (cx *Ctx) record(c *netlist.Circuit) (*unroll.Record, error) {
-	if err := cbf.CheckAcyclic(c); err != nil {
+// free variable per (never-loading latch, event); an exposed latch is
+// an input.
+func (cx *Ctx) record(x *feedback.Cut) (*unroll.Record, error) {
+	if err := cbf.CheckCut(x); err != nil {
 		return nil, fmt.Errorf("edbf: %w", err)
 	}
-	r := unroll.New(c, '#')
+	r := unroll.New(x, '#')
+	nodes := x.NumNodes()
 
-	predMemo := make([]bdd.Ref, len(c.Nodes))
-	predDone := make([]bool, len(c.Nodes))
+	predMemo := make([]bdd.Ref, nodes)
+	predDone := make([]bool, nodes)
 	// The memo maps (node, event) to the instance. A node is visited
 	// under few of the context's events, so rather than one dense row
 	// per event it keeps, per node, a chain of (event, instance)
@@ -281,8 +287,8 @@ func (cx *Ctx) record(c *netlist.Circuit) (*unroll.Record, error) {
 	type memoEntry struct {
 		ev, inst, next int32
 	}
-	head := make([]int32, len(c.Nodes))
-	entries := make([]memoEntry, 0, len(c.Nodes))
+	head := make([]int32, nodes)
+	entries := make([]memoEntry, 0, nodes)
 	store := func(id, ev int, i int32) {
 		entries = append(entries, memoEntry{int32(ev), i, head[id]})
 		head[id] = int32(len(entries))
@@ -299,16 +305,16 @@ func (cx *Ctx) record(c *netlist.Circuit) (*unroll.Record, error) {
 				return entries[e-1].inst, nil
 			}
 		}
-		n := c.Nodes[id]
+		n := x.Node(id)
 		var i int32
-		switch n.Kind {
+		switch x.Kind(id) {
 		case netlist.KindInput:
 			i = r.Input(id, ev)
 		case netlist.KindLatch:
 			e := cx.events[ev]
 			elems = append(elems[:0], e.Elems...)
 			if n.Enable != netlist.NoEnable {
-				pred, err := cx.predicateOf(c, n.Enable, predMemo, predDone)
+				pred, err := cx.predicateOf(x, n.Enable, predMemo, predDone)
 				if err != nil {
 					return 0, err
 				}
@@ -348,7 +354,7 @@ func (cx *Ctx) record(c *netlist.Circuit) (*unroll.Record, error) {
 	}
 
 	empty := cx.internEvent(Event{})
-	for _, o := range c.Outputs {
+	for _, o := range x.Outputs {
 		i, err := rec(o.Node, empty)
 		if err != nil {
 			return nil, err

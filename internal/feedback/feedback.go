@@ -9,11 +9,15 @@
 // Exposing a latch treats its output as a pseudo primary input and its
 // next-state function as a pseudo primary output; during retiming the
 // exposed latch is pinned in place (it has become part of the interface).
+// Select picks the latches; Expose builds the exposed circuit, and a Cut
+// reads the circuit as exposed and swept without building anything.
 package feedback
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"seqver/internal/netlist"
@@ -31,68 +35,75 @@ type Graph struct {
 // NumVertices returns the vertex count.
 func (g *Graph) NumVertices() int { return len(g.LatchID) }
 
-// LatchGraph builds the latch dependency graph of c.
-func LatchGraph(c *netlist.Circuit) *Graph {
-	idx := make(map[int]int, len(c.Latches))
-	for i, id := range c.Latches {
-		idx[id] = i
+// LatchGraph builds the latch dependency graph of c. It walks the
+// combinational logic once in topological order, giving each node its
+// latch support as a bitset over the latch index: a latch's own bit,
+// the union of its fanins' for a gate, none for an input. It fails on
+// a combinational cycle.
+func LatchGraph(c *netlist.Circuit) (*Graph, error) {
+	order, err := c.TopoOrder()
+	if err != nil {
+		return nil, fmt.Errorf("feedback: %w", err)
 	}
-	g := &Graph{
-		LatchID: append([]int(nil), c.Latches...),
-		Adj:     make([][]int, len(c.Latches)),
+	nl := len(c.Latches)
+	w := (nl + 63) / 64
+	sup := make([]uint64, len(c.Nodes)*w) // node id's support: sup[id*w:][:w]
+	row := func(id int) []uint64 { return sup[id*w : (id+1)*w] }
+	for v, id := range c.Latches {
+		row(id)[v/64] |= 1 << (v % 64)
 	}
-	// For each node, the set of latch vertices its combinational cone
-	// reads, memoized globally (latch outputs are leaves).
-	reach := make(map[int][]int)
-	var deps func(id int) []int
-	deps = func(id int) []int {
-		if d, ok := reach[id]; ok {
-			return d
-		}
+	for _, id := range order {
 		n := c.Nodes[id]
-		var d []int
-		switch n.Kind {
-		case netlist.KindInput:
-			// no latch deps
-		case netlist.KindLatch:
-			d = []int{idx[id]}
-		case netlist.KindGate:
-			set := make(map[int]bool)
-			for _, f := range n.Fanins {
-				for _, v := range deps(f) {
-					set[v] = true
-				}
-			}
-			d = make([]int, 0, len(set))
-			for v := range set {
-				d = append(d, v)
-			}
-			sort.Ints(d)
+		if n.Kind != netlist.KindGate {
+			continue
 		}
-		reach[id] = d
-		return d
+		r := row(id)
+		for _, f := range n.Fanins {
+			for k, b := range row(f) {
+				r[k] |= b
+			}
+		}
 	}
+	// Latch j's sources are the support of its data and enable; the
+	// edges are counted first so the lists share one array.
+	srcs := make([]uint64, nl*w)
+	deg := make([]int, nl)
 	for j, id := range c.Latches {
 		n := c.Nodes[id]
-		set := make(map[int]bool)
-		for _, v := range deps(n.Data()) {
-			set[v] = true
-		}
+		s := srcs[j*w : (j+1)*w]
+		copy(s, row(n.Data()))
 		if n.Enable != netlist.NoEnable {
-			for _, v := range deps(n.Enable) {
-				set[v] = true
+			for k, b := range row(n.Enable) {
+				s[k] |= b
 			}
 		}
-		srcs := make([]int, 0, len(set))
-		for v := range set {
-			srcs = append(srcs, v)
-		}
-		sort.Ints(srcs)
-		for _, i := range srcs {
-			g.Adj[i] = append(g.Adj[i], j)
+		forBits(s, func(i int) { deg[i]++ })
+	}
+	g := &Graph{LatchID: slices.Clone(c.Latches), Adj: make([][]int, nl)}
+	edges := 0
+	for _, d := range deg {
+		edges += d
+	}
+	adj := make([]int, 0, edges)
+	for i, d := range deg {
+		g.Adj[i] = adj[len(adj) : len(adj) : len(adj)+d]
+		adj = adj[:len(adj)+d]
+	}
+	for j := range c.Latches {
+		forBits(srcs[j*w:(j+1)*w], func(i int) { g.Adj[i] = append(g.Adj[i], j) })
+	}
+	return g, nil
+}
+
+// forBits calls f with the index of every set bit of s, in ascending
+// order.
+func forBits(s []uint64, f func(int)) {
+	for k, b := range s {
+		for b != 0 {
+			f(k*64 + bits.TrailingZeros64(b))
+			b &= b - 1
 		}
 	}
-	return g
 }
 
 // SCCs returns the strongly connected components of g (Tarjan), each as
@@ -170,21 +181,37 @@ func SCCs(g *Graph) [][]int {
 // isAcyclicWithout reports whether g minus the removed vertices has no
 // cycle (self-loops count as cycles).
 func isAcyclicWithout(g *Graph, removed []bool) bool {
+	var d acyclicity
+	return d.without(g, removed)
+}
+
+// acyclicity is isAcyclicWithout's scratch, reused across the many
+// checks MFVS makes.
+type acyclicity struct {
+	color  []uint8
+	frames []dfsFrame
+}
+
+type dfsFrame struct {
+	v, ei int
+}
+
+// without is isAcyclicWithout over d's scratch.
+func (d *acyclicity) without(g *Graph, removed []bool) bool {
 	n := g.NumVertices()
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make([]uint8, n)
-	type frame struct {
-		v, ei int
-	}
+	d.color = slices.Grow(d.color[:0], n)[:n]
+	clear(d.color)
+	color := d.color
 	for root := 0; root < n; root++ {
 		if removed[root] || color[root] != white {
 			continue
 		}
-		frames := []frame{{root, 0}}
+		frames := append(d.frames[:0], dfsFrame{root, 0})
 		color[root] = gray
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
@@ -197,8 +224,9 @@ func isAcyclicWithout(g *Graph, removed []bool) bool {
 				switch color[w] {
 				case white:
 					color[w] = gray
-					frames = append(frames, frame{w, 0})
+					frames = append(frames, dfsFrame{w, 0})
 				case gray:
+					d.frames = frames
 					return false
 				}
 				continue
@@ -206,6 +234,7 @@ func isAcyclicWithout(g *Graph, removed []bool) bool {
 			color[f.v] = black
 			frames = frames[:len(frames)-1]
 		}
+		d.frames = frames
 	}
 	return true
 }
@@ -255,7 +284,8 @@ func MFVS(g *Graph, protected []bool) []int {
 		}
 	}
 
-	for !isAcyclicWithout(g, removed) {
+	var acyclic acyclicity
+	for !acyclic.without(g, removed) {
 		recompute()
 		// Reduction: vertices with no in- or out-degree cannot be on a
 		// cycle; exclude them from candidacy by scoring. Then greedily
@@ -289,7 +319,7 @@ func MFVS(g *Graph, protected []bool) []int {
 	for i := len(selected) - 1; i >= 0; i-- {
 		v := selected[i]
 		removed[v] = false
-		if isAcyclicWithout(g, removed) {
+		if acyclic.without(g, removed) {
 			selected = append(selected[:i], selected[i+1:]...)
 		} else {
 			removed[v] = true
@@ -302,25 +332,48 @@ func MFVS(g *Graph, protected []bool) []int {
 // ExposedInputName is the pseudo-primary-input name for an exposed latch.
 func ExposedInputName(latchName string) string { return latchName }
 
+// The suffixes of an exposed latch's next-state output and, for a
+// load-enabled latch, of the gate driving it. The first is a prefix of
+// the second, which lets a Cut keep both names in one string.
+const (
+	nsSuffix    = "$ns"
+	nsMuxSuffix = nsSuffix + "mux"
+)
+
 // ExposedOutputName is the pseudo-primary-output name carrying the
 // exposed latch's next-state function.
-func ExposedOutputName(latchName string) string { return latchName + "$ns" }
+func ExposedOutputName(latchName string) string { return latchName + nsSuffix }
+
+// exposedMuxName names the gate that computes a load-enabled exposed
+// latch's next-state function.
+func exposedMuxName(latchName string) string { return latchName + nsMuxSuffix }
+
+// checkExposable fails unless every given node is a named latch.
+func checkExposable(c *netlist.Circuit, latches []int) error {
+	for _, id := range latches {
+		n := c.Nodes[id]
+		if n.Kind != netlist.KindLatch {
+			return fmt.Errorf("feedback: node %d (%q) is not a latch", id, n.Name)
+		}
+		if n.Name == "" {
+			return fmt.Errorf("feedback: latch %d must be named to be exposed", id)
+		}
+	}
+	return nil
+}
 
 // Expose cuts the given latches (by node ID): each becomes a pseudo
 // primary input carrying its old name, and a new pseudo primary output
 // named "<name>$ns" carries its next-state function (for a load-enabled
 // latch: enable·data + ¬enable·state, so the cut is behaviour-exact).
-// The result is a fresh circuit; node IDs are preserved.
+// The result is a fresh circuit; node IDs are preserved. NewCut reads
+// c the same way without building it.
 func Expose(c *netlist.Circuit, latches []int) (*netlist.Circuit, error) {
+	if err := checkExposable(c, latches); err != nil {
+		return nil, err
+	}
 	cut := make(map[int]bool, len(latches))
 	for _, id := range latches {
-		n := c.Nodes[id]
-		if n.Kind != netlist.KindLatch {
-			return nil, fmt.Errorf("feedback: node %d (%q) is not a latch", id, n.Name)
-		}
-		if n.Name == "" {
-			return nil, fmt.Errorf("feedback: latch %d must be named to be exposed", id)
-		}
 		cut[id] = true
 	}
 	out := c.Clone()
@@ -330,7 +383,7 @@ func Expose(c *netlist.Circuit, latches []int) (*netlist.Circuit, error) {
 		n := out.Nodes[id]
 		drv := n.Data()
 		if n.Enable != netlist.NoEnable {
-			drv = out.AddGate(n.Name+"$nsmux", netlist.OpMux, n.Enable, n.Data(), id)
+			drv = out.AddGate(exposedMuxName(n.Name), netlist.OpMux, n.Enable, n.Data(), id)
 		}
 		out.AddOutput(ExposedOutputName(n.Name), drv)
 	}
@@ -354,12 +407,16 @@ func Expose(c *netlist.Circuit, latches []int) (*netlist.Circuit, error) {
 	return out, nil
 }
 
-// BreakFeedback runs the complete Section 7.1 pipeline: build the latch
-// graph, select an MFVS (never exposing `protected` latch IDs when
-// avoidable), and expose the selected latches. It returns the acyclic
-// circuit and the exposed latch IDs (in c).
-func BreakFeedback(c *netlist.Circuit, protected map[int]bool) (*netlist.Circuit, []int, error) {
-	g := LatchGraph(c)
+// Select runs the Section 7.1 selection: build the latch graph and
+// pick a feedback vertex set with MFVS, never exposing a `protected`
+// latch ID when avoidable. It returns the selected latch IDs in c's
+// latch declaration order; NewCut exposes them in place, Expose in a
+// copy.
+func Select(c *netlist.Circuit, protected map[int]bool) ([]int, error) {
+	g, err := LatchGraph(c)
+	if err != nil {
+		return nil, err
+	}
 	var prot []bool
 	if protected != nil {
 		prot = make([]bool, g.NumVertices())
@@ -372,19 +429,15 @@ func BreakFeedback(c *netlist.Circuit, protected map[int]bool) (*netlist.Circuit
 	for i, v := range sel {
 		ids[i] = g.LatchID[v]
 	}
-	out, err := Expose(c, ids)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, ids, nil
+	return ids, nil
 }
 
-// BreakFeedbackCtx is BreakFeedback under the context's tracer: a
-// "feedback.break" span counts the latches of the input circuit
-// and how many latches the MFVS heuristic chose to expose.
-func BreakFeedbackCtx(ctx context.Context, c *netlist.Circuit, protected map[int]bool) (*netlist.Circuit, []int, error) {
+// SelectCtx is Select under the context's tracer: a "feedback.break"
+// span counts the latches of c and how many latches the MFVS heuristic
+// chose to expose.
+func SelectCtx(ctx context.Context, c *netlist.Circuit, protected map[int]bool) ([]int, error) {
 	_, sp := obs.Start1(ctx, "feedback.break", obs.S("circuit", c.Name))
-	out, ids, err := BreakFeedback(c, protected)
+	ids, err := Select(c, protected)
 	if sp != nil {
 		if err == nil {
 			sp.Count("feedback.latches", int64(len(c.Latches)))
@@ -392,5 +445,5 @@ func BreakFeedbackCtx(ctx context.Context, c *netlist.Circuit, protected map[int
 		}
 		sp.End()
 	}
-	return out, ids, err
+	return ids, err
 }

@@ -2,9 +2,10 @@ package feedback
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
-	"seqver/internal/cbf"
 	"seqver/internal/netlist"
 	"seqver/internal/sim"
 )
@@ -21,6 +22,29 @@ func graphFromEdges(n int, edges [][2]int) *Graph {
 	return g
 }
 
+func mustLatchGraph(t *testing.T, c *netlist.Circuit) *Graph {
+	t.Helper()
+	g, err := LatchGraph(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// breakFeedback selects c's feedback latches and exposes them.
+func breakFeedback(t *testing.T, c *netlist.Circuit, protected map[int]bool) (*netlist.Circuit, []int) {
+	t.Helper()
+	ids, err := Select(c, protected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Expose(c, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b, ids
+}
+
 func TestLatchGraphShape(t *testing.T) {
 	// l1 -> l2 (l2's data cone reads l1); l2 -> l1 (cycle); l3 isolated.
 	c := netlist.New("g")
@@ -33,7 +57,7 @@ func TestLatchGraphShape(t *testing.T) {
 	c.SetLatchData(l2, g1)
 	c.SetLatchData(l1, g2)
 	c.AddOutput("o", l3)
-	g := LatchGraph(c)
+	g := mustLatchGraph(t, c)
 	if g.NumVertices() != 3 {
 		t.Fatalf("vertices = %d", g.NumVertices())
 	}
@@ -47,6 +71,51 @@ func TestLatchGraphShape(t *testing.T) {
 	if len(g.Adj[2]) != 0 {
 		t.Fatalf("adj[l3] = %v", g.Adj[2])
 	}
+	if !slices.Equal(g.LatchID, []int{l1, l2, l3}) {
+		t.Fatalf("LatchID = %v, want %v", g.LatchID, []int{l1, l2, l3})
+	}
+}
+
+func TestLatchGraphSelfLoopsAndSharedCones(t *testing.T) {
+	// s reads itself through a gate; r reads itself directly; t and u
+	// share a cone over s and r, and u also reads r twice. Each list
+	// is ascending and has every source once.
+	c := netlist.New("self")
+	a := c.AddInput("a")
+	s := c.AddLatch("s", 0)
+	r := c.AddLatch("r", 0)
+	c.SetLatchData(r, r)
+	c.SetLatchData(s, c.AddGate("sg", netlist.OpXor, s, a))
+	shared := c.AddGate("sh", netlist.OpAnd, s, r)
+	tl := c.AddLatch("t", shared)
+	u := c.AddLatch("u", c.AddGate("ug", netlist.OpOr, shared, r, r))
+	c.AddOutput("o", c.AddGate("o", netlist.OpXor, tl, u))
+	g := mustLatchGraph(t, c)
+	want := [][]int{{0, 2, 3}, {1, 2, 3}, nil, nil} // [s r t u]
+	for v, w := range want {
+		if !slices.Equal(g.Adj[v], w) {
+			t.Fatalf("adj[%d] = %v, want %v (all %v)", v, g.Adj[v], w, g.Adj)
+		}
+	}
+	sel := MFVS(g, nil)
+	if !slices.Equal(sel, []int{0, 1}) {
+		t.Fatalf("MFVS = %v, want both self-loops [0 1]", sel)
+	}
+}
+
+func TestLatchGraphCombinationalCycle(t *testing.T) {
+	c := netlist.New("comb")
+	a := c.AddInput("a")
+	g1 := c.AddGate("g1", netlist.OpAnd, a, a)
+	g2 := c.AddGate("g2", netlist.OpNot, g1)
+	c.Nodes[g1].Fanins[1] = g2
+	c.AddOutput("o", c.AddLatch("l", g2))
+	if _, err := LatchGraph(c); err == nil || !strings.Contains(err.Error(), "combinational cycle") {
+		t.Fatalf("err = %v, want a combinational cycle", err)
+	}
+	if _, err := Select(c, nil); err == nil {
+		t.Fatal("Select accepted a combinational cycle")
+	}
 }
 
 func TestLatchGraphEnableEdges(t *testing.T) {
@@ -56,9 +125,34 @@ func TestLatchGraphEnableEdges(t *testing.T) {
 	l1 := c.AddLatch("l1", a)
 	l2 := c.AddEnabledLatch("l2", a, l1)
 	c.AddOutput("o", l2)
-	g := LatchGraph(c)
+	g := mustLatchGraph(t, c)
 	if len(g.Adj[0]) != 1 || g.Adj[0][0] != 1 {
 		t.Fatalf("enable edge missing: %v", g.Adj)
+	}
+
+	// Enable-only dependencies: m's data is an input and its enable
+	// reads m itself and k, so m is a self-loop and k feeds m through
+	// the enable alone; n's enable is the latch k itself.
+	c = netlist.New("ge2")
+	a = c.AddInput("a")
+	k := c.AddLatch("k", a)
+	m := c.AddEnabledLatch("m", a, a)
+	c.Nodes[m].Enable = c.AddGate("me", netlist.OpAnd, m, k)
+	n := c.AddEnabledLatch("n", a, k)
+	c.AddOutput("o", c.AddGate("o", netlist.OpXor, m, n))
+	g = mustLatchGraph(t, c)
+	want := [][]int{{1, 2}, {1}, nil} // [k m n]
+	for v, w := range want {
+		if !slices.Equal(g.Adj[v], w) {
+			t.Fatalf("adj[%d] = %v, want %v", v, g.Adj[v], w)
+		}
+	}
+	ids, err := Select(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ids, []int{m}) {
+		t.Fatalf("Select = %v, want the enable self-loop [%d]", ids, m)
 	}
 }
 
@@ -181,52 +275,12 @@ func fsmCircuit() *netlist.Circuit {
 	return c
 }
 
-func TestExposeBreaksFeedback(t *testing.T) {
-	c := fsmCircuit()
-	if err := cbf.CheckAcyclic(c); err == nil {
-		t.Fatal("fsm should have feedback")
-	}
-	b, exposed, err := BreakFeedback(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exposed) == 0 {
-		t.Fatal("nothing exposed")
-	}
-	if err := cbf.CheckAcyclic(b); err != nil {
-		t.Fatalf("still cyclic after exposure: %v", err)
-	}
-	// Exposed latches appear as inputs and $ns outputs.
-	for _, id := range exposed {
-		name := c.Nodes[id].Name
-		if b.Lookup(ExposedInputName(name)) < 0 {
-			t.Fatalf("missing exposed input %s", name)
-		}
-		found := false
-		for _, o := range b.Outputs {
-			if o.Name == ExposedOutputName(name) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("missing exposed output for %s", name)
-		}
-	}
-	// CBF construction now succeeds.
-	if _, err := cbf.Unroll(netlist.Sweep(b, false)); err != nil {
-		t.Fatalf("Unroll after exposure: %v", err)
-	}
-}
-
 func TestExposePreservesSingleStepBehaviour(t *testing.T) {
 	// The cut circuit, driven with the latch value on the pseudo-input,
 	// computes the same outputs and the same next-state values as one
 	// step of the original.
 	c := fsmCircuit()
-	b, exposed, err := BreakFeedback(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, _ := breakFeedback(t, c, nil)
 	rng := rand.New(rand.NewSource(73))
 	sc, sb := sim.New(c), sim.New(b)
 	for trial := 0; trial < 40; trial++ {
@@ -267,7 +321,6 @@ func TestExposePreservesSingleStepBehaviour(t *testing.T) {
 				t.Fatalf("trial %d: next-state %s differs", trial, base)
 			}
 		}
-		_ = exposed
 	}
 }
 
@@ -320,10 +373,7 @@ func TestBreakFeedbackProtected(t *testing.T) {
 	c := fsmCircuit()
 	// Protect s0: only s1 (or others) may be exposed.
 	prot := map[int]bool{c.MustLookup("s0"): true}
-	_, exposed, err := BreakFeedback(c, prot)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, exposed := breakFeedback(t, c, prot)
 	for _, id := range exposed {
 		if c.Nodes[id].Name == "s0" {
 			t.Fatal("protected latch exposed despite alternative")

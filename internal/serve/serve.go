@@ -743,7 +743,7 @@ func (s *Server) execute(ctx context.Context, j *Job, attempt int) (*JobResult, 
 	if req.Acyclic {
 		u, err = core.UnrollAcyclicCtx(ctx, c1, c2, req.Rewrite)
 	} else {
-		u, _, err = core.UnrollPairCtx(ctx, c1, c2,
+		u, err = core.UnrollPairCtx(ctx, c1, c2,
 			core.PrepareOptions{UnateAware: req.Unate}, req.Rewrite)
 	}
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"strconv"
 
 	"seqver/internal/aig"
+	"seqver/internal/feedback"
 	"seqver/internal/netlist"
 )
 
@@ -32,9 +33,10 @@ type inst struct {
 
 // Record is one unrolling as its walk built it: every instance in
 // post-order, so a gate follows all its fanins, with each source
-// output's driving instance.
+// output's driving instance. The source is the circuit as the walk read
+// it, through a cut: its node IDs, inputs and outputs are the cut's.
 type Record struct {
-	src    *netlist.Circuit
+	src    *feedback.Cut
 	sep    byte // between a source name and its key: '@' (CBF) or '#' (EDBF)
 	insts  []inst
 	fanins []int32 // each gate's fanin instances, back to back
@@ -44,15 +46,16 @@ type Record struct {
 	buf    []byte  // name's scratch
 }
 
-// New starts the record of an unrolling of c whose names join a source
+// New starts the record of an unrolling of x whose names join a source
 // name and its key with sep.
-func New(c *netlist.Circuit, sep byte) *Record {
+func New(x *feedback.Cut, sep byte) *Record {
+	n := x.NumNodes()
 	return &Record{
-		src:    c,
+		src:    x,
 		sep:    sep,
-		insts:  make([]inst, 0, len(c.Nodes)),
-		fanins: make([]int32, 0, 2*len(c.Nodes)),
-		outs:   make([]int32, 0, len(c.Outputs)),
+		insts:  make([]inst, 0, n),
+		fanins: make([]int32, 0, 2*n),
+		outs:   make([]int32, 0, len(x.Outputs)),
 	}
 }
 
@@ -115,7 +118,7 @@ func (r *Record) order() []int32 {
 	}
 	// Bucket the timed inputs by declaration (a counting sort), then
 	// sort each bucket, a handful of keys, by key.
-	pos := make([]int32, len(r.src.Nodes)) // input node -> declaration + 1
+	pos := make([]int32, r.src.NumNodes()) // input node -> declaration + 1
 	for p, id := range r.src.Inputs {
 		pos[id] = int32(p + 1)
 	}
@@ -156,7 +159,7 @@ func (r *Record) order() []int32 {
 // appendName).
 func (r *Record) name(i int32) string {
 	x := r.insts[i]
-	if x.fan >= 0 && r.src.Nodes[x.node].Name == "" {
+	if x.fan >= 0 && r.src.Node(int(x.node)).Name == "" {
 		return ""
 	}
 	r.buf = r.appendName(r.buf[:0], i)
@@ -165,15 +168,16 @@ func (r *Record) name(i int32) string {
 
 // appendName appends instance i's name to b: the source name, the
 // separator and the key, with "undef:" before a free variable (whose
-// latch, if unnamed, is called n<id>).
+// latch, if unnamed, is called n<id> after its ID in the swept
+// circuit).
 func (r *Record) appendName(b []byte, i int32) []byte {
 	x := r.insts[i]
-	base := r.src.Nodes[x.node].Name
+	base := r.src.Node(int(x.node)).Name
 	if x.fan == fanUndef {
 		b = append(b, "undef:"...)
 		if base == "" {
 			b = append(b, 'n')
-			b = strconv.AppendInt(b, int64(x.node), 10)
+			b = strconv.AppendInt(b, int64(r.src.SweptID(int(x.node))), 10)
 		}
 	}
 	b = append(b, base...)
@@ -217,7 +221,7 @@ func (r *Record) Circuit(name string) (*netlist.Circuit, error) {
 			out.AddInput(r.name(int32(i)))
 			continue
 		}
-		n := r.src.Nodes[x.node]
+		n := r.src.Node(int(x.node))
 		fins = fins[:0]
 		for _, f := range r.fanins[x.fan : int(x.fan)+len(n.Fanins)] {
 			fins = append(fins, int(f))
@@ -256,7 +260,7 @@ func (r *Record) Build(a *aig.AIG, in []aig.Lit) ([]aig.Lit, error) {
 		if x.fan < 0 {
 			continue
 		}
-		n := r.src.Nodes[x.node]
+		n := r.src.Node(int(x.node))
 		fins = fins[:0]
 		for _, f := range r.fanins[x.fan : int(x.fan)+len(n.Fanins)] {
 			fins = append(fins, lit[f])
