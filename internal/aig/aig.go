@@ -8,7 +8,6 @@ package aig
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 
@@ -60,13 +59,21 @@ type AIG struct {
 	piNames        []string
 	pos            []Lit
 	poNames        []string
-	strash         map[[2]Lit]uint32
-	gateBuf        []Lit // Gate's scratch
+	// strash is the structural hash table: open addressing with linear
+	// probing over a power-of-two number of slots, each an AND node's
+	// index or 0 for empty (node 0 is the constant, never hashed). A
+	// slot's key is its node's fanin pair, read from fanin0/fanin1. The
+	// table holds every AND node and is kept at most half full.
+	strash  []uint32
+	gateBuf []Lit // Gate's scratch
 }
+
+// minTableSize is the fewest slots tableSize gives a table.
+const minTableSize = 16
 
 // New returns an empty AIG with the given primary inputs.
 func New(piNames []string) *AIG {
-	a := &AIG{strash: make(map[[2]Lit]uint32)}
+	a := &AIG{}
 	a.fanin0 = append(a.fanin0, 0)
 	a.fanin1 = append(a.fanin1, 0)
 	for _, n := range piNames {
@@ -92,9 +99,39 @@ func (a *AIG) Grow(n int) {
 	}
 	a.fanin0 = slices.Grow(a.fanin0, n)
 	a.fanin1 = slices.Grow(a.fanin1, n)
-	m := make(map[[2]Lit]uint32, len(a.strash)+n)
-	maps.Copy(m, a.strash)
-	a.strash = m
+	if need := 2 * (a.NumAnds() + n); need > len(a.strash) {
+		a.rehash(need)
+	}
+}
+
+// tableSize returns the smallest power of two of at least
+// max(need, minTableSize): the slot count of an open-addressed table that
+// must hold need/2 keys at most half full.
+func tableSize(need int) int {
+	size := minTableSize
+	for size < need {
+		size *= 2
+	}
+	return size
+}
+
+// rehash rebuilds the structural hash table with tableSize(need) slots.
+func (a *AIG) rehash(need int) {
+	a.strash = make([]uint32, tableSize(need))
+	mask := uint32(len(a.strash) - 1)
+	for n := uint32(a.numPIs + 1); n < uint32(len(a.fanin0)); n++ {
+		i := strashHash(a.fanin0[n], a.fanin1[n]) & mask
+		for a.strash[i] != 0 {
+			i = (i + 1) & mask
+		}
+		a.strash[i] = n
+	}
+}
+
+// strashHash mixes an ordered fanin pair; the table masks its upper
+// half, where a multiplicative hash mixes every key bit.
+func strashHash(x, y Lit) uint32 {
+	return uint32((uint64(x)<<32 | uint64(y)) * 0x9e3779b97f4a7c15 >> 32)
 }
 
 // NumPIs returns the primary input count.
@@ -177,12 +214,21 @@ func (a *AIG) And(x, y Lit) Lit {
 	if x > y {
 		x, y = y, x
 	}
-	key := [2]Lit{x, y}
-	if n, ok := a.strash[key]; ok {
-		return MkLit(n, false)
+	// Make room first, so the slot the probe ends on is the one a new
+	// node takes.
+	if 2*(a.NumAnds()+1) > len(a.strash) {
+		a.rehash(2 * len(a.strash))
+	}
+	mask := uint32(len(a.strash) - 1)
+	i := strashHash(x, y) & mask
+	for n := a.strash[i]; n != 0; n = a.strash[i] {
+		if a.fanin0[n] == x && a.fanin1[n] == y {
+			return MkLit(n, false)
+		}
+		i = (i + 1) & mask
 	}
 	n := a.addNode(x, y)
-	a.strash[key] = n
+	a.strash[i] = n
 	return MkLit(n, false)
 }
 

@@ -116,6 +116,7 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 	}
 
 	out := New(a.PINames())
+	out.Grow(a.NumAnds())
 	// src maps each new-AIG node to the input node it was created for.
 	// The two are function-identical (representatives preserve functions
 	// exactly), so new nodes read their signatures from cols.
@@ -302,14 +303,31 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 	}
 	// Candidate classes: each class's members form a linked list, in
 	// enrollment order, over one flat slice, so enrolling a node costs
-	// no allocation of its own. classes maps a key to its first and
-	// last member.
+	// no allocation of its own. A class records its key and its first
+	// and last member; slots is an open-addressed table of class
+	// indices plus one (0 is empty), sized once for one class per input
+	// node so that it stays at most half full and never rehashes.
 	type member struct {
 		lit  Lit
 		next int32 // -1 ends the class
 	}
+	type class struct {
+		key        [2]uint64
+		head, tail int32
+	}
 	var members []member
-	classes := make(map[[2]uint64][2]int32)
+	var classes []class
+	slots := make([]int32, tableSize(2*a.NumNodes()))
+	slotMask := uint64(len(slots) - 1)
+	// find returns the slot holding key's class, or the empty slot
+	// where the probe for key ended.
+	find := func(key [2]uint64) int {
+		i := ((key[0] ^ key[1]*0x9e3779b97f4a7c15) >> 32) & slotMask
+		for c := slots[i]; c != 0 && classes[c-1].key != key; c = slots[i] {
+			i = (i + 1) & slotMask
+		}
+		return int(i)
+	}
 	classKey := func(nd uint32) [2]uint64 {
 		var key [2]uint64
 		n := src[nd]
@@ -323,17 +341,23 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 		}
 		return key
 	}
-	join := func(key [2]uint64, e Lit) {
-		i := int32(len(members))
+	// join appends e to the class at slot, found for key, opening the
+	// class if the slot is empty.
+	join := func(slot int, key [2]uint64, e Lit) {
+		m := int32(len(members))
 		members = append(members, member{e, -1})
-		if c, ok := classes[key]; ok {
-			members[c[1]].next = i
-			classes[key] = [2]int32{c[0], i}
-		} else {
-			classes[key] = [2]int32{i, i}
+		if c := slots[slot]; c != 0 {
+			members[classes[c-1].tail].next = m
+			classes[c-1].tail = m
+			return
 		}
+		classes = append(classes, class{key, m, m})
+		slots[slot] = int32(len(classes))
 	}
-	enroll := func(nd uint32) { join(classKey(nd), normEdge(nd)) }
+	enroll := func(nd uint32) {
+		key := classKey(nd)
+		join(find(key), key, normEdge(nd))
+	}
 	for nd := uint32(0); nd <= uint32(out.numPIs); nd++ {
 		enroll(nd)
 	}
@@ -371,8 +395,12 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 			key := classKey(nd)
 			merged := false
 			tried := 0
-			c, ok := classes[key]
-			for m := c[0]; ok && m >= 0; m = members[m].next {
+			slot := find(key)
+			m := int32(-1)
+			if c := slots[slot]; c != 0 {
+				m = classes[c-1].head
+			}
+			for ; m >= 0; m = members[m].next {
 				cand := members[m].lit
 				if tried >= opt.MaxClassSize || pollCtx() {
 					break
@@ -395,7 +423,7 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 				}
 			}
 			if !merged {
-				join(key, me)
+				join(slot, key, me)
 			}
 		}
 		repr[i] = e
@@ -440,6 +468,7 @@ func sameSig(cols [][]uint64, src []uint32, x, y Lit) bool {
 // dropping unreachable nodes.
 func Compact(a *AIG) *AIG {
 	out := New(a.PINames())
+	out.Grow(a.NumAnds())
 	memo := make([]Lit, a.NumNodes())
 	for i := range memo {
 		memo[i] = Lit(^uint32(0))

@@ -40,37 +40,29 @@ func Whole(c *netlist.Circuit) *Cut {
 }
 
 // NewCut exposes the given latches (by node ID) of c without copying
-// it. It fails, as Expose does, on a node that is not a latch or on an
-// unnamed latch.
+// it. It fails, as Expose does, on a node that is not a latch, on an
+// unnamed latch, or on a latch whose next-state names c already uses.
 func NewCut(c *netlist.Circuit, latches []int) (*Cut, error) {
-	if err := checkExposable(c, latches); err != nil {
+	names, err := checkExposable(c, latches)
+	if err != nil {
 		return nil, err
 	}
 	n := len(c.Nodes)
 	x := &Cut{c: c, exposed: make([]bool, n), regular: true}
-	enabled, size := 0, 0
+	enabled := 0
 	for _, id := range latches {
 		x.exposed[id] = true
 		if c.Nodes[id].Enable != netlist.NoEnable {
 			enabled++
 		}
-		size += len(c.Nodes[id].Name) + len(nsMuxSuffix)
 	}
-	// Each latch's "<name>$nsmux" starts with its "<name>$ns", and all
-	// of them share one string.
-	buf := make([]byte, 0, size)
-	for _, id := range latches {
-		buf = append(append(buf, c.Nodes[id].Name...), nsMuxSuffix...)
-	}
-	names := string(buf)
 
 	x.muxes = make([]netlist.Node, 0, enabled)
 	fanins := make([]int, 0, 3*enabled)
 	x.Outputs = append(make([]netlist.Output, 0, len(c.Outputs)+len(latches)), c.Outputs...)
 	for _, id := range latches {
 		l := c.Nodes[id]
-		mux := names[:len(l.Name)+len(nsMuxSuffix)]
-		names = names[len(mux):]
+		mux, ns := nextStateNames(&names, l.Name)
 		drv := l.Data()
 		if l.Enable != netlist.NoEnable {
 			drv = n + len(x.muxes)
@@ -79,7 +71,7 @@ func NewCut(c *netlist.Circuit, latches []int) (*Cut, error) {
 				Kind: netlist.KindGate, Op: netlist.OpMux,
 				Fanins: fanins[len(fanins)-3 : len(fanins) : len(fanins)], Enable: netlist.NoEnable})
 		}
-		x.Outputs = append(x.Outputs, netlist.Output{Name: mux[:len(l.Name)+len(nsSuffix)], Node: drv})
+		x.Outputs = append(x.Outputs, netlist.Output{Name: ns, Node: drv})
 	}
 
 	// Sweep keeps every input and latch; Kind tells an exposed latch

@@ -19,6 +19,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 
 	"seqver/internal/netlist"
 	"seqver/internal/obs"
@@ -344,22 +345,56 @@ const (
 // exposed latch's next-state function.
 func ExposedOutputName(latchName string) string { return latchName + nsSuffix }
 
-// exposedMuxName names the gate that computes a load-enabled exposed
-// latch's next-state function.
-func exposedMuxName(latchName string) string { return latchName + nsMuxSuffix }
+// nextStateNames cuts one latch's "<latch>$nsmux" off the front of the
+// names checkExposable returned, and returns it with its prefix
+// "<latch>$ns".
+func nextStateNames(names *string, latch string) (mux, ns string) {
+	mux = (*names)[:len(latch)+len(nsMuxSuffix)]
+	*names = (*names)[len(mux):]
+	return mux, mux[:len(latch)+len(nsSuffix)]
+}
 
-// checkExposable fails unless every given node is a named latch.
-func checkExposable(c *netlist.Circuit, latches []int) error {
+// checkExposable fails unless every given node is a named latch whose
+// exposure adds no name c already has: no node or output of c may be
+// named "<latch>$ns", and for a load-enabled latch no node may be named
+// "<latch>$nsmux". It returns every latch's "<latch>$nsmux" in one
+// string, in order; each starts with that latch's "<latch>$ns".
+func checkExposable(c *netlist.Circuit, latches []int) (string, error) {
+	size := 0
 	for _, id := range latches {
 		n := c.Nodes[id]
 		if n.Kind != netlist.KindLatch {
-			return fmt.Errorf("feedback: node %d (%q) is not a latch", id, n.Name)
+			return "", fmt.Errorf("feedback: node %d (%q) is not a latch", id, n.Name)
 		}
 		if n.Name == "" {
-			return fmt.Errorf("feedback: latch %d must be named to be exposed", id)
+			return "", fmt.Errorf("feedback: latch %d must be named to be exposed", id)
+		}
+		size += len(n.Name) + len(nsMuxSuffix)
+	}
+	buf := make([]byte, 0, size)
+	for _, id := range latches {
+		buf = append(append(buf, c.Nodes[id].Name...), nsMuxSuffix...)
+	}
+	names := string(buf)
+	rest := names
+	for _, id := range latches {
+		l := c.Nodes[id]
+		mux, ns := nextStateNames(&rest, l.Name)
+		if c.Lookup(ns) >= 0 {
+			return "", fmt.Errorf("feedback: exposing latch %q adds output %q, which a signal already names", l.Name, ns)
+		}
+		if l.Enable != netlist.NoEnable && c.Lookup(mux) >= 0 {
+			return "", fmt.Errorf("feedback: exposing latch %q adds gate %q, which a signal already names", l.Name, mux)
 		}
 	}
-	return nil
+	for _, o := range c.Outputs {
+		if l, ok := strings.CutSuffix(o.Name, nsSuffix); ok {
+			if id := c.Lookup(l); id >= 0 && slices.Contains(latches, id) {
+				return "", fmt.Errorf("feedback: exposing latch %q adds output %q, which an output already names", l, o.Name)
+			}
+		}
+	}
+	return names, nil
 }
 
 // Expose cuts the given latches (by node ID): each becomes a pseudo
@@ -369,7 +404,8 @@ func checkExposable(c *netlist.Circuit, latches []int) error {
 // The result is a fresh circuit; node IDs are preserved. NewCut reads
 // c the same way without building it.
 func Expose(c *netlist.Circuit, latches []int) (*netlist.Circuit, error) {
-	if err := checkExposable(c, latches); err != nil {
+	names, err := checkExposable(c, latches)
+	if err != nil {
 		return nil, err
 	}
 	cut := make(map[int]bool, len(latches))
@@ -381,11 +417,12 @@ func Expose(c *netlist.Circuit, latches []int) (*netlist.Circuit, error) {
 	// latch node is turned into an input).
 	for _, id := range latches {
 		n := out.Nodes[id]
+		mux, ns := nextStateNames(&names, n.Name)
 		drv := n.Data()
 		if n.Enable != netlist.NoEnable {
-			drv = out.AddGate(exposedMuxName(n.Name), netlist.OpMux, n.Enable, n.Data(), id)
+			drv = out.AddGate(mux, netlist.OpMux, n.Enable, n.Data(), id)
 		}
-		out.AddOutput(ExposedOutputName(n.Name), drv)
+		out.AddOutput(ns, drv)
 	}
 	// Convert latch nodes into primary inputs.
 	newLatches := out.Latches[:0]

@@ -369,6 +369,51 @@ func TestExposeErrors(t *testing.T) {
 	}
 }
 
+// TestExposeNameClash: a latch whose exposure would add a name the
+// circuit already has is an error naming the clash, from Expose and
+// from NewCut alike.
+func TestExposeNameClash(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(c *netlist.Circuit, q int)
+		clash string
+	}{
+		{"node named <latch>$nsmux of an enabled latch", func(c *netlist.Circuit, q int) {
+			c.AddOutput("o2", c.AddGate("q$nsmux", netlist.OpNot, q))
+		}, `"q$nsmux"`},
+		{"node named <latch>$ns", func(c *netlist.Circuit, q int) {
+			c.AddOutput("o2", c.AddGate("q$ns", netlist.OpNot, q))
+		}, `"q$ns"`},
+		{"output named <latch>$ns", func(c *netlist.Circuit, q int) {
+			c.AddOutput("q$ns", q)
+		}, `"q$ns"`},
+	} {
+		c := netlist.New("clash")
+		d := c.AddInput("d")
+		e := c.AddInput("e")
+		q := c.AddEnabledLatch("q", d, e)
+		c.AddOutput("o", q)
+		tc.build(c, q)
+		if _, err := Expose(c, []int{q}); err == nil || !strings.Contains(err.Error(), tc.clash) {
+			t.Errorf("%s: Expose err = %v, want one naming %s", tc.name, err, tc.clash)
+		}
+		if _, err := NewCut(c, []int{q}); err == nil || !strings.Contains(err.Error(), tc.clash) {
+			t.Errorf("%s: NewCut err = %v, want one naming %s", tc.name, err, tc.clash)
+		}
+	}
+	// A regular latch adds no mux, so a node named <latch>$nsmux is fine.
+	c := netlist.New("noclash")
+	d := c.AddInput("d")
+	q := c.AddLatch("q", d)
+	c.AddOutput("o", c.AddGate("q$nsmux", netlist.OpNot, q))
+	if _, err := Expose(c, []int{q}); err != nil {
+		t.Errorf("Expose of a regular latch beside q$nsmux: %v", err)
+	}
+	if _, err := NewCut(c, []int{q}); err != nil {
+		t.Errorf("NewCut of a regular latch beside q$nsmux: %v", err)
+	}
+}
+
 func TestBreakFeedbackProtected(t *testing.T) {
 	c := fsmCircuit()
 	// Protect s0: only s1 (or others) may be exposed.

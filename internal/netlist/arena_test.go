@@ -3,6 +3,7 @@ package netlist
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -151,6 +152,26 @@ func TestParseAllocsPerNode(t *testing.T) {
 	}
 }
 
+// TestParseReservesBySourceLength: ParseBLIF reserves its statement
+// tables from the source's length, a few bytes per source byte, so a
+// source of bare newlines, which holds no statement, reserves no more
+// than one holding real ones.
+func TestParseReservesBySourceLength(t *testing.T) {
+	src := strings.Repeat("\n", 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ParseBLIFString(src); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	// The source is copied once, and the tables take about 3.3 bytes.
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(src)); per > 6 {
+		t.Fatalf("parsing %d newlines allocated %.1f bytes per source byte, want at most 6", len(src), per)
+	} else {
+		t.Logf("%.2f bytes per source byte", per)
+	}
+}
+
 // TestParseBadCubeLiteral: a cover row with a character outside
 // {0,1,-} is a parse error, not a panic.
 func TestParseBadCubeLiteral(t *testing.T) {
@@ -174,5 +195,28 @@ func TestParseContinuationAndComments(t *testing.T) {
 	o := c.Nodes[c.MustLookup("o")]
 	if len(o.Fanins) != 2 || !slices.Equal(o.Cover, []Cube{"11"}) {
 		t.Fatalf("o = %+v", o)
+	}
+}
+
+// TestParseErrorsNamePhysicalLines: an error names the physical line
+// its statement starts on, counting comment lines, blank lines and
+// every line of a continued statement before it.
+func TestParseErrorsNamePhysicalLines(t *testing.T) {
+	for _, tc := range []struct {
+		src, want string
+	}{
+		{"# a comment\n\n.model m\n.inputs a \\\n  b\n.outputs o\n# rows follow\n.names a b o\n1x 1\n.end\n",
+			"blif line 9: bad cube literal 'x'"},
+		{"# a comment\n\n.model m\n.inputs a\n.outputs o\n.names a \\\n\\\n  o\n1 1\n11 1\n",
+			"blif line 10: cube width 2 != 1 fanins"},
+		{".model m\n\n.inputs a\n.outputs o\n.names a \\\n  o\n1 1\n0 0\n",
+			"blif line 5: mixed onset/offset cover for o"},
+		{".model m\n.inputs a\n# c\n\n.latch a \\\n\n", "blif line 5: .latch needs input and output"},
+		{"\n\n.model m\n.inputs a\n.outputs o\n.names a q o\n11 1\n", "blif line 6: undefined signal \"q\""},
+	} {
+		_, err := ParseBLIFString(tc.src)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("source %q: err = %v, want %q", tc.src, err, tc.want)
+		}
 	}
 }

@@ -27,53 +27,111 @@ import (
 // accepted and ignored: the verification model assumes a nondeterministic
 // power-up state (Section 3.2).
 
+// Source bytes per entry of ParseBLIF's statement tables. Across every
+// text of the perfbench corpora (both sides of each industrial_ex5,
+// retimed_s3384 and buggy_s3384 pair) the densest file has 32.5 bytes
+// per .names statement, 11.4 per .names name, 21.8 per cover row and
+// 171 per .latch, so tables reserved at these rates from the source's
+// length do not regrow there; denser text grows them by append. The
+// reservation is at most about 3.3 bytes per source byte, whatever the
+// text holds.
+const (
+	bytesPerNamesStmt = 32
+	bytesPerName      = 11
+	bytesPerCube      = 21
+	bytesPerLatch     = 160
+)
+
 // ParseBLIF reads one .model from r.
 //
-// The whole input is read into one string; names, cubes and logical
-// lines are substrings of it, so parsing allocates per statement only
-// where a continuation line must be joined. Statements are counted
-// before any node is built, and the circuit is sized once for them.
+// The whole input is read into one string and scanned once, statement
+// by statement (blifScanner): names and cubes are substrings of it, and
+// a .names statement's fields are split once and kept for the passes
+// that build and wire its gate. Statements are recorded before any node
+// is built, and the circuit is sized once for them. Errors name the
+// physical line of a statement's first field.
 func ParseBLIF(r io.Reader) (*Circuit, error) {
 	var src strings.Builder
 	if _, err := io.Copy(&src, r); err != nil {
 		return nil, fmt.Errorf("blif: %w", err)
 	}
-	lines := logicalLines(src.String())
+	sc := blifScanner{src: src.String()}
 
 	c := New("")
 	// Forward references are legal in BLIF, so we record raw statements
-	// first and resolve names afterwards. A .names statement keeps the
-	// index of its line, whose fields are split again when the gate is
-	// built and resolved, and its cover rows cubes[cov0:cov1].
+	// first and resolve names afterwards. A .names statement's fanins
+	// and output are names[at:at+nin+1], its cover rows cubes[cov0:cov1].
 	type rawNames struct {
-		line       int // index into lines
-		cov0, cov1 int
-		onset      bool // cover rows had output value 1
+		at, nin, line, cov0, cov1 int32
+		onset                     bool // cover rows had output value 1
 	}
 	type rawLatch struct {
-		in, out, typ, ctrl string
-		line               int
+		in, out, enable string // enable is set for type "le" alone
+		line            int
 	}
-	nNames, nLatches, nRows := 0, 0, 0
-	for _, l := range lines {
-		switch {
-		case strings.HasPrefix(l, ".names"):
-			nNames++
-		case strings.HasPrefix(l, ".latch"):
-			nLatches++
-		case !strings.HasPrefix(l, "."):
-			nRows++
-		}
-	}
-	namesStmts := make([]rawNames, 0, nNames)
-	latchStmts := make([]rawLatch, 0, nLatches)
-	cubes := make([]Cube, 0, nRows)
+	namesStmts := make([]rawNames, 0, len(sc.src)/bytesPerNamesStmt)
+	names := make([]string, 0, len(sc.src)/bytesPerName)
+	cubes := make([]Cube, 0, len(sc.src)/bytesPerCube)
+	latchStmts := make([]rawLatch, 0, len(sc.src)/bytesPerLatch)
 	var inputNames, outputNames []string
-	var fields []string // scratch, one line's fields
-	nFanins := 0
 
-	for li := 0; li < len(lines); li++ {
-		fields = appendFields(fields[:0], lines[li])
+	// Cover rows follow their .names statement up to the next statement
+	// that starts with a dot; cur is the statement taking them, or -1.
+	cur := -1
+	sawZero, sawOne := false, false
+	endCover := func() error {
+		if cur < 0 {
+			return nil
+		}
+		st := &namesStmts[cur]
+		if sawZero && sawOne {
+			return fmt.Errorf("blif line %d: mixed onset/offset cover for %s", st.line, names[st.at+st.nin])
+		}
+		st.cov1, st.onset = int32(len(cubes)), !sawZero
+		cur, sawZero, sawOne = -1, false, false
+		return nil
+	}
+	for {
+		fields, line := sc.next()
+		if len(fields) == 0 {
+			break
+		}
+		if fields[0][0] != '.' && cur >= 0 {
+			nin := int(namesStmts[cur].nin)
+			var cube string
+			var val byte
+			switch {
+			case nin == 0 && len(fields) == 1:
+				cube, val = "", fields[0][0]
+			case len(fields) == 2:
+				cube, val = fields[0], fields[1][0]
+			default:
+				return nil, fmt.Errorf("blif line %d: bad cover row %q", line, strings.Join(fields, " "))
+			}
+			if len(cube) != nin {
+				return nil, fmt.Errorf("blif line %d: cube width %d != %d fanins", line, len(cube), nin)
+			}
+			for i := 0; i < len(cube); i++ {
+				switch cube[i] {
+				case '0', '1', '-':
+				default:
+					return nil, fmt.Errorf("blif line %d: bad cube literal %q in %q", line, cube[i], cube)
+				}
+			}
+			switch val {
+			case '1':
+				sawOne = true
+			case '0':
+				sawZero = true
+			default:
+				return nil, fmt.Errorf("blif line %d: bad output value %q", line, val)
+			}
+			cubes = append(cubes, Cube(cube))
+			continue
+		}
+		if err := endCover(); err != nil {
+			return nil, err
+		}
 		switch fields[0] {
 		case ".model":
 			if len(fields) > 1 {
@@ -84,60 +142,19 @@ func ParseBLIF(r io.Reader) (*Circuit, error) {
 		case ".outputs":
 			outputNames = append(outputNames, fields[1:]...)
 		case ".names":
-			st := rawNames{line: li}
 			if len(fields) == 1 {
-				return nil, fmt.Errorf("blif line %d: .names needs at least an output", li+1)
+				return nil, fmt.Errorf("blif line %d: .names needs at least an output", line)
 			}
-			nin := len(fields) - 2
-			nFanins += nin
-			out := fields[nin+1]
-			st.cov0 = len(cubes)
-			sawZero, sawOne := false, false
-			for li+1 < len(lines) && !strings.HasPrefix(lines[li+1], ".") {
-				li++
-				row := appendFields(fields[:0], lines[li])
-				var cube string
-				var val byte
-				switch {
-				case nin == 0 && len(row) == 1:
-					cube, val = "", row[0][0]
-				case len(row) == 2:
-					cube, val = row[0], row[1][0]
-				default:
-					return nil, fmt.Errorf("blif line %d: bad cover row %q", li+1, lines[li])
-				}
-				if len(cube) != nin {
-					return nil, fmt.Errorf("blif line %d: cube width %d != %d fanins", li+1, len(cube), nin)
-				}
-				for i := 0; i < len(cube); i++ {
-					switch cube[i] {
-					case '0', '1', '-':
-					default:
-						return nil, fmt.Errorf("blif line %d: bad cube literal %q in %q", li+1, cube[i], cube)
-					}
-				}
-				switch val {
-				case '1':
-					sawOne = true
-				case '0':
-					sawZero = true
-				default:
-					return nil, fmt.Errorf("blif line %d: bad output value %q", li+1, val)
-				}
-				cubes = append(cubes, Cube(cube))
-			}
-			if sawZero && sawOne {
-				return nil, fmt.Errorf("blif line %d: mixed onset/offset cover for %s", st.line+1, out)
-			}
-			st.cov1 = len(cubes)
-			st.onset = !sawZero
-			namesStmts = append(namesStmts, st)
+			cur = len(namesStmts)
+			namesStmts = append(namesStmts, rawNames{at: int32(len(names)), nin: int32(len(fields) - 2),
+				line: int32(line), cov0: int32(len(cubes))})
+			names = append(names, fields[1:]...)
 		case ".latch":
 			a := fields[1:]
 			if len(a) < 2 {
-				return nil, fmt.Errorf("blif line %d: .latch needs input and output", li+1)
+				return nil, fmt.Errorf("blif line %d: .latch needs input and output", line)
 			}
-			rl := rawLatch{in: a[0], out: a[1], line: li + 1}
+			rl := rawLatch{in: a[0], out: a[1], line: line}
 			rest := a[2:]
 			// Optional trailing init value.
 			if len(rest) > 0 {
@@ -146,26 +163,27 @@ func ParseBLIF(r io.Reader) (*Circuit, error) {
 					rest = rest[:len(rest)-1]
 				}
 			}
-			if len(rest) >= 2 {
-				rl.typ, rl.ctrl = rest[0], rest[1]
+			if len(rest) >= 2 && rest[0] == "le" {
+				rl.enable = rest[1]
 			}
 			latchStmts = append(latchStmts, rl)
-		case ".end":
-			// stop at first model end
-			li = len(lines)
 		case ".exdc", ".subckt", ".gate", ".mlatch":
-			return nil, fmt.Errorf("blif line %d: unsupported construct %s", li+1, fields[0])
+			return nil, fmt.Errorf("blif line %d: unsupported construct %s", line, fields[0])
 		default:
-			// Ignore unknown dot-directives (e.g. .clock, .wire_load_slope).
-			if !strings.HasPrefix(fields[0], ".") {
-				return nil, fmt.Errorf("blif line %d: unexpected line %q", li+1, lines[li])
+			// Ignore unknown dot-directives (e.g. .clock, .wire_load_slope)
+			// and .end, after which the scanner reads nothing.
+			if fields[0][0] != '.' {
+				return nil, fmt.Errorf("blif line %d: unexpected line %q", line, strings.Join(fields, " "))
 			}
 		}
+	}
+	if err := endCover(); err != nil {
+		return nil, err
 	}
 
 	// Size the circuit once: every statement is one node, every .names
 	// fanin and every latch is one fanin.
-	c.grow(len(inputNames)+len(latchStmts)+len(namesStmts), nFanins+len(latchStmts), len(cubes))
+	c.grow(len(inputNames)+len(latchStmts)+len(namesStmts), len(names)-len(namesStmts)+len(latchStmts), len(cubes))
 	c.Inputs = make([]int, 0, len(inputNames))
 	c.Latches = make([]int, 0, len(latchStmts))
 	c.Outputs = make([]Output, 0, len(outputNames))
@@ -190,33 +208,31 @@ func ParseBLIF(r io.Reader) (*Circuit, error) {
 	// later. Gate i is node firstGate+i.
 	firstGate := len(c.Nodes)
 	for _, st := range namesStmts {
-		fields = appendFields(fields[:0], lines[st.line])
-		out := fields[len(fields)-1]
-		nin := len(fields) - 2
+		out := names[st.at+st.nin]
 		g := Node{Name: out, Kind: KindGate, Op: OpTable, Enable: NoEnable}
 		cover := cubes[st.cov0:st.cov1]
 		if !st.onset {
 			if c.Lookup(out) >= 0 {
-				return nil, fmt.Errorf("blif line %d: signal %q multiply defined", st.line+1, out)
+				return nil, fmt.Errorf("blif line %d: signal %q multiply defined", st.line, out)
 			}
 			var err error
 			cover, err = complementCover(cover)
 			if err != nil {
-				return nil, fmt.Errorf("blif line %d: %v", st.line+1, err)
+				return nil, fmt.Errorf("blif line %d: %v", st.line, err)
 			}
 		}
 		switch {
 		// Canonicalize trivial covers to primitive constants.
-		case nin == 0 && len(cover) > 0:
+		case st.nin == 0 && len(cover) > 0:
 			g.Op = OpConst1
-		case nin == 0:
+		case st.nin == 0:
 			g.Op = OpConst0
 		default:
-			g.Fanins = c.allocInts(nin)
+			g.Fanins = c.allocInts(int(st.nin))
 			g.Cover = c.cubeSlice(cover)
 		}
 		if _, ok := c.tryAdd(g); !ok {
-			return nil, fmt.Errorf("blif line %d: signal %q multiply defined", st.line+1, out)
+			return nil, fmt.Errorf("blif line %d: signal %q multiply defined", st.line, out)
 		}
 	}
 	// Pass 3: resolve references.
@@ -229,9 +245,8 @@ func ParseBLIF(r io.Reader) (*Circuit, error) {
 	}
 	for i, st := range namesStmts {
 		g := c.Nodes[firstGate+i]
-		fields = appendFields(fields[:0], lines[st.line])
-		for j, name := range fields[1 : len(fields)-1] {
-			id, err := resolve(name, st.line+1)
+		for j, name := range names[st.at : st.at+st.nin] {
+			id, err := resolve(name, int(st.line))
 			if err != nil {
 				return nil, err
 			}
@@ -245,8 +260,8 @@ func ParseBLIF(r io.Reader) (*Circuit, error) {
 			return nil, err
 		}
 		c.Nodes[lid].Fanins[0] = din
-		if rl.typ == "le" {
-			en, err := resolve(rl.ctrl, rl.line)
+		if rl.enable != "" {
+			en, err := resolve(rl.enable, rl.line)
 			if err != nil {
 				return nil, err
 			}
@@ -266,65 +281,109 @@ func ParseBLIF(r io.Reader) (*Circuit, error) {
 	return c, nil
 }
 
-// logicalLines splits BLIF source into its logical lines: '#' comments
-// stripped, '\' continuations joined, surrounding space trimmed, blank
-// lines dropped. Only joined lines are new strings; the rest are
-// substrings of src.
-func logicalLines(src string) []string {
-	lines := make([]string, 0, strings.Count(src, "\n")+1)
-	var cont []byte // pending continuation
-	for len(src) > 0 {
-		line := src
-		if i := strings.IndexByte(src, '\n'); i >= 0 {
-			line, src = src[:i], src[i+1:]
-		} else {
-			src = ""
+// blifScanner splits BLIF source into statements, its logical lines,
+// in one pass over the bytes: a '#' starts a comment that runs to the
+// end of the physical line, a line whose last byte before its comment
+// and any trailing spaces, tabs and carriage returns is a '\\'
+// continues on the next line, and a statement with no fields is
+// skipped. Fields split exactly as strings.Fields splits the joined
+// line, and are substrings of the source.
+type blifScanner struct {
+	src    string
+	pos    int      // the first byte not scanned yet
+	line   int      // physical lines scanned
+	fields []string // the last statement's fields
+}
+
+// Byte classes of the scan. A line with a wide byte, 0x80 or above, is
+// split by strings.Fields, which also splits at the Unicode spaces.
+const (
+	byteField = iota
+	byteSpace // an ASCII space other than '\n'
+	byteNewline
+	byteComment
+	byteWide
+)
+
+var blifByteClass = func() (class [256]uint8) {
+	for b := utf8.RuneSelf; b < len(class); b++ {
+		class[b] = byteWide
+	}
+	for _, b := range "\t\v\f\r " {
+		class[b] = byteSpace
+	}
+	class['\n'], class['#'] = byteNewline, byteComment
+	return class
+}()
+
+// next returns the next statement's fields, valid until the following
+// call, and the physical line of its first field. It returns no fields
+// at the end of the source and after a statement whose first field is
+// .end; a continuation still open at the end of the source is dropped.
+func (sc *blifScanner) next() ([]string, int) {
+	src, i := sc.src, sc.pos
+	sc.fields = sc.fields[:0]
+	first := 0
+	for i < len(src) {
+		sc.line++
+		start, n := i, len(sc.fields)
+		if n == 0 {
+			first = sc.line
 		}
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
+		// Split up to the line's end, a comment or a wide byte.
+		var class uint8
+		for i < len(src) {
+			if class = blifByteClass[src[i]]; class == byteSpace {
+				i++
+				continue
+			}
+			if class != byteField {
+				break
+			}
+			j := i
+			for i < len(src) && blifByteClass[src[i]] == byteField {
+				i++
+			}
+			sc.fields = append(sc.fields, src[j:i])
 		}
-		line = strings.TrimRight(line, " \t\r")
-		if strings.HasSuffix(line, "\\") {
-			cont = append(cont, line[:len(line)-1]...)
-			cont = append(cont, ' ')
+		end := i // of the line's text before any comment
+		if i < len(src) && class != byteNewline {
+			i = len(src)
+			if k := strings.IndexByte(src[end:], '\n'); k >= 0 {
+				i = end + k
+			}
+			if class == byteWide {
+				if k := strings.IndexByte(src[end:i], '#'); k >= 0 {
+					end += k
+				} else {
+					end = i
+				}
+				sc.fields = append(sc.fields[:n], strings.Fields(src[start:end])...)
+			}
+		}
+		if i < len(src) {
+			i++ // the newline
+		}
+		// Only a line whose last field ends in '\\' can continue; it
+		// does if nothing but spaces, tabs and carriage returns follow.
+		if k := len(sc.fields) - 1; k >= n && strings.HasSuffix(sc.fields[k], "\\") &&
+			strings.HasSuffix(strings.TrimRight(src[start:end], " \t\r"), "\\") {
+			if sc.fields[k] = sc.fields[k][:len(sc.fields[k])-1]; sc.fields[k] == "" {
+				sc.fields = sc.fields[:k]
+			}
 			continue
 		}
-		if len(cont) > 0 {
-			line = string(append(cont, line...))
-			cont = cont[:0]
+		if len(sc.fields) == 0 {
+			continue
 		}
-		if line = strings.TrimSpace(line); line != "" {
-			lines = append(lines, line)
+		if sc.pos = i; sc.fields[0] == ".end" {
+			sc.pos = len(src)
 		}
+		return sc.fields, first
 	}
-	return lines
+	sc.pos = i
+	return nil, 0
 }
-
-// appendFields appends the space-separated fields of s to dst, exactly
-// as strings.Fields splits them, without allocating a slice per line.
-func appendFields(dst []string, s string) []string {
-	n, start := len(dst), -1
-	for i := 0; i < len(s); i++ {
-		b := s[i]
-		switch {
-		case b >= utf8.RuneSelf:
-			return append(dst[:n], strings.Fields(s)...)
-		case asciiSpace[b]:
-			if start >= 0 {
-				dst = append(dst, s[start:i])
-				start = -1
-			}
-		case start < 0:
-			start = i
-		}
-	}
-	if start >= 0 {
-		dst = append(dst, s[start:])
-	}
-	return dst
-}
-
-var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // complementCover turns an offset cover (rows with output 0) into an onset
 // cover by Shannon expansion. Only practical for narrow tables; BLIF
