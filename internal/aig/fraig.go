@@ -12,10 +12,13 @@ import (
 // FraigOptions bounds the functional-reduction effort; zero values select
 // defaults.
 type FraigOptions struct {
-	SimWords     int   // random 64-pattern words that key the candidate classes
+	SimWords     int   // random 64-pattern words that key the classes when Keys is nil
 	MaxConflicts int64 // SAT budget per proof; Unknown keeps nodes separate
 	MaxClassSize int   // SAT proofs attempted per node
 	Seed         int64
+	// Keys, when non-nil, are class keys the caller folded from its own
+	// simulation of the input AIG; fraig then simulates no key words.
+	Keys *SimKeys
 }
 
 // FraigStats reports what a functional-reduction pass accomplished.
@@ -29,6 +32,7 @@ type FraigStats struct {
 	Refuted     int   // failed proofs whose SAT model refined the signatures
 	Conflicts   int64 // SAT conflicts over all proofs
 	Decisions   int64 // SAT decisions over all proofs
+	KeyWords    int   // pattern words folded into the class keys
 }
 
 // cutLeaves bounds the common cut a candidate pair is compared on
@@ -78,10 +82,17 @@ func FraigEx(a *AIG, opt FraigOptions) (*AIG, *FraigStats) {
 // wrong. A ctx already expired on entry returns a itself, with no
 // simulation, copy or compaction. A nil ctx never fires.
 //
-// A refuted proof is paid for once (Mishchenko et al., ICCAD'06): its
-// counterexample becomes one more simulation pattern, and every later
-// candidate pair that pattern separates is skipped without calling SAT.
-// Each proof decides only the variables of the two nodes' cones.
+// Candidate classes are keyed by simulation (Mishchenko et al.,
+// ICCAD'06): nodes whose random pattern words agree, up to complement,
+// share a class. The words come folded into opt.Keys when the caller
+// has already simulated a (the CEC engine passes its stage-1 patterns);
+// otherwise fraig simulates opt.SimWords words itself, folds them the
+// same way and drops them. Either way the keys are SimKeys, so the two
+// routes give the same classes for the same words. A refuted proof is
+// paid for once: its counterexample becomes one more simulation
+// pattern, and every later candidate pair that pattern separates is
+// skipped without calling SAT. Each proof decides only the variables of
+// the two nodes' cones.
 //
 // Before a proof, the pair is compared on a common cut of at most 6
 // leaves (cut sweeping, Kuehlmann ICCAD'04): after earlier merges most
@@ -98,28 +109,41 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
 	k := opt.SimWords
 
-	// Signatures are column-major over the input AIG: cols[j][n] is
-	// pattern word j of input node n. The first k columns are random and
-	// fix the class keys; each later column packs the counterexamples of
-	// up to 64 refuted proofs (see refine).
-	piWords := make([]uint64, a.numPIs*k)
-	for i := range piWords {
-		piWords[i] = rng.Uint64()
-	}
-	pend := make([]uint64, a.numPIs)
-	cols := make([][]uint64, k)
-	for j := range cols {
-		for i := range pend {
-			pend[i] = piWords[i*k+j]
+	// The seeded stream yields the k key words of each PI first and the
+	// refinement patterns after them. A keyed call skips the key words,
+	// so it refines exactly as a call that keys itself on those words.
+	keys := opt.Keys
+	if keys == nil {
+		flat := make([]uint64, a.numPIs*k)
+		piWords := make([][]uint64, a.numPIs)
+		for i := range piWords {
+			piWords[i] = flat[i*k : (i+1)*k : (i+1)*k]
+			for j := range piWords[i] {
+				piWords[i][j] = rng.Uint64()
+			}
 		}
-		cols[j] = a.SimWords(pend)
+		keys = NewSimKeys(a.NumNodes())
+		keys.Fold(a.SimWordsK(nil, piWords, k), k, 0)
+	} else {
+		for range a.numPIs * k {
+			rng.Uint64()
+		}
 	}
+	stats.KeyWords = keys.Words()
+
+	// Refinement signatures: sig holds column-major columns of one word
+	// per input node, each packing the counterexamples of up to 64
+	// refuted proofs (see refine). Class keys never change; the
+	// columns act through sameSig alone.
+	nodes := a.NumNodes()
+	pend := make([]uint64, a.numPIs)
+	var sig []uint64
 
 	out := New(a.PINames())
 	out.Grow(a.NumAnds())
 	// src maps each new-AIG node to the input node it was created for.
 	// The two are function-identical (representatives preserve functions
-	// exactly), so new nodes read their signatures from cols.
+	// exactly), so new nodes read their keys and signatures through it.
 	src := make([]uint32, out.NumNodes(), a.NumNodes())
 	for i := range src {
 		src[i] = uint32(i)
@@ -180,16 +204,14 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 	// Counterexample refinement: a Sat answer writes the model's values
 	// of the cone's PIs into bit fill of the pending PI words (every
 	// other bit stays random) and re-simulates the last column in place.
-	// A new column opens every 64 refutations. Class keys stay those of
-	// the first k columns, so refinement never rebuilds the class map;
-	// the new bits act through sameSig alone.
+	// A new column opens every 64 refutations.
 	fill := 64
 	refine := func() {
 		if fill == 64 {
 			for i := range pend {
 				pend[i] = rng.Uint64()
 			}
-			cols = append(cols, make([]uint64, a.NumNodes()))
+			sig = append(sig, make([]uint64, nodes)...)
 			fill = 0
 		}
 		bit := uint64(1) << uint(fill)
@@ -202,7 +224,7 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 				}
 			}
 		}
-		a.simInto(cols[len(cols)-1], pend)
+		a.simInto(sig[len(sig)-nodes:], pend)
 		fill++
 	}
 
@@ -295,18 +317,20 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 		return edgeTT(x) == edgeTT(y)
 	}
 
-	// normEdge returns the polarity-normalized edge of a node (bit 0 of
-	// signature word 0 cleared) — equivalence up to complement becomes
-	// plain equality of normalized edges.
+	// normEdge returns the polarity-normalized edge of a node (its first
+	// pattern bit cleared): equivalence up to complement becomes plain
+	// equality of normalized edges.
 	normEdge := func(nd uint32) Lit {
-		return MkLit(nd, cols[0][src[nd]]&1 == 1)
+		return MkLit(nd, keys.polarity(src[nd]))
 	}
 	// Candidate classes: each class's members form a linked list, in
 	// enrollment order, over one flat slice, so enrolling a node costs
 	// no allocation of its own. A class records its key and its first
 	// and last member; slots is an open-addressed table of class
 	// indices plus one (0 is empty), sized once for one class per input
-	// node so that it stays at most half full and never rehashes.
+	// node so that it stays at most half full and never rehashes. At
+	// most one member and one class per input node are ever enrolled,
+	// so members and classes are reserved once too.
 	type member struct {
 		lit  Lit
 		next int32 // -1 ends the class
@@ -315,9 +339,9 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 		key        [2]uint64
 		head, tail int32
 	}
-	var members []member
-	var classes []class
-	slots := make([]int32, tableSize(2*a.NumNodes()))
+	members := make([]member, 0, nodes)
+	classes := make([]class, 0, nodes)
+	slots := make([]int32, tableSize(2*nodes))
 	slotMask := uint64(len(slots) - 1)
 	// find returns the slot holding key's class, or the empty slot
 	// where the probe for key ended.
@@ -328,19 +352,7 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 		}
 		return int(i)
 	}
-	classKey := func(nd uint32) [2]uint64 {
-		var key [2]uint64
-		n := src[nd]
-		inv := cols[0][n]&1 == 1
-		for j := 0; j < k; j++ {
-			w := cols[j][n]
-			if inv {
-				w = ^w
-			}
-			key[j%2] ^= w*0x9e3779b97f4a7c15 + uint64(j)
-		}
-		return key
-	}
+	classKey := func(nd uint32) [2]uint64 { return keys.classKey(src[nd]) }
 	// join appends e to the class at slot, found for key, opening the
 	// class if the slot is empty.
 	join := func(slot int, key [2]uint64, e Lit) {
@@ -405,7 +417,7 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 				if tried >= opt.MaxClassSize || pollCtx() {
 					break
 				}
-				if !sameSig(cols, src, me, cand) {
+				if !sameSig(sig, nodes, src, me, cand) {
 					continue // separated by a refinement pattern
 				}
 				if merged = cutEqual(me, cand); merged {
@@ -448,16 +460,17 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 	return res, stats
 }
 
-// sameSig reports whether new-AIG edges x and y agree on every signature
-// column; src maps new-AIG nodes to the input nodes that index cols.
-func sameSig(cols [][]uint64, src []uint32, x, y Lit) bool {
-	nx, ny := src[x.Node()], src[y.Node()]
+// sameSig reports whether new-AIG edges x and y agree on every
+// refinement column of sig, n words each; src maps new-AIG nodes to the
+// input nodes that index the columns.
+func sameSig(sig []uint64, n int, src []uint32, x, y Lit) bool {
+	nx, ny := int(src[x.Node()]), int(src[y.Node()])
 	var flip uint64
 	if x.Compl() != y.Compl() {
 		flip = ^uint64(0)
 	}
-	for _, c := range cols {
-		if c[nx]^c[ny] != flip {
+	for c := 0; c < len(sig); c += n {
+		if sig[c+nx]^sig[c+ny] != flip {
 			return false
 		}
 	}

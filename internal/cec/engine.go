@@ -61,7 +61,7 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 	// Stage 1: random simulation looks for cheap counterexamples.
 	sctx, ssp := obs.Start(ctx, "sim")
 	sctx, srestore := obs.PhaseLabel(sctx, "sim")
-	hit := simStage(sctx, a, pos1, pos2, opt, st)
+	hit, keys := simStage(sctx, a, pos1, pos2, opt, st)
 	srestore()
 	ssp.Count("sim.patterns", st.SimPatterns)
 	ssp.End()
@@ -76,12 +76,13 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 
 	// Stage 2: SAT-sweeping merges internal equivalences so that the
 	// output miters collapse structurally where the circuits are similar.
-	// Under a deadline the sweep degrades to a structural copy, keeping
-	// stage 3 the only consumer of whatever budget remains.
+	// Stage 1's patterns key its candidate classes. Under a deadline the
+	// sweep degrades to a structural copy, keeping stage 3 the only
+	// consumer of whatever budget remains.
 	st.FraigNodesBefore = a.NumAnds()
 	fctx, fsp := obs.Start(ctx, "fraig")
 	fctx, frestore := obs.PhaseLabel(fctx, "fraig")
-	af, fst := aig.FraigExCtx(fctx, a, aig.FraigOptions{Seed: opt.Seed, MaxConflicts: 1000})
+	af, fst := aig.FraigExCtx(fctx, a, aig.FraigOptions{Seed: opt.Seed, MaxConflicts: 1000, Keys: keys})
 	frestore()
 	if fsp != nil {
 		fsp.Count("fraig.nodes_before", int64(st.FraigNodesBefore))
@@ -92,6 +93,7 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 		fsp.Count("fraig.refuted", int64(fst.Refuted))
 		fsp.Count("fraig.sat_conflicts", fst.Conflicts)
 		fsp.Count("fraig.sat_decisions", fst.Decisions)
+		fsp.Count("fraig.key_words", int64(fst.KeyWords))
 	}
 	fsp.End()
 	st.FraigNodesAfter = fst.NodesAfter
@@ -101,6 +103,7 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 	st.FraigRefuted = fst.Refuted
 	st.FraigConflicts = fst.Conflicts
 	st.FraigDecisions = fst.Decisions
+	st.FraigKeyWords = fst.KeyWords
 	// Recover per-output edges from the fraiged AIG's POs.
 	a = af
 	for i := 0; i < len(pos1); i++ {
@@ -151,12 +154,19 @@ func (h *simHit) less(o *simHit) bool {
 // sweep) and returns the first difference in deterministic order, or
 // nil if no round distinguishes the circuits. Simulation is only a
 // filter, so an expiring context simply skips the remaining rounds.
-func simStage(ctx context.Context, a *aig.AIG, pos1, pos2 []aig.Lit, opt Options, st *Stats) *simHit {
+//
+// Unless a round found a difference, each round's node words are folded
+// into fraig's class keys before the next round overwrites them. Each
+// worker folds into keys of its own and the pool's keys are merged
+// once it drains; the fold is order-free, so the keys are the same for
+// every worker count. keys is nil when no round ran or a round was
+// skipped, and fraig then keys its classes itself.
+func simStage(ctx context.Context, a *aig.AIG, pos1, pos2 []aig.Lit, opt Options, st *Stats) (*simHit, *aig.SimKeys) {
 	rounds, wpr := opt.simShape()
 	st.SimRounds, st.SimWordsPerRound = rounds, wpr
 	st.SimPatterns = int64(rounds) * int64(wpr) * 64
 	if rounds == 0 {
-		return nil
+		return nil, nil
 	}
 	sp := obs.CurrentSpan(ctx)
 	workers := opt.workerCount()
@@ -166,9 +176,11 @@ func simStage(ctx context.Context, a *aig.AIG, pos1, pos2 []aig.Lit, opt Options
 
 	var mu sync.Mutex
 	var best *simHit
+	var found atomic.Bool // a round found a difference: fraig will not run
 	next := int32(-1)
+	folded := make([]*aig.SimKeys, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -208,8 +220,15 @@ func simStage(ctx context.Context, a *aig.AIG, pos1, pos2 []aig.Lit, opt Options
 							best = hit
 						}
 						mu.Unlock()
+						found.Store(true)
 						break
 					}
+				}
+				if !found.Load() {
+					if folded[wk] == nil {
+						folded[wk] = aig.NewSimKeys(a.NumNodes())
+					}
+					folded[wk].Fold(w, wpr, r*wpr)
 				}
 				if sp != nil {
 					sp.Count("sim.rounds", 1)
@@ -218,7 +237,23 @@ func simStage(ctx context.Context, a *aig.AIG, pos1, pos2 []aig.Lit, opt Options
 		}()
 	}
 	wg.Wait()
-	return best
+	if best != nil {
+		return best, nil
+	}
+	var keys *aig.SimKeys
+	for _, f := range folded {
+		switch {
+		case f == nil:
+		case keys == nil:
+			keys = f
+		default:
+			keys.Merge(f)
+		}
+	}
+	if keys == nil || keys.Words() != rounds*wpr {
+		return nil, nil
+	}
+	return nil, keys
 }
 
 // flipMask returns the all-ones word for complemented edges.

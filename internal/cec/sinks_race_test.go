@@ -127,6 +127,7 @@ func TestTraceFeedsEngineCounters(t *testing.T) {
 			"seqver_fraig_refuted_total":       int64(st.FraigRefuted),
 			"seqver_fraig_sat_conflicts_total": st.FraigConflicts,
 			"seqver_fraig_sat_decisions_total": st.FraigDecisions,
+			"seqver_fraig_key_words_total":     int64(st.FraigKeyWords),
 			"seqver_sat_calls_total":           int64(st.SATCalls),
 			"seqver_sat_conflicts_total":       st.Conflicts,
 			"seqver_sat_decisions_total":       st.Decisions,

@@ -29,6 +29,10 @@ type Stats struct {
 	FraigRefuted     int   `json:"fraig_refuted"` // proofs answered with a counterexample
 	FraigConflicts   int64 `json:"fraig_conflicts"`
 	FraigDecisions   int64 `json:"fraig_decisions"`
+	// FraigKeyWords is the number of pattern words fraig's classes were
+	// keyed on: stage 1's rounds x words, or fraig's own words when
+	// stage 1 did not run to the end.
+	FraigKeyWords int `json:"fraig_key_words"`
 
 	StructuralEqual int   `json:"structural_equal"` // miters discharged without SAT
 	SATCalls        int   `json:"sat_calls"`

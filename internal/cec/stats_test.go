@@ -27,6 +27,7 @@ func fullStats() *Stats {
 		FraigRefuted:     7,
 		FraigConflicts:   33,
 		FraigDecisions:   90,
+		FraigKeyWords:    32,
 		StructuralEqual:  6,
 		SATCalls:         5,
 		Conflicts:        777,

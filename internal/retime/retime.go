@@ -36,6 +36,9 @@ type graph struct {
 	// moveEnable is the enable node of the class being retimed
 	// (NoEnable for the regular class).
 	moveEnable int
+	// maxOut is latchCost's scratch: the largest retimed weight per
+	// root circuit node, zero between calls.
+	maxOut []int
 }
 
 const (
@@ -334,17 +337,17 @@ func (g *graph) feas(c int) []int {
 // driving signal (root node), the maximum retimed weight over its fanout
 // edges — the chain is shared among fanouts, Minaret's sharing model.
 func (g *graph) latchCost(r []int) int {
-	maxOut := make(map[int]int)
-	for _, e := range g.edges {
-		w := g.wr(e, r)
-		if w > maxOut[e.root] {
-			maxOut[e.root] = w
-		}
+	if g.maxOut == nil {
+		g.maxOut = make([]int, len(g.c.Nodes))
 	}
 	total := 0
-	for _, w := range maxOut {
-		total += w
+	for _, e := range g.edges {
+		if w := g.wr(e, r); w > g.maxOut[e.root] {
+			total += w - g.maxOut[e.root]
+			g.maxOut[e.root] = w
+		}
 	}
+	clear(g.maxOut)
 	return total
 }
 
