@@ -152,8 +152,12 @@ func (h *simHit) less(o *simHit) bool {
 // simStage runs the stage-1 random simulation rounds as parallel
 // batches (each round simulates wordsPerRound*64 patterns in one k-word
 // sweep) and returns the first difference in deterministic order, or
-// nil if no round distinguishes the circuits. Simulation is only a
-// filter, so an expiring context simply skips the remaining rounds.
+// nil if no round distinguishes the circuits. Rounds are taken in
+// order, and none past the lowest round that found a difference: every
+// round below it has run, so the hit is the same for every worker
+// count. Simulation is only a filter, so an expiring context simply
+// skips the remaining rounds. SimPatterns counts the patterns of the
+// rounds that ran.
 //
 // Unless a round found a difference, each round's node words are folded
 // into fraig's class keys before the next round overwrites them. Each
@@ -164,7 +168,6 @@ func (h *simHit) less(o *simHit) bool {
 func simStage(ctx context.Context, a *aig.AIG, pos1, pos2 []aig.Lit, opt Options, st *Stats) (*simHit, *aig.SimKeys) {
 	rounds, wpr := opt.simShape()
 	st.SimRounds, st.SimWordsPerRound = rounds, wpr
-	st.SimPatterns = int64(rounds) * int64(wpr) * 64
 	if rounds == 0 {
 		return nil, nil
 	}
@@ -176,7 +179,11 @@ func simStage(ctx context.Context, a *aig.AIG, pos1, pos2 []aig.Lit, opt Options
 
 	var mu sync.Mutex
 	var best *simHit
-	var found atomic.Bool // a round found a difference: fraig will not run
+	// end is rounds, or the lowest round that found a difference (fraig
+	// will not run then): no round from end on is taken.
+	var end atomic.Int32
+	end.Store(int32(rounds))
+	var ran atomic.Int64 // rounds taken
 	next := int32(-1)
 	folded := make([]*aig.SimKeys, workers)
 	var wg sync.WaitGroup
@@ -187,9 +194,10 @@ func simStage(ctx context.Context, a *aig.AIG, pos1, pos2 []aig.Lit, opt Options
 			var w []uint64 // node words, reused across this worker's rounds
 			for {
 				r := int(atomic.AddInt32(&next, 1))
-				if r >= rounds || sat.Expired(ctx) {
+				if r >= int(end.Load()) || sat.Expired(ctx) {
 					return
 				}
+				ran.Add(1)
 				// Seed per round, not per worker: the simulated
 				// patterns are identical for every worker count.
 				rng := rand.New(rand.NewSource(opt.Seed*1_000_003 + int64(r)*7919 + 5))
@@ -218,13 +226,13 @@ func simStage(ctx context.Context, a *aig.AIG, pos1, pos2 []aig.Lit, opt Options
 						st.SimCexHits++
 						if best == nil || hit.less(best) {
 							best = hit
+							end.Store(int32(best.round))
 						}
 						mu.Unlock()
-						found.Store(true)
 						break
 					}
 				}
-				if !found.Load() {
+				if end.Load() == int32(rounds) {
 					if folded[wk] == nil {
 						folded[wk] = aig.NewSimKeys(a.NumNodes())
 					}
@@ -237,6 +245,7 @@ func simStage(ctx context.Context, a *aig.AIG, pos1, pos2 []aig.Lit, opt Options
 		}()
 	}
 	wg.Wait()
+	st.SimPatterns = ran.Load() * int64(wpr) * 64
 	if best != nil {
 		return best, nil
 	}

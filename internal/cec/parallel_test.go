@@ -1,6 +1,7 @@
 package cec
 
 import (
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -221,4 +222,34 @@ func TestSimStageConfigurable(t *testing.T) {
 		t.Fatalf("SAT path did not decide: %+v", res)
 	}
 	assertGenuineCex(t, c1, c2, res)
+}
+
+// TestSimStageStopsAtDecidingRound: stage 1 takes no round past the
+// lowest one that found a difference (here every round does, so a
+// worker takes at most one), SimPatterns counts the rounds taken, and
+// the failing output and counterexample are the same at every worker
+// count.
+func TestSimStageStopsAtDecidingRound(t *testing.T) {
+	c1, c2 := xorPair(false)
+	var want *Result
+	for _, workers := range []int{1, 2, 4} {
+		res, err := Check(c1, c2, Options{Workers: workers, SimRounds: 8, SimWordsPerRound: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != Inequivalent {
+			t.Fatalf("%d workers: verdict %v", workers, res.Verdict)
+		}
+		if p := res.Stats.SimPatterns; p < 2*64 || p > int64(workers)*2*64 {
+			t.Errorf("%d workers: %d patterns simulated, want 128 to %d", workers, p, workers*2*64)
+		}
+		if want == nil {
+			want = res
+			continue
+		}
+		if res.FailingOutput != want.FailingOutput || !maps.Equal(res.Counterexample, want.Counterexample) {
+			t.Errorf("%d workers: %s %v, 1 worker: %s %v", workers,
+				res.FailingOutput, res.Counterexample, want.FailingOutput, want.Counterexample)
+		}
+	}
 }

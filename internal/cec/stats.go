@@ -16,10 +16,10 @@ type Stats struct {
 	Engine           string `json:"engine"`
 	Workers          int    `json:"workers"`
 	Outputs          int    `json:"outputs"`
-	SimRounds        int    `json:"sim_rounds"`
+	SimRounds        int    `json:"sim_rounds"` // stage-1 rounds configured
 	SimWordsPerRound int    `json:"sim_words_per_round"`
-	SimPatterns      int64  `json:"sim_patterns"` // input vectors simulated in stage 1
-	SimCexHits       int    `json:"sim_cex_hits"` // stage-1 rounds that exposed a difference
+	SimPatterns      int64  `json:"sim_patterns"` // input vectors simulated in the stage-1 rounds that ran
+	SimCexHits       int    `json:"sim_cex_hits"` // outputs that differed, summed over the rounds that ran
 
 	FraigNodesBefore int   `json:"fraig_nodes_before"`
 	FraigNodesAfter  int   `json:"fraig_nodes_after"`

@@ -70,11 +70,13 @@ func PrepareCtx(ctx context.Context, a *netlist.Circuit, opt PrepareOptions) (*P
 	if err != nil {
 		return nil, err
 	}
-	b, err := feedback.Expose(work, ids)
+	x, err := feedback.NewCut(work, ids)
 	if err != nil {
 		return nil, err
 	}
-	res.Circuit = netlist.Sweep(b, false)
+	if res.Circuit, err = x.Circuit(); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -273,9 +275,10 @@ func unrollCuts(ctx context.Context, x1, x2 *feedback.Cut, rewrite bool) (*Unrol
 	return u, nil
 }
 
-// latchIDs maps latch names exposed in the first circuit of a pair
-// onto the second circuit's latches.
-func latchIDs(c *netlist.Circuit, exposed []string) ([]int, error) {
+// matchCut exposes the named latches in c, mirroring an exposure
+// already applied to the other side of a comparison, and checks that
+// the cut is acyclic.
+func matchCut(c *netlist.Circuit, exposed []string) (*feedback.Cut, error) {
 	ids := make([]int, 0, len(exposed))
 	for _, name := range exposed {
 		id := c.Lookup(name)
@@ -284,27 +287,24 @@ func latchIDs(c *netlist.Circuit, exposed []string) ([]int, error) {
 		}
 		ids = append(ids, id)
 	}
-	return ids, nil
-}
-
-// MatchExposure exposes the named latches in c, mirroring an exposure
-// already applied to the other side of a comparison, and verifies the
-// result is acyclic. It builds the circuit the verify path reads
-// through a cut of c.
-func MatchExposure(c *netlist.Circuit, exposed []string) (*netlist.Circuit, error) {
-	ids, err := latchIDs(c, exposed)
+	x, err := feedback.NewCut(c, ids)
 	if err != nil {
 		return nil, err
 	}
-	b, err := feedback.Expose(c, ids)
-	if err != nil {
-		return nil, err
-	}
-	b = netlist.Sweep(b, false)
-	if err := cbf.CheckAcyclic(b); err != nil {
+	if err := cbf.CheckCut(x); err != nil {
 		return nil, fmt.Errorf("core: second circuit still cyclic after matching exposure: %w", err)
 	}
-	return b, nil
+	return x, nil
+}
+
+// MatchExposure builds the circuit matchCut reads: c with the named
+// latches exposed, checked acyclic.
+func MatchExposure(c *netlist.Circuit, exposed []string) (*netlist.Circuit, error) {
+	x, err := matchCut(c, exposed)
+	if err != nil {
+		return nil, err
+	}
+	return x.Circuit()
 }
 
 // cutPair is the constraint-satisfaction step of a verification pair,
@@ -324,15 +324,8 @@ func cutPair(ctx context.Context, c1, c2 *netlist.Circuit, prep PrepareOptions) 
 	if x1, err = feedback.NewCut(work, ids); err != nil {
 		return nil, nil, err
 	}
-	ids2, err := latchIDs(c2, res.Exposed)
-	if err != nil {
+	if x2, err = matchCut(c2, res.Exposed); err != nil {
 		return nil, nil, err
-	}
-	if x2, err = feedback.NewCut(c2, ids2); err != nil {
-		return nil, nil, err
-	}
-	if err := cbf.CheckCut(x2); err != nil {
-		return nil, nil, fmt.Errorf("core: second circuit still cyclic after matching exposure: %w", err)
 	}
 	return x1, x2, nil
 }

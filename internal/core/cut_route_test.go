@@ -103,11 +103,11 @@ func sameUnrolled(t *testing.T, got, want *core.Unrolled) {
 
 // TestCutRouteMatchesCopyRoute checks, on perfbench's corpus shapes,
 // that UnrollPairCtx, which reads both circuits through their cuts,
-// reduces each pair exactly as exposing and sweeping copies of them
-// (PrepareCtx and MatchExposure) and unrolling those does: the same
-// joint AIG node for node, input names and order, output edges and
-// hash, the same method, depth and unrolled gate counts, and the same
-// cbf.*, edbf.*, feedback.* and aig.inputs counts in the same order.
+// reduces each pair exactly as unrolling the circuits those cuts build
+// (PrepareCtx and MatchExposure) does: the same joint AIG node for
+// node, input names and order, output edges and hash, the same method,
+// depth and unrolled gate counts, and the same cbf.*, edbf.*,
+// feedback.* and aig.inputs counts in the same order.
 func TestCutRouteMatchesCopyRoute(t *testing.T) {
 	n := 8
 	if testing.Short() {

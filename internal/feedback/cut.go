@@ -8,14 +8,14 @@ import (
 )
 
 // Cut is a circuit read with some of its latches exposed, in place: it
-// reads as the circuit Expose followed by netlist.Sweep(…, false) would
-// build, node for node, but builds neither. An exposed latch reads as an
-// input carrying its name. After the circuit's own outputs come the
-// "<name>$ns" outputs, in exposure order, each driven by the latch's
-// data or, for a load-enabled latch, by a "<name>$nsmux" gate (enable,
-// data, latch) that the cut numbers after the circuit's nodes. The CBF
-// and EDBF walks read their circuit through a Cut, so the check path
-// exposes latches without copying or sweeping the circuit.
+// reads as the circuit Circuit builds, node for node, but builds
+// nothing. An exposed latch reads as an input carrying its name. After
+// the circuit's own outputs come the "<name>$ns" outputs, in exposure
+// order, each driven by the latch's data or, for a load-enabled latch,
+// by a "<name>$nsmux" gate (enable, data, latch) that the cut numbers
+// after the circuit's nodes. The CBF and EDBF walks read their circuit
+// through a Cut, so the check path exposes latches without copying or
+// sweeping the circuit.
 type Cut struct {
 	// Inputs lists the input nodes in the order the swept circuit
 	// declares them: node-ID order over the circuit's inputs and the
@@ -40,8 +40,8 @@ func Whole(c *netlist.Circuit) *Cut {
 }
 
 // NewCut exposes the given latches (by node ID) of c without copying
-// it. It fails, as Expose does, on a node that is not a latch, on an
-// unnamed latch, or on a latch whose next-state names c already uses.
+// it. It fails on a node that is not a latch, on an unnamed latch, or
+// on a latch whose next-state names c already uses.
 func NewCut(c *netlist.Circuit, latches []int) (*Cut, error) {
 	names, err := checkExposable(c, latches)
 	if err != nil {
@@ -82,6 +82,34 @@ func NewCut(c *netlist.Circuit, latches []int) (*Cut, error) {
 		x.regular = x.regular && (x.exposed[id] || c.Nodes[id].Enable == netlist.NoEnable)
 	}
 	return x, nil
+}
+
+// Circuit builds the circuit a cut made by NewCut reads: a copy of the
+// source with the "$nsmux" gates added, the "$ns" outputs appended and
+// the exposed latches turned into inputs, swept by
+// netlist.Sweep(…, false), which drops the logic no output or latch
+// reads and compacts the IDs.
+func (x *Cut) Circuit() (*netlist.Circuit, error) {
+	out := x.c.Clone()
+	for _, m := range x.muxes {
+		out.AddGate(m.Name, m.Op, m.Fanins...)
+	}
+	out.Outputs = append(out.Outputs, x.Outputs[len(x.c.Outputs):]...)
+	latches := out.Latches[:0]
+	for _, id := range out.Latches {
+		if !x.Exposed(id) {
+			latches = append(latches, id)
+			continue
+		}
+		n := out.Nodes[id]
+		n.Kind, n.Fanins, n.Enable = netlist.KindInput, nil, netlist.NoEnable
+		out.Inputs = append(out.Inputs, id)
+	}
+	out.Latches = latches
+	if err := out.Check(); err != nil {
+		return nil, fmt.Errorf("feedback: exposure produced invalid circuit: %w", err)
+	}
+	return netlist.Sweep(out, false), nil
 }
 
 // sweep marks the nodes Sweep would keep, once: the inputs and
@@ -207,7 +235,7 @@ func (x *Cut) CheckAcyclic() error {
 		return nil
 	}
 	// Logic Sweep drops is on no feedback path (that would be a
-	// combinational cycle, which Expose rejects), so the verdict needs
+	// combinational cycle, which the netlist's Check rejects), so the verdict needs
 	// no sweep; naming the cycle as the swept circuit's check does
 	// needs its roots, the nodes Sweep keeps, in order.
 	if x.cycle() >= 0 {

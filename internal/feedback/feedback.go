@@ -9,8 +9,8 @@
 // Exposing a latch treats its output as a pseudo primary input and its
 // next-state function as a pseudo primary output; during retiming the
 // exposed latch is pinned in place (it has become part of the interface).
-// Select picks the latches; Expose builds the exposed circuit, and a Cut
-// reads the circuit as exposed and swept without building anything.
+// Select picks the latches; a Cut reads the circuit as exposed and
+// swept without building anything, and Cut.Circuit builds it.
 package feedback
 
 import (
@@ -330,9 +330,6 @@ func MFVS(g *Graph, protected []bool) []int {
 	return selected
 }
 
-// ExposedInputName is the pseudo-primary-input name for an exposed latch.
-func ExposedInputName(latchName string) string { return latchName }
-
 // The suffixes of an exposed latch's next-state output and, for a
 // load-enabled latch, of the gate driving it. The first is a prefix of
 // the second, which lets a Cut keep both names in one string.
@@ -340,10 +337,6 @@ const (
 	nsSuffix    = "$ns"
 	nsMuxSuffix = nsSuffix + "mux"
 )
-
-// ExposedOutputName is the pseudo-primary-output name carrying the
-// exposed latch's next-state function.
-func ExposedOutputName(latchName string) string { return latchName + nsSuffix }
 
 // nextStateNames cuts one latch's "<latch>$nsmux" off the front of the
 // names checkExposable returned, and returns it with its prefix
@@ -397,58 +390,10 @@ func checkExposable(c *netlist.Circuit, latches []int) (string, error) {
 	return names, nil
 }
 
-// Expose cuts the given latches (by node ID): each becomes a pseudo
-// primary input carrying its old name, and a new pseudo primary output
-// named "<name>$ns" carries its next-state function (for a load-enabled
-// latch: enable·data + ¬enable·state, so the cut is behaviour-exact).
-// The result is a fresh circuit; node IDs are preserved. NewCut reads
-// c the same way without building it.
-func Expose(c *netlist.Circuit, latches []int) (*netlist.Circuit, error) {
-	names, err := checkExposable(c, latches)
-	if err != nil {
-		return nil, err
-	}
-	cut := make(map[int]bool, len(latches))
-	for _, id := range latches {
-		cut[id] = true
-	}
-	out := c.Clone()
-	// Add next-state POs first (they reference data/enable before the
-	// latch node is turned into an input).
-	for _, id := range latches {
-		n := out.Nodes[id]
-		mux, ns := nextStateNames(&names, n.Name)
-		drv := n.Data()
-		if n.Enable != netlist.NoEnable {
-			drv = out.AddGate(mux, netlist.OpMux, n.Enable, n.Data(), id)
-		}
-		out.AddOutput(ns, drv)
-	}
-	// Convert latch nodes into primary inputs.
-	newLatches := out.Latches[:0]
-	for _, id := range out.Latches {
-		if !cut[id] {
-			newLatches = append(newLatches, id)
-			continue
-		}
-		n := out.Nodes[id]
-		n.Kind = netlist.KindInput
-		n.Fanins = nil
-		n.Enable = netlist.NoEnable
-		out.Inputs = append(out.Inputs, id)
-	}
-	out.Latches = newLatches
-	if err := out.Check(); err != nil {
-		return nil, fmt.Errorf("feedback: exposure produced invalid circuit: %w", err)
-	}
-	return out, nil
-}
-
 // Select runs the Section 7.1 selection: build the latch graph and
 // pick a feedback vertex set with MFVS, never exposing a `protected`
 // latch ID when avoidable. It returns the selected latch IDs in c's
-// latch declaration order; NewCut exposes them in place, Expose in a
-// copy.
+// latch declaration order, for NewCut to expose.
 func Select(c *netlist.Circuit, protected map[int]bool) ([]int, error) {
 	g, err := LatchGraph(c)
 	if err != nil {

@@ -38,11 +38,21 @@ func breakFeedback(t *testing.T, c *netlist.Circuit, protected map[int]bool) (*n
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Expose(c, ids)
+	return exposeCircuit(t, c, ids), ids
+}
+
+// exposeCircuit builds c with the given latches exposed.
+func exposeCircuit(t *testing.T, c *netlist.Circuit, ids []int) *netlist.Circuit {
+	t.Helper()
+	x, err := NewCut(c, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, ids
+	b, err := x.Circuit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestLatchGraphShape(t *testing.T) {
@@ -332,10 +342,7 @@ func TestExposeEnabledLatch(t *testing.T) {
 	e := c.AddInput("e")
 	q := c.AddEnabledLatch("q", d, e)
 	c.AddOutput("o", q)
-	b, err := Expose(c, []int{q})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := exposeCircuit(t, c, []int{q})
 	s := sim.New(b)
 	// inputs of b: d, e, q(pseudo). Try e=0: ns == q; e=1: ns == d.
 	idx := map[string]int{}
@@ -360,18 +367,17 @@ func TestExposeErrors(t *testing.T) {
 	a := c.AddInput("a")
 	g := c.AddGate("g", netlist.OpNot, a)
 	c.AddOutput("o", g)
-	if _, err := Expose(c, []int{g}); err == nil {
+	if _, err := NewCut(c, []int{g}); err == nil {
 		t.Fatal("exposed a non-latch")
 	}
 	l := c.AddLatch("", a)
-	if _, err := Expose(c, []int{l}); err == nil {
+	if _, err := NewCut(c, []int{l}); err == nil {
 		t.Fatal("exposed an unnamed latch")
 	}
 }
 
 // TestExposeNameClash: a latch whose exposure would add a name the
-// circuit already has is an error naming the clash, from Expose and
-// from NewCut alike.
+// circuit already has is an error naming the clash, from NewCut.
 func TestExposeNameClash(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -394,9 +400,6 @@ func TestExposeNameClash(t *testing.T) {
 		q := c.AddEnabledLatch("q", d, e)
 		c.AddOutput("o", q)
 		tc.build(c, q)
-		if _, err := Expose(c, []int{q}); err == nil || !strings.Contains(err.Error(), tc.clash) {
-			t.Errorf("%s: Expose err = %v, want one naming %s", tc.name, err, tc.clash)
-		}
 		if _, err := NewCut(c, []int{q}); err == nil || !strings.Contains(err.Error(), tc.clash) {
 			t.Errorf("%s: NewCut err = %v, want one naming %s", tc.name, err, tc.clash)
 		}
@@ -406,11 +409,9 @@ func TestExposeNameClash(t *testing.T) {
 	d := c.AddInput("d")
 	q := c.AddLatch("q", d)
 	c.AddOutput("o", c.AddGate("q$nsmux", netlist.OpNot, q))
-	if _, err := Expose(c, []int{q}); err != nil {
-		t.Errorf("Expose of a regular latch beside q$nsmux: %v", err)
-	}
-	if _, err := NewCut(c, []int{q}); err != nil {
-		t.Errorf("NewCut of a regular latch beside q$nsmux: %v", err)
+	b := exposeCircuit(t, c, []int{q})
+	if b.Lookup("q$nsmux") < 0 || !slices.Equal(b.OutputNames(), []string{"o", "q$ns"}) {
+		t.Errorf("exposing a regular latch beside q$nsmux: outputs %v", b.OutputNames())
 	}
 }
 
@@ -423,5 +424,78 @@ func TestBreakFeedbackProtected(t *testing.T) {
 		if c.Nodes[id].Name == "s0" {
 			t.Fatal("protected latch exposed despite alternative")
 		}
+	}
+}
+
+// TestCutCircuit pins the circuit a cut builds, as BLIF: a regular
+// exposed latch r, a load-enabled exposed latch p (exposed first), an
+// unexposed latch s and a dead gate. The "$ns" outputs follow the
+// circuit's own in exposure order; p's is driven by "p$nsmux" (enable,
+// data, latch); the inputs are in node-ID order, exposed latches among
+// them; and the dead gate is swept, which renumbers what follows it.
+func TestCutCircuit(t *testing.T) {
+	c := netlist.New("pin")
+	a := c.AddInput("a")
+	r := c.AddLatch("r", a)
+	e := c.AddInput("e")
+	s := c.AddLatch("s", a)
+	c.AddGate("dead", netlist.OpNot, a)
+	p := c.AddEnabledLatch("p", a, e)
+	c.SetLatchData(r, c.AddGate("g", netlist.OpAnd, a, s))
+	h := c.AddGate("h", netlist.OpXor, r, p)
+	c.SetLatchData(p, h)
+	c.SetLatchData(s, c.AddGate("k", netlist.OpOr, r, p))
+	c.AddOutput("o", h)
+
+	x, err := NewCut(c, []int{p, r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := x.Circuit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := netlist.WriteBLIF(&sb, b); err != nil {
+		t.Fatal(err)
+	}
+	const want = `.model pin
+.inputs a r e p
+.outputs o p$ns r$ns
+.latch k s re clk 3
+.names a s g
+11 1
+.names r p h
+10 1
+01 1
+.names r p k
+1- 1
+-1 1
+.names e h p p$nsmux
+11- 1
+0-1 1
+.names h o
+1 1
+.names p$nsmux p$ns
+1 1
+.names g r$ns
+1 1
+.end
+`
+	if sb.String() != want {
+		t.Errorf("cut's circuit:\n%s\nwant:\n%s", sb.String(), want)
+	}
+	// The swept IDs: the dead gate (node 4) is gone, and the cut's own
+	// numbering of the survivors and its gate count agree.
+	if id := b.Lookup("p$nsmux"); id != 8 || len(b.Nodes) != 9 {
+		t.Errorf("p$nsmux is node %d of %d, want 8 of 9", id, len(b.Nodes))
+	}
+	for id := 0; id < x.NumNodes(); id++ {
+		if name := x.Node(id).Name; name != "dead" && x.SweptID(id) != b.Lookup(name) {
+			t.Errorf("%s: cut's swept ID %d, circuit's %d", name, x.SweptID(id), b.Lookup(name))
+		}
+	}
+	if x.NumGates() != b.NumGates() {
+		t.Errorf("cut counts %d gates, its circuit has %d", x.NumGates(), b.NumGates())
 	}
 }

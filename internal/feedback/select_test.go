@@ -26,13 +26,6 @@ func TestExposeBreaksFeedback(t *testing.T) {
 	if len(exposed) == 0 {
 		t.Fatal("nothing exposed")
 	}
-	b, err := feedback.Expose(c, exposed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cbf.CheckAcyclic(b); err != nil {
-		t.Fatalf("still cyclic after exposure: %v", err)
-	}
 	x, err := feedback.NewCut(c, exposed)
 	if err != nil {
 		t.Fatal(err)
@@ -40,24 +33,25 @@ func TestExposeBreaksFeedback(t *testing.T) {
 	if err := cbf.CheckCut(x); err != nil {
 		t.Fatalf("cut still cyclic: %v", err)
 	}
+	b, err := x.Circuit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cbf.CheckAcyclic(b); err != nil {
+		t.Fatalf("still cyclic after exposure: %v", err)
+	}
 	// Exposed latches appear as inputs and $ns outputs.
 	for _, id := range exposed {
 		name := c.Nodes[id].Name
-		if b.Lookup(feedback.ExposedInputName(name)) < 0 {
+		if in := b.Lookup(name); in < 0 || b.Nodes[in].Kind != netlist.KindInput {
 			t.Fatalf("missing exposed input %s", name)
 		}
-		found := false
-		for _, o := range b.Outputs {
-			if o.Name == feedback.ExposedOutputName(name) {
-				found = true
-			}
-		}
-		if !found {
+		if !slices.Contains(b.OutputNames(), name+"$ns") {
 			t.Fatalf("missing exposed output for %s", name)
 		}
 	}
 	// CBF construction now succeeds.
-	if _, err := cbf.Unroll(netlist.Sweep(b, false)); err != nil {
+	if _, err := cbf.Unroll(b); err != nil {
 		t.Fatalf("Unroll after exposure: %v", err)
 	}
 }
@@ -170,7 +164,8 @@ func TestSelectCorpusUnchanged(t *testing.T) {
 // TestCutNamesCycleAsSweptCircuit covers a cycle report that depends on
 // dead logic: a gate nothing reads, numbered before the cycle, reaches
 // it at l2, while the first node of the cycle that Sweep keeps is l1.
-// The swept copy's check names l1, and so must the cut's.
+// The check of the cut's swept circuit names l1, and so must the cut's
+// own.
 func TestCutNamesCycleAsSweptCircuit(t *testing.T) {
 	c := netlist.New("deadroot")
 	a := c.AddInput("a")
@@ -185,13 +180,13 @@ func TestCutNamesCycleAsSweptCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := feedback.Expose(c, nil)
+	b, err := x.Circuit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cbf.CheckAcyclic(netlist.Sweep(e, false))
+	want := cbf.CheckAcyclic(b)
 	if want == nil || !strings.Contains(want.Error(), `"l1"`) {
-		t.Fatalf("swept copy: %v, want a cycle through l1", want)
+		t.Fatalf("cut's circuit: %v, want a cycle through l1", want)
 	}
 	if err := cbf.CheckCut(x); err == nil || err.Error() != want.Error() {
 		t.Fatalf("cut: %v, want %v", err, want)

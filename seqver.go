@@ -297,7 +297,11 @@ func ParseAiger(r io.Reader) (*Circuit, error) {
 
 // Feedback analysis (Sections 6, 7.1).
 
-// ExposeLatches cuts the named latches into pseudo PI/PO pairs.
+// ExposeLatches cuts the named latches into pseudo PI/PO pairs: each
+// becomes an input of its name, and a "<name>$ns" output carries its
+// next-state function. The result is swept: logic that no output or
+// remaining latch reads is dropped, node IDs are compacted, and the
+// inputs, exposed latches among them, come in node-ID order.
 func ExposeLatches(c *Circuit, names []string) (*Circuit, error) {
 	ids := make([]int, 0, len(names))
 	for _, n := range names {
@@ -307,7 +311,11 @@ func ExposeLatches(c *Circuit, names []string) (*Circuit, error) {
 		}
 		ids = append(ids, id)
 	}
-	return feedback.Expose(c, ids)
+	x, err := feedback.NewCut(c, ids)
+	if err != nil {
+		return nil, err
+	}
+	return x.Circuit()
 }
 
 // MissingLatchError reports an unknown latch name passed to
